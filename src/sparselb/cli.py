@@ -13,31 +13,27 @@ violation (coupling margin, policy normalization), 3 I/O or file format.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional, Sequence
 
 from . import graph as graphs
 from . import meanfield, properties, simulator
-from .graph import GraphFormatError, GraphSpec
+from .graph import GraphFormatError, GraphGenerationError, GraphSpec
 from .policy import policy_from_name
 from .records import (
     check_compatible_metadata,
     compare_trajectories,
+    level_columns,
     read_trajectory_csv,
+    trajectory_rows,
     write_coupled_csv,
-    write_metadata,
     write_steady_csv,
+    write_table,
     write_trajectory_csv,
 )
-from .simulator import InvariantViolation
-
-_FAMILIES = {
-    "fixed-degree-log2": graphs.log_squared_degree_family,
-    "fixed-degree-log": graphs.log_degree_family,
-    "errg-log2": graphs.errg_log_squared_family,
-    "geometric-log2": graphs.geometric_log_squared_family,
-}
+from .simulator import InvariantViolation, ServiceDistribution
 
 
 class CliUsageError(Exception):
@@ -104,39 +100,30 @@ def cmd_gen(args) -> int:
 def cmd_check(args) -> int:
     g = graphs.read_graph(args.graph)
     uniform, argmax = properties.uniform_subcriticality_metric(g, args.d)
-    optimal = gamma_size = None
+    opt = gsz = None
     if args.optimal:
         report = properties.optimal_subcriticality_load(g, args.d)
-        optimal, gamma_size = report.optimal_load, report.gamma_support_size
+        opt, gsz = f"{report.optimal_load:.6f}", report.gamma_support_size
     rows = []
     for eps in args.epsilons:
         rep = properties.sparsity_deficiency(
             g, eps, mode=args.mode, budget=args.budget, seed=args.seed
         )
-        rows.append((eps, rep))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        write_metadata(
-            fh,
-            {
-                "command": "check",
-                "graph": args.graph,
-                "d": args.d,
-                "mode": args.mode,
-                "budget": args.budget,
-                "seed": args.seed,
-            },
+        rows.append(
+            (eps, rep.deficiency, rep.mode, rep.subsets_probed, len(rep.witness_subset),
+             uniform, argmax, opt, gsz)
         )
-        fh.write(
-            "epsilon,deficiency,mode,subsets_probed,witness_size,"
-            "uniform_metric,argmax_server,optimal_load,gamma_support_size\n"
-        )
-        opt = "" if optimal is None else f"{optimal:.6f}"
-        gsz = "" if gamma_size is None else str(gamma_size)
-        for eps, rep in rows:
-            fh.write(
-                f"{eps:.12g},{rep.deficiency:.12g},{rep.mode},{rep.subsets_probed},"
-                f"{len(rep.witness_subset)},{uniform:.12g},{argmax},{opt},{gsz}\n"
-            )
+    meta = {
+        "command": "check",
+        "graph": args.graph,
+        "d": args.d,
+        "mode": args.mode,
+        "budget": args.budget,
+        "seed": args.seed,
+    }
+    header = ["epsilon", "deficiency", "mode", "subsets_probed", "witness_size",
+              "uniform_metric", "argmax_server", "optimal_load", "gamma_support_size"]
+    write_table(args.out, meta, header, rows)
     print(f"wrote {args.out}: uniform_metric={uniform:.6f}" + (f" optimal_load={opt}" if opt else ""))
     return 0
 
@@ -210,10 +197,8 @@ def cmd_ode(args) -> int:
     depth = args.depth if args.depth is not None else meanfield.default_depth(args.lam, args.d)
     if args.start == "empty":
         q0 = meanfield.empty_occupancy(depth)
-    elif args.start == "fixed-point":
+    else:  # argparse limits --start to empty / fixed-point
         q0 = meanfield.fixed_point(args.lam, args.d, depth)
-    else:
-        raise CliUsageError(f"unknown start state {args.start!r}")
     policy = policy_from_name(args.policy) if args.policy else None
     result = meanfield.integrate_ode(
         args.lam,
@@ -242,27 +227,22 @@ def cmd_compare(args) -> int:
 
 
 def cmd_trend(args) -> int:
-    if args.family not in _FAMILIES:
-        raise CliUsageError(f"unknown family {args.family!r}; choose from {sorted(_FAMILIES)}")
-    family = _FAMILIES[args.family]()
     rows = properties.sparsity_trend(
-        family,
+        graphs.FAMILIES[args.family],
         args.epsilons,
         args.sizes,
         args.seeds,
         budget=args.budget,
     )
-    properties.write_trend_csv(
-        rows,
-        args.out,
-        {
-            "command": "trend",
-            "family": args.family,
-            "sizes": ",".join(map(str, args.sizes)),
-            "seeds": ",".join(map(str, args.seeds)),
-            "budget": args.budget,
-        },
-    )
+    meta = {
+        "command": "trend",
+        "family": args.family,
+        "sizes": ",".join(map(str, args.sizes)),
+        "seeds": ",".join(map(str, args.seeds)),
+        "budget": args.budget,
+    }
+    header = ["family", "N", "M", "seed", "epsilon", "deficiency_lb", "uniform_metric", "optimal_load"]
+    write_table(args.out, meta, header, map(dataclasses.astuple, rows))
     print(f"wrote {args.out}: {len(rows)} rows")
     return 0
 
@@ -271,10 +251,10 @@ def cmd_trend(args) -> int:
 # canned recipes
 
 
-def _steady_mean(graph, lam, d, seed, service="exponential", warmup=50.0, measure=100.0, replicas=3):
+def _steady_mean(args, family, n, lam, service="exponential") -> tuple[float, float]:
     summary = simulator.steady_state(
-        graph, d, lam, warmup=warmup, measure=measure, replicas=replicas,
-        service=service, seed=seed,
+        family.build(n, args.seed), args.d, lam, warmup=50.0, measure=100.0, replicas=3,
+        service=service, seed=args.seed,
     )
     return summary.mean_qlen, summary.mean_qlen_stderr
 
@@ -284,107 +264,105 @@ def _fixed_point_mean_qlen(lam: float, d: int) -> float:
     return float(q[1:].sum())
 
 
-def cmd_reproduce(args) -> int:
-    recipe = args.recipe
-    out = args.out or f"{recipe}.csv"
-    lam, d, seed = args.lam, args.d, args.seed
-    meta = {"command": f"reproduce {recipe}", "lambda": lam, "d": d, "seed": seed}
+def _six_places(*values: float) -> tuple[str, ...]:
+    return tuple(f"{v:.6f}" for v in values)
 
-    if recipe == "erg-trajectories":
-        sizes = args.sizes or [100, 1000]
-        depth = args.depth or 12
-        horizon = args.horizon or 20.0
-        with open(out, "w", encoding="utf-8") as fh:
-            write_metadata(fh, {**meta, "sizes": sizes, "horizon": horizon, "depth": depth})
-            fh.write("source,t," + ",".join(f"q{i}" for i in range(1, depth + 1)) + ",overflow\n")
 
-            def emit(source, record):
-                for s, t in enumerate(record.sample_times):
-                    row = ",".join(f"{v:.12g}" for v in record.occupancy[s, :depth])
-                    fh.write(f"{source},{t:.12g},{row},{int(record.overflow[s])}\n")
+def _erg_trajectories(args, meta):
+    sizes = args.sizes or [100, 1000]
+    depth = args.depth or 12
+    horizon = args.horizon or 20.0
+    meta.update(sizes=sizes, horizon=horizon, depth=depth)
 
-            for n in sizes:
-                g = graphs.errg_log_squared_family().build(n, seed)
-                rec = simulator.simulate(
-                    g, d, lam, horizon, seed=seed, depth=depth, allow_disconnected=True
-                )
-                emit(f"sim-N{n}", rec)
-            ode = meanfield.integrate_ode(
-                lam, meanfield.empty_occupancy(depth), horizon, depth=depth, d=d
+    def rows():
+        for n in sizes:
+            g = graphs.errg_log_squared_family().build(n, args.seed)
+            rec = simulator.simulate(
+                g, args.d, args.lam, horizon, seed=args.seed, depth=depth, allow_disconnected=True
             )
-            emit("ode", ode.record)
-        print(f"wrote {out}")
-        return 0
+            yield from ((f"sim-N{n}", *row) for row in trajectory_rows(rec))
+        ode = meanfield.integrate_ode(
+            args.lam, meanfield.empty_occupancy(depth), horizon, depth=depth, d=args.d
+        )
+        yield from (("ode", *row) for row in trajectory_rows(ode.record))
 
-    if recipe == "degree-sweep":
-        sizes = args.sizes or [250, 1000, 4000]
-        families = [
-            graphs.constant_degree_family(4),
-            graphs.log_degree_family(),
-            graphs.log_squared_degree_family(),
-        ]
-        target = _fixed_point_mean_qlen(lam, d)
-        with open(out, "w", encoding="utf-8") as fh:
-            write_metadata(fh, {**meta, "sizes": sizes, "target": f"{target:.6f}"})
-            fh.write("family,N,mean_qlen,stderr\n")
-            for family in families:
-                for n in sizes:
-                    g = family.build(n, seed)
-                    mean, se = _steady_mean(g, lam, d, seed)
-                    fh.write(f"{family.name},{n},{mean:.6f},{se:.6f}\n")
-        print(f"wrote {out} (fully flexible target {target:.4f})")
-        return 0
+    return ["source", "t", *level_columns(depth), "overflow"], rows()
 
-    if recipe == "lambda-sweep":
-        sizes = args.sizes or [250, 1000, 4000]
-        lambdas = args.lambdas or [0.5, 0.65, 0.8]
-        family = graphs.errg_log_squared_family()
-        with open(out, "w", encoding="utf-8") as fh:
-            write_metadata(fh, {**meta, "sizes": sizes, "lambdas": lambdas})
-            fh.write("lambda,N,mean_qlen,stderr,target,gap\n")
-            for lam_i in lambdas:
-                target = _fixed_point_mean_qlen(lam_i, d)
-                for n in sizes:
-                    g = family.build(n, seed)
-                    mean, se = _steady_mean(g, lam_i, d, seed)
-                    fh.write(
-                        f"{lam_i},{n},{mean:.6f},{se:.6f},{target:.6f},{abs(mean - target):.6f}\n"
-                    )
-        print(f"wrote {out}")
-        return 0
 
-    if recipe == "service-sweep":
-        sizes = args.sizes or [1000]
-        family = graphs.errg_log_squared_family()
-        with open(out, "w", encoding="utf-8") as fh:
-            write_metadata(fh, {**meta, "sizes": sizes})
-            fh.write("service,N,mean_qlen,stderr\n")
-            for kind in ("exponential", "deterministic", "pareto"):
-                for n in sizes:
-                    g = family.build(n, seed)
-                    mean, se = _steady_mean(g, lam, d, seed, service=kind)
-                    fh.write(f"{kind},{n},{mean:.6f},{se:.6f}\n")
-        print(f"wrote {out}")
-        return 0
-
-    if recipe == "geometric-vs-errg":
-        sizes = args.sizes or [250, 1000]
-        target = _fixed_point_mean_qlen(lam, d)
-        with open(out, "w", encoding="utf-8") as fh:
-            write_metadata(fh, {**meta, "sizes": sizes, "target": f"{target:.6f}"})
-            fh.write("family,N,mean_qlen,stderr,target\n")
-            for family in (graphs.errg_log_squared_family(), graphs.geometric_log_squared_family()):
-                for n in sizes:
-                    g = family.build(n, seed)
-                    mean, se = _steady_mean(g, lam, d, seed)
-                    fh.write(f"{family.name},{n},{mean:.6f},{se:.6f},{target:.6f}\n")
-        print(f"wrote {out}")
-        return 0
-
-    raise CliUsageError(
-        f"unknown recipe {recipe!r}; choose from erg-trajectories, degree-sweep, "
-        f"lambda-sweep, service-sweep, geometric-vs-errg"
+def _family_sweep(args, meta, families, default_sizes):
+    """Steady-state mean queue length per (family, N) against the fixed point."""
+    sizes = args.sizes or default_sizes
+    target = _fixed_point_mean_qlen(args.lam, args.d)
+    meta.update(sizes=sizes, target=f"{target:.6f}")
+    rows = (
+        (family.name, n, *_six_places(*_steady_mean(args, family, n, args.lam)))
+        for family in families
+        for n in sizes
     )
+    return ["family", "N", "mean_qlen", "stderr"], rows
+
+
+def _degree_sweep(args, meta):
+    families = [
+        graphs.constant_degree_family(4),
+        graphs.log_degree_family(),
+        graphs.log_squared_degree_family(),
+    ]
+    return _family_sweep(args, meta, families, [250, 1000, 4000])
+
+
+def _geometric_vs_errg(args, meta):
+    families = (graphs.errg_log_squared_family(), graphs.geometric_log_squared_family())
+    header, rows = _family_sweep(args, meta, families, [250, 1000])
+    return [*header, "target"], ((*row, meta["target"]) for row in rows)
+
+
+def _lambda_sweep(args, meta):
+    sizes = args.sizes or [250, 1000, 4000]
+    lambdas = args.lambdas or [0.5, 0.65, 0.8]
+    meta.update(sizes=sizes, lambdas=lambdas)
+    family = graphs.errg_log_squared_family()
+
+    def rows():
+        for lam in lambdas:
+            target = _fixed_point_mean_qlen(lam, args.d)
+            for n in sizes:
+                mean, se = _steady_mean(args, family, n, lam)
+                yield (str(lam), n, *_six_places(mean, se, target, abs(mean - target)))
+
+    return ["lambda", "N", "mean_qlen", "stderr", "target", "gap"], rows()
+
+
+def _service_sweep(args, meta):
+    sizes = args.sizes or [1000]
+    meta.update(sizes=sizes)
+    family = graphs.errg_log_squared_family()
+    rows = (
+        (kind, n, *_six_places(*_steady_mean(args, family, n, args.lam, kind)))
+        for kind in ServiceDistribution.KINDS
+        for n in sizes
+    )
+    return ["service", "N", "mean_qlen", "stderr"], rows
+
+
+# Each recipe takes (args, meta), adds its settings to meta and returns
+# (header, rows); rows may be lazy because write_table consumes them first.
+RECIPES = {
+    "erg-trajectories": _erg_trajectories,
+    "degree-sweep": _degree_sweep,
+    "lambda-sweep": _lambda_sweep,
+    "service-sweep": _service_sweep,
+    "geometric-vs-errg": _geometric_vs_errg,
+}
+
+
+def cmd_reproduce(args) -> int:
+    out = args.out or f"{args.recipe}.csv"
+    meta = {"command": f"reproduce {args.recipe}", "lambda": args.lam, "d": args.d, "seed": args.seed}
+    header, rows = RECIPES[args.recipe](args, meta)
+    write_table(out, meta, header, rows)
+    print(f"wrote {out}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +384,9 @@ def _add_common(sub, *, graph_input=False, sim_params=False):
 def build_parser() -> tuple[_Parser, dict]:
     parser = _Parser(prog="sparselb", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-    registry = {}
 
     p = subs.add_parser("gen", help="generate a compatibility graph file")
-    p.add_argument("--kind", required=True,
-                   choices=["complete", "matching", "fixed-degree", "inhomogeneous", "geometric", "braess"])
+    p.add_argument("--kind", required=True, choices=graphs.KINDS)
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--c", type=int, default=None)
@@ -419,7 +395,6 @@ def build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_gen)
-    registry["gen"] = p
 
     p = subs.add_parser("check", help="certify sparsity and load conditions")
     _add_common(p, graph_input=True)
@@ -430,28 +405,25 @@ def build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--optimal", action="store_true", help="also solve the exact min-max load")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_check)
-    registry["check"] = p
 
     p = subs.add_parser("simulate", help="run one trajectory")
     _add_common(p, graph_input=True, sim_params=True)
     p.add_argument("--horizon", type=float, default=20.0)
-    p.add_argument("--service", choices=["exponential", "deterministic", "pareto"], default="exponential")
+    p.add_argument("--service", choices=ServiceDistribution.KINDS, default="exponential")
     p.add_argument("--sample-interval", dest="sample_interval", type=float, default=0.1)
     p.add_argument("--allow-overload", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
-    registry["simulate"] = p
 
     p = subs.add_parser("steady", help="estimate steady-state occupancy")
     _add_common(p, graph_input=True, sim_params=True)
     p.add_argument("--warmup", type=float, default=None)
     p.add_argument("--measure", type=float, default=200.0)
     p.add_argument("--replicas", type=int, default=8)
-    p.add_argument("--service", choices=["exponential", "deterministic", "pareto"], default="exponential")
+    p.add_argument("--service", choices=ServiceDistribution.KINDS, default="exponential")
     p.add_argument("--allow-overload", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_steady)
-    registry["steady"] = p
 
     p = subs.add_parser("coupled", help="coupled run against the fully flexible twin")
     _add_common(p, graph_input=True, sim_params=True)
@@ -459,7 +431,6 @@ def build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--sample-interval", dest="sample_interval", type=float, default=0.1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_coupled)
-    registry["coupled"] = p
 
     p = subs.add_parser("ode", help="integrate the mean-field occupancy ODE")
     p.add_argument("--d", type=int, default=2)
@@ -473,7 +444,6 @@ def build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_ode)
-    registry["ode"] = p
 
     p = subs.add_parser("compare", help="sup and l1 distance between two trajectory CSVs")
     p.add_argument("--a", required=True)
@@ -481,10 +451,9 @@ def build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--levels", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_compare)
-    registry["compare"] = p
 
     p = subs.add_parser("trend", help="sparsity/load metrics across a size sweep")
-    p.add_argument("--family", required=True)
+    p.add_argument("--family", required=True, choices=sorted(graphs.FAMILIES))
     p.add_argument("--sizes", type=_int_list, default=[250, 1000])
     p.add_argument("--seeds", type=_int_list, default=list(range(10)))
     p.add_argument("--epsilons", type=_float_list, default=[0.1])
@@ -492,10 +461,9 @@ def build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_trend)
-    registry["trend"] = p
 
     p = subs.add_parser("reproduce", help="canned experiment recipes")
-    p.add_argument("recipe")
+    p.add_argument("recipe", choices=sorted(RECIPES))
     p.add_argument("--sizes", type=_int_list, default=None)
     p.add_argument("--lambdas", type=_float_list, default=None)
     p.add_argument("--d", type=int, default=2)
@@ -505,28 +473,30 @@ def build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--out", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_reproduce)
-    registry["reproduce"] = p
 
-    return parser, registry
+    return parser, subs.choices
+
+
+def _config_defaults(path: str, args) -> dict:
+    """Flag defaults from a JSON object; "lambda" sets --lambda, unknown keys are refused."""
+    with open(path, "r", encoding="utf-8") as fh:
+        overrides = json.load(fh)
+    if not isinstance(overrides, dict):
+        raise CliUsageError(f"{path}: config must be a JSON object")
+    valid = set(vars(args)) - {"command", "func", "config"}
+    dest = {key: "lam" if key == "lambda" else key.replace("-", "_") for key in overrides}
+    unknown = sorted(key for key in overrides if dest[key] not in valid)
+    if unknown:
+        raise CliUsageError(f"unknown config key(s) {unknown}; valid keys: {sorted(valid)}")
+    return {dest[key]: value for key, value in overrides.items()}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser, registry = build_parser()
+    parser, subparsers = build_parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            with open(args.config, "r", encoding="utf-8") as fh:
-                overrides = json.load(fh)
-            sub = registry[args.command]
-            dest_of = {}
-            for action in sub._actions:
-                for opt in action.option_strings:
-                    dest_of[opt.lstrip("-")] = action.dest
-            mapped = {
-                dest_of.get(key, key.replace("-", "_")): value
-                for key, value in overrides.items()
-            }
-            sub.set_defaults(**mapped)
+            subparsers[args.command].set_defaults(**_config_defaults(args.config, args))
             args = parser.parse_args(argv)  # explicit flags still win
         return args.func(args)
     except CliUsageError as exc:
@@ -538,7 +508,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (GraphFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, GraphGenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

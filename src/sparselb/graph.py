@@ -377,7 +377,7 @@ def radius_for_mean_degree(n_servers: int, mean_degree: float) -> float:
 # ---------------------------------------------------------------------------
 # declarative specs (CLI / experiment families)
 
-_KINDS = ("complete", "matching", "fixed-degree", "inhomogeneous", "geometric", "braess")
+KINDS = ("complete", "matching", "fixed-degree", "inhomogeneous", "geometric", "braess")
 
 
 @dataclass(frozen=True)
@@ -393,20 +393,19 @@ class GraphSpec:
     seed: int = 0
 
     def build(self) -> BipartiteGraph:
-        kind = "fixed-degree" if self.kind == "fixed-server-degree" else self.kind
-        if kind not in _KINDS:
-            raise ValueError(f"unknown graph kind {self.kind!r}; expected one of {_KINDS}")
-        if kind == "braess":
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown graph kind {self.kind!r}; expected one of {KINDS}")
+        if self.kind == "braess":
             return braess_example()
-        if kind == "matching":
+        if self.kind == "matching":
             return perfect_matching(self.n)
-        if kind == "complete":
+        if self.kind == "complete":
             return complete_bipartite(self.n, self.m)
-        if kind == "fixed-degree":
+        if self.kind == "fixed-degree":
             if self.c is None:
                 raise ValueError("fixed-degree spec needs c")
             return generate_fixed_server_degree(self.n, self.m, self.c, self.seed)
-        if kind == "inhomogeneous":
+        if self.kind == "inhomogeneous":
             if self.p is None:
                 raise ValueError("inhomogeneous spec needs p")
             return generate_inhomogeneous(self.n, self.m, self.p, self.seed)
@@ -474,6 +473,13 @@ def geometric_log_squared_family() -> GraphFamily:
             n, n, radius_for_mean_degree(n, math.log(n) ** 2), seed
         ),
     )
+
+
+FAMILIES = {
+    family.name: family
+    for family in (log_squared_degree_family(), log_degree_family(),
+                   errg_log_squared_family(), geometric_log_squared_family())
+}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ p[i] = q_i^d - q_{i+1}^d, the law of the minimum of d i.i.d. draws from x.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -54,7 +54,7 @@ def distribution_from_occupancy(q) -> np.ndarray:
     return np.diff(np.concatenate((arr, [0.0]))) * -1.0
 
 
-def invert_cdf(p: Sequence[float], u: float) -> int:
+def invert_cdf(p: Iterable[float], u: float) -> int:
     """Smallest index i with cum(p)[i] > u; lands only on positive cells.
 
     Falls back to the last positive cell when u exceeds the accumulated

@@ -495,17 +495,3 @@ def sparsity_trend(
                     )
                 )
     return rows
-
-
-def write_trend_csv(rows: Sequence[TrendRow], path, metadata: Optional[dict] = None) -> None:
-    from .records import write_metadata
-
-    with open(path, "w", encoding="utf-8") as fh:
-        write_metadata(fh, metadata or {})
-        fh.write("family,N,M,seed,epsilon,deficiency_lb,uniform_metric,optimal_load\n")
-        for r in rows:
-            opt = "" if r.optimal_load is None else f"{r.optimal_load:.12g}"
-            fh.write(
-                f"{r.family},{r.n},{r.m},{r.seed},{r.epsilon:.12g},"
-                f"{r.deficiency_lb:.12g},{r.uniform_metric:.12g},{opt}\n"
-            )

@@ -1,8 +1,9 @@
 """Result containers and their CSV wire formats.
 
-Every CSV written here starts with a '#'-prefixed metadata block (config
-echo, package version, seed) so outputs are self-describing, followed by a
-fixed header row:
+Every CSV the package writes goes through `write_table`: a '#'-prefixed
+metadata block (config echo, package version, seed) so outputs are
+self-describing, then a header row and the data rows. The schemas kept
+here are:
 
     trajectory:   t, q1, ..., qK, overflow
     steady state: replica, mean_qlen, q1, ..., qK
@@ -15,7 +16,7 @@ outputs diff directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -98,14 +99,29 @@ class CoupledRecord:
 # CSV I/O
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _cell(x) -> str:
+    if isinstance(x, float):
+        return f"{x:.12g}"
+    return "" if x is None else str(x)
 
 
-def write_metadata(fh: TextIO, metadata: dict) -> None:
-    fh.write(f"# artifact: {FORMAT_VERSION}\n")
-    for key, value in metadata.items():
-        fh.write(f"# {key}: {value}\n")
+def write_table(path, metadata: dict, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write the '#' metadata block, the header row and one line per row.
+
+    Floats get 12 significant digits, None an empty cell, anything else
+    str(). Rows are consumed before the file opens, so a row that raises
+    leaves no partial file.
+    """
+    lines = [",".join(map(_cell, row)) + "\n" for row in rows]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# artifact: {FORMAT_VERSION}\n")
+        fh.writelines(f"# {key}: {value}\n" for key, value in metadata.items())
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
+
+
+def level_columns(depth: int) -> list[str]:
+    return [f"q{i}" for i in range(1, depth + 1)]
 
 
 def read_metadata(fh: TextIO) -> dict:
@@ -123,14 +139,15 @@ def read_metadata(fh: TextIO) -> dict:
             meta[key.strip()] = value.strip()
 
 
+def trajectory_rows(record: TrajectoryRecord) -> Iterator[tuple]:
+    """Rows (t, q1, ..., qK, overflow) of a trajectory record."""
+    columns = (record.sample_times.tolist(), record.occupancy.tolist(), record.overflow.tolist())
+    return ((t, *occ, over) for t, occ, over in zip(*columns))
+
+
 def write_trajectory_csv(record: TrajectoryRecord, path, metadata: Optional[dict] = None) -> None:
-    k = record.depth
-    with open(path, "w", encoding="utf-8") as fh:
-        write_metadata(fh, metadata or {})
-        fh.write("t," + ",".join(f"q{i}" for i in range(1, k + 1)) + ",overflow\n")
-        for s, t in enumerate(record.sample_times):
-            row = ",".join(_fmt(v) for v in record.occupancy[s])
-            fh.write(f"{_fmt(t)},{row},{int(record.overflow[s])}\n")
+    header = ["t", *level_columns(record.depth), "overflow"]
+    write_table(path, metadata or {}, header, trajectory_rows(record))
 
 
 def read_trajectory_csv(path) -> tuple[TrajectoryRecord, dict]:
@@ -157,34 +174,22 @@ def read_trajectory_csv(path) -> tuple[TrajectoryRecord, dict]:
 
 
 def write_steady_csv(summary: SteadyStateSummary, path, metadata: Optional[dict] = None) -> None:
-    k = summary.depth
-    meta = dict(metadata or {})
-    meta["mean_qlen"] = _fmt(summary.mean_qlen)
-    meta["mean_qlen_stderr"] = _fmt(summary.mean_qlen_stderr)
-    with open(path, "w", encoding="utf-8") as fh:
-        write_metadata(fh, meta)
-        fh.write("replica,mean_qlen," + ",".join(f"q{i}" for i in range(1, k + 1)) + "\n")
-        for r in range(summary.n_replicas):
-            row = ",".join(_fmt(v) for v in summary.replica_occupancy[r])
-            fh.write(f"{r},{_fmt(summary.replica_mean_qlen[r])},{row}\n")
+    meta = {
+        **(metadata or {}),
+        "mean_qlen": _cell(summary.mean_qlen),
+        "mean_qlen_stderr": _cell(summary.mean_qlen_stderr),
+    }
+    means = summary.replica_mean_qlen.tolist()
+    rows = ((r, means[r], *occ) for r, occ in enumerate(summary.replica_occupancy.tolist()))
+    write_table(path, meta, ["replica", "mean_qlen", *level_columns(summary.depth)], rows)
 
 
 def write_coupled_csv(coupled: CoupledRecord, path, metadata: Optional[dict] = None) -> None:
     rec = coupled.g_record
-    k = rec.depth
-    with open(path, "w", encoding="utf-8") as fh:
-        write_metadata(fh, metadata or {})
-        fh.write(
-            "t,"
-            + ",".join(f"q{i}" for i in range(1, k + 1))
-            + ",overflow,delta,margin_min_so_far\n"
-        )
-        for s, t in enumerate(rec.sample_times):
-            row = ",".join(_fmt(v) for v in rec.occupancy[s])
-            fh.write(
-                f"{_fmt(t)},{row},{int(rec.overflow[s])},"
-                f"{int(coupled.delta_series[s])},{int(coupled.margin_series[s])}\n"
-            )
+    header = ["t", *level_columns(rec.depth), "overflow", "delta", "margin_min_so_far"]
+    delta, margin = coupled.delta_series.tolist(), coupled.margin_series.tolist()
+    rows = ((*row, delta[s], margin[s]) for s, row in enumerate(trajectory_rows(rec)))
+    write_table(path, metadata or {}, header, rows)
 
 
 # ---------------------------------------------------------------------------

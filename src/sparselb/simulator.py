@@ -23,11 +23,12 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .graph import BipartiteGraph, floyd_sample
+from .policy import invert_cdf
 from .records import CoupledRecord, SteadyStateSummary, TrajectoryRecord
 
 DEFAULT_DEPTH = 30
@@ -50,11 +51,11 @@ class ServiceDistribution:
 
     kind: str
 
-    _KINDS = ("exponential", "deterministic", "pareto")
+    KINDS = ("exponential", "deterministic", "pareto")
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"service kind must be one of {self._KINDS}, not {self.kind!r}")
+        if self.kind not in self.KINDS:
+            raise ValueError(f"service kind must be one of {self.KINDS}, not {self.kind!r}")
 
     @property
     def is_markovian(self) -> bool:
@@ -528,29 +529,17 @@ class _OrderedSystem:
             j -= k
         raise IndexError("ordered slot out of range")
 
-    def assignment_cdf_invert(self, counts: Sequence[int], total: int, d: int, u: float) -> int:
-        """Queue length drawn by inverting the min-of-d sampling CDF at u.
 
-        counts[i] is the number of relevant servers at exact length i;
-        p_i = (tail_i/total)^d - (tail_{i+1}/total)^d. Zero-probability
-        lengths are never returned.
-        """
-        tail = total
-        cum = 0.0
-        last_pos = 0
-        prev_pow = 1.0  # (tail_0/total)^d
-        for i, c in enumerate(counts):
-            if c:
-                new_tail = tail - c
-                new_pow = (new_tail / total) ** d
-                p = prev_pow - new_pow
-                prev_pow = new_pow
-                tail = new_tail
-                last_pos = i
-                cum += p
-                if u < cum:
-                    return i
-        return last_pos
+def _min_of_d_masses(counts: Sequence[int], total: int, d: int) -> Iterator[float]:
+    """Lazy masses (tail_i/total)^d - (tail_{i+1}/total)^d of the shortest of
+    d uniform draws from `total` servers, counts[i] of them at length i.
+    Empty lengths get exactly 0.0, which `invert_cdf` never returns."""
+    tail, prev_pow = total, 1.0  # (tail_0/total)^d
+    for c in counts:
+        tail -= c
+        new_pow = (tail / total) ** d
+        yield prev_pow - new_pow
+        prev_pow = new_pow
 
 
 def coupled_simulate(
@@ -603,7 +592,7 @@ def coupled_simulate(
     k_sys = _OrderedSystem(n)
 
     # D = sum_i |Q_i(K) - Q_i(G)|, updated at the touched level only
-    state = {"D": 0, "delta": 0, "margin_min": 0}
+    D = delta = margin_min = 0
 
     def level_diff(i: int) -> int:
         qg = g_sys.Q[i] if i < len(g_sys.Q) else 0
@@ -625,8 +614,8 @@ def coupled_simulate(
             for i in range(1, top + 1):
                 occ[idx, i - 1] = sys_.Q[i] / n
             over[idx] = sys_.Q[depth + 1] if len(sys_.Q) > depth + 1 else 0
-        delta_series[idx] = state["delta"]
-        margin_series[idx] = state["margin_min"]
+        delta_series[idx] = delta
+        margin_series[idx] = margin_min
 
     arrival_rate = lam * n
     dep_rate = float(n)
@@ -664,15 +653,15 @@ def coupled_simulate(
             for v in row:
                 counts_g[g_lengths[v]] += 1
             d_g = d if d < nrow else nrow
-            i_g = g_sys.assignment_cdf_invert(counts_g, nrow, d_g, u)
+            i_g = invert_cdf(_min_of_d_masses(counts_g, nrow, d_g), u)
 
             # flexible twin: min-of-d over the global distribution
             counts_k = [len(lst) for lst in k_sys.levels]
             d_k = d if d < n else n
-            i_k = k_sys.assignment_cdf_invert(counts_k, n, d_k, u)
+            i_k = invert_cdf(_min_of_d_masses(counts_k, n, d_k), u)
 
             if i_g != i_k:
-                state["delta"] += 1
+                delta += 1
 
             # step (b): uniform server at the chosen length, per system
             g_candidates = g_sys.levels[i_g]
@@ -681,33 +670,33 @@ def coupled_simulate(
             vk = k_candidates[randbelow(len(k_candidates))]
 
             lg, lk = i_g + 1, i_k + 1
-            state["D"] -= level_diff(lg)
+            D -= level_diff(lg)
             g_sys.arrive_at(vg)
-            state["D"] += level_diff(lg)
-            state["D"] -= level_diff(lk)
+            D += level_diff(lg)
+            D -= level_diff(lk)
             k_sys.arrive_at(vk)
-            state["D"] += level_diff(lk)
+            D += level_diff(lk)
         else:
             next_dep = t + expo(dep_rate)
             j = randbelow(n)
             lvl_g, vg = g_sys.nth_ordered(j)
             lvl_k, vk = k_sys.nth_ordered(j)
             if lvl_g > 0:
-                state["D"] -= level_diff(lvl_g)
+                D -= level_diff(lvl_g)
                 g_sys.depart_from(vg)
-                state["D"] += level_diff(lvl_g)
+                D += level_diff(lvl_g)
             if lvl_k > 0:
-                state["D"] -= level_diff(lvl_k)
+                D -= level_diff(lvl_k)
                 k_sys.depart_from(vk)
-                state["D"] += level_diff(lvl_k)
+                D += level_diff(lvl_k)
         events += 1
-        margin = 2 * state["delta"] - state["D"]
-        if margin < state["margin_min"]:
-            state["margin_min"] = margin
+        margin = 2 * delta - D
+        if margin < margin_min:
+            margin_min = margin
         if margin < 0:
             raise InvariantViolation(
                 f"coupling inequality violated at t={t:.6f}: "
-                f"sum|Q_i(K)-Q_i(G)|={state['D']} > 2*delta={2 * state['delta']}"
+                f"sum|Q_i(K)-Q_i(G)|={D} > 2*delta={2 * delta}"
             )
 
     while next_sample < len(grid):
@@ -730,8 +719,8 @@ def coupled_simulate(
         k_record=as_record(k_occ, k_over, k_sys),
         delta_series=delta_series,
         margin_series=margin_series,
-        mismatch_count=state["delta"],
-        margin_min=state["margin_min"],
+        mismatch_count=delta,
+        margin_min=margin_min,
         event_count=events,
         arrival_count=arrivals,
     )

@@ -1,8 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
-from sparselb.cli import main
+from sparselb.cli import RECIPES, main
 from sparselb.graph import read_graph
 from sparselb.records import read_trajectory_csv
 
@@ -152,6 +153,8 @@ def test_exit_codes(tmp_path):
     bad.write_text("not a graph\n")
     assert run("check", "--graph", str(bad), "--out", str(tmp_path / "z.csv")) == 3
     assert run("reproduce", "no-such-recipe") == 1
+    assert run("gen", "--kind", "fixed-degree", "--n", "200", "--m", "200", "--c", "1",
+               "--out", str(tmp_path / "iso.bpg")) == 1  # generation cannot avoid isolation
     assert run("compare", "--a", str(tmp_path / "nope.csv"), "--b", str(tmp_path / "nope.csv")) == 3
 
 
@@ -188,39 +191,69 @@ def test_config_file_defaults_and_override(tmp_path):
     assert meta["lambda"] == "0.7"
 
 
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    g = tmp_path / "c.bpg"
+    run("gen", "--kind", "complete", "--n", "20", "--m", "20", "--out", str(g))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lamda": 0.95}))
+    out = tmp_path / "sim.csv"
+    assert run("simulate", "--graph", str(g), "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "lamda" in err and "horizon" in err
+    assert not out.exists()
+
+
 def test_trend_command(tmp_path):
     out = tmp_path / "trend.csv"
     assert run("trend", "--family", "fixed-degree-log2", "--sizes", "32,64",
                "--seeds", "0..2", "--epsilons", "0.15", "--budget", "16",
                "--out", str(out)) == 0
     rows = _data_rows(out)
+    assert rows[0] == "family,N,M,seed,epsilon,deficiency_lb,uniform_metric,optimal_load"
     assert len(rows) == 1 + 2 * 3
     assert run("trend", "--family", "unknown", "--sizes", "8", "--seeds", "0",
                "--out", str(out)) == 1
 
 
-def test_reproduce_erg_trajectories(tmp_path):
-    out = tmp_path / "erg.csv"
-    assert run("reproduce", "erg-trajectories", "--sizes", "40", "--horizon", "3",
-               "--depth", "8", "--out", str(out)) == 0
-    rows = _data_rows(out)
-    sources = {ln.split(",")[0] for ln in rows[1:]}
-    assert sources == {"sim-N40", "ode"}
+_LEVELS = [f"q{i}" for i in range(1, 9)]
+
+# recipe -> (header, first-column keys) at --sizes 40 --depth 8 --lambdas 0.5,0.8
+RECIPE_SCHEMAS = {
+    "erg-trajectories": (["source", "t", *_LEVELS, "overflow"], {"sim-N40", "ode"}),
+    "degree-sweep": (
+        ["family", "N", "mean_qlen", "stderr"],
+        {"fixed-degree-4", "fixed-degree-log", "fixed-degree-log2"},
+    ),
+    "lambda-sweep": (["lambda", "N", "mean_qlen", "stderr", "target", "gap"], {"0.5", "0.8"}),
+    "service-sweep": (
+        ["service", "N", "mean_qlen", "stderr"],
+        {"exponential", "deterministic", "pareto"},
+    ),
+    "geometric-vs-errg": (
+        ["family", "N", "mean_qlen", "stderr", "target"],
+        {"errg-log2", "geometric-log2"},
+    ),
+}
 
 
-def test_reproduce_degree_sweep(tmp_path):
+@pytest.mark.parametrize("recipe", sorted(RECIPES))
+def test_reproduce_recipe(tmp_path, recipe):
+    header, keys = RECIPE_SCHEMAS[recipe]
+    out = tmp_path / f"{recipe}.csv"
+    assert run("reproduce", recipe, "--sizes", "40", "--horizon", "3", "--depth", "8",
+               "--lambdas", "0.5,0.8", "--out", str(out)) == 0
+    rows = [ln.split(",") for ln in _data_rows(out)]
+    assert rows[0] == header
+    assert all(len(row) == len(header) for row in rows[1:])
+    assert {row[0] for row in rows[1:]} == keys
+    if "mean_qlen" in header:
+        col = header.index("mean_qlen")
+        assert all(np.isfinite(float(row[col])) for row in rows[1:])
+
+
+def test_generation_failure_leaves_no_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
-    assert run("reproduce", "degree-sweep", "--sizes", "40", "--out", str(out)) == 0
-    rows = _data_rows(out)
-    families = {ln.split(",")[0] for ln in rows[1:]}
-    assert families == {"fixed-degree-4", "fixed-degree-log", "fixed-degree-log2"}
-
-
-def test_reproduce_service_sweep(tmp_path):
-    out = tmp_path / "svc.csv"
-    assert run("reproduce", "service-sweep", "--sizes", "40", "--out", str(out)) == 0
-    rows = _data_rows(out)
-    kinds = {ln.split(",")[0] for ln in rows[1:]}
-    assert kinds == {"exponential", "deterministic", "pareto"}
-    means = [float(ln.split(",")[2]) for ln in rows[1:]]
-    assert all(np.isfinite(m) for m in means)
+    # fixed-degree-4 at N=1000 leaves a dispatcher isolated on every retry
+    assert run("reproduce", "degree-sweep", "--sizes", "1000", "--out", str(out)) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()

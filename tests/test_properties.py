@@ -20,7 +20,6 @@ from sparselb.properties import (
     sparsity_deficiency,
     sparsity_trend,
     uniform_subcriticality_metric,
-    write_trend_csv,
 )
 
 
@@ -195,13 +194,7 @@ def test_report_fields():
     assert count / g.n_dispatchers == rep.deficiency
 
 
-def test_trend_rows_and_csv(tmp_path):
+def test_trend_rows_and_csv():
     rows = sparsity_trend(log_squared_degree_family(), [0.1, 0.2], [32, 64], [0, 1], budget=32)
     assert len(rows) == 8
     assert {r.n for r in rows} == {32, 64}
-    path = tmp_path / "trend.csv"
-    write_trend_csv(rows, path, {"command": "trend"})
-    lines = path.read_text().splitlines()
-    header = next(ln for ln in lines if not ln.startswith("#"))
-    assert header == "family,N,M,seed,epsilon,deficiency_lb,uniform_metric,optimal_load"
-    assert len([ln for ln in lines if not ln.startswith("#")]) == 9
