@@ -23,6 +23,7 @@ from . import meanfield, properties, simulator
 from .graph import GraphFormatError, GraphGenerationError, GraphSpec
 from .policy import policy_from_name
 from .records import (
+    TrajectoryFormatError,
     check_compatible_metadata,
     compare_trajectories,
     level_columns,
@@ -505,7 +506,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
-    except (GraphFormatError, OSError) as exc:
+    except (GraphFormatError, TrajectoryFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, GraphGenerationError) as exc:

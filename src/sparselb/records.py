@@ -16,7 +16,7 @@ outputs diff directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +24,10 @@ FORMAT_VERSION = "sparselb v0.1.0"
 
 # metadata keys that must agree before two trajectory files are compared
 _COMPARE_KEYS = ("lambda", "d", "depth")
+
+
+class TrajectoryFormatError(ValueError):
+    """A trajectory CSV is malformed; the message names the file and line."""
 
 
 @dataclass
@@ -124,21 +128,6 @@ def level_columns(depth: int) -> list[str]:
     return [f"q{i}" for i in range(1, depth + 1)]
 
 
-def read_metadata(fh: TextIO) -> dict:
-    """Consume leading '#' lines into a dict; leaves fh at the header row."""
-    meta = {}
-    while True:
-        pos = fh.tell()
-        line = fh.readline()
-        if not line.startswith("#"):
-            fh.seek(pos)
-            return meta
-        body = line[1:].strip()
-        if ":" in body:
-            key, value = body.split(":", 1)
-            meta[key.strip()] = value.strip()
-
-
 def trajectory_rows(record: TrajectoryRecord) -> Iterator[tuple]:
     """Rows (t, q1, ..., qK, overflow) of a trajectory record."""
     columns = (record.sample_times.tolist(), record.occupancy.tolist(), record.overflow.tolist())
@@ -151,23 +140,48 @@ def write_trajectory_csv(record: TrajectoryRecord, path, metadata: Optional[dict
 
 
 def read_trajectory_csv(path) -> tuple[TrajectoryRecord, dict]:
+    """Read a trajectory CSV and its '#' metadata block.
+
+    A missing or foreign header, a ragged row or a non-numeric cell raises
+    TrajectoryFormatError naming the file and line.
+    """
+    meta: dict = {}
+    header = None
+    times, occ, over = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
-        meta = read_metadata(fh)
-        header = fh.readline().strip().split(",")
-        if header[0] != "t" or header[-1] != "overflow":
-            raise ValueError(f"{path}: not a trajectory CSV (header {header[:3]}...)")
-        depth = len(header) - 2
-        times, occ, over = [], [], []
-        for line in fh:
-            parts = line.strip().split(",")
-            if not parts or parts == [""]:
+        for lineno, line in enumerate(fh, start=1):
+            if header is None:
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if ":" in body:
+                        key, value = body.split(":", 1)
+                        meta[key.strip()] = value.strip()
+                    continue
+                header = line.strip().split(",")
+                if header[0] != "t" or header[-1] != "overflow":
+                    raise TrajectoryFormatError(
+                        f"{path}, line {lineno}: not a trajectory CSV (header {header[:3]}...)"
+                    )
+                width = len(header)
                 continue
-            times.append(float(parts[0]))
-            occ.append([float(v) for v in parts[1 : 1 + depth]])
-            over.append(int(parts[-1]))
+            parts = line.strip().split(",")
+            if parts == [""]:
+                continue
+            if len(parts) != width:
+                raise TrajectoryFormatError(
+                    f"{path}, line {lineno}: expected {width} cells, found {len(parts)}"
+                )
+            try:
+                times.append(float(parts[0]))
+                occ.append([float(v) for v in parts[1:-1]])
+                over.append(int(parts[-1]))
+            except ValueError as exc:
+                raise TrajectoryFormatError(f"{path}, line {lineno}: {exc}") from None
+    if header is None:
+        raise TrajectoryFormatError(f"{path}: no header row")
     record = TrajectoryRecord(
         sample_times=np.array(times),
-        occupancy=np.array(occ).reshape(len(times), depth),
+        occupancy=np.array(occ).reshape(len(times), width - 2),
         overflow=np.array(over, dtype=np.int64),
     )
     return record, meta

@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graph import BipartiteGraph, floyd_sample
+from .graph import BipartiteGraph
 from .policy import invert_cdf
 from .records import CoupledRecord, SteadyStateSummary, TrajectoryRecord
 
@@ -97,7 +97,13 @@ def _sample_grid(horizon: float, interval: float) -> np.ndarray:
 
 def choose_shortest(sampled: Sequence[int], lengths: Sequence[int], rng: random.Random) -> int:
     """Shortest queue among the sampled servers, ties uniform among the
-    tied samples (used by the generic d >= 3 path; d <= 2 is inlined)."""
+    tied samples by one rng.randrange(len(ties)) draw (none when the
+    minimum is unique).
+
+    The simulator inlines this pick, draw for draw, on its generic path:
+    d = 1, d >= 3, and d = 2 on rows of at most two servers. d = 2 on
+    longer rows breaks a tie with one rng.random() < 0.5 instead.
+    """
     best_len = None
     ties: list[int] = []
     for v in sampled:
@@ -137,18 +143,27 @@ def _simulate_core(
     on_assign: Optional[Callable[[int, int, Sequence[int]], None]],
 ) -> _CoreResult:
     """One replica. Records a trajectory when sample_interval is set and
-    accumulates per-level time integrals over `window` when given."""
+    accumulates per-level time integrals over `window` when given.
+
+    Draws are inlined: `r = bits(k); while r >= n: r = bits(k)` with
+    k = n.bit_length() is CPython's `rng.randrange(n)`, and
+    `-log(1.0 - rnd()) / rate` is `rng.expovariate(rate)`, draw for draw.
+    """
     n = graph.n_servers
     m = graph.n_dispatchers
+    m_bits = m.bit_length()
     adj = graph.adjacency
-    randbelow = rng.randrange
+    bits = rng.getrandbits
     rnd = rng.random
-    expo = rng.expovariate
+    log = math.log
+    draw_service = service.draw
     arrival_rate = lam * n
     markovian = service.is_markovian
 
     lengths = [0] * n
     Q = [n]  # Q[i] = number of servers with >= i tasks; grows with max length
+    # Markovian runs pick a uniform busy server (swap-remove list + index);
+    # the others keep a heap of scheduled completions
     busy: list[int] = []
     pos = [-1] * n
     heap: list[tuple[float, int]] = []
@@ -166,10 +181,11 @@ def _simulate_core(
                 Q[i] += 1
         for v, l in enumerate(lengths):
             if l > 0:
-                pos[v] = len(busy)
-                busy.append(v)
-                if not markovian:
-                    heap.append((service.draw(rng), v))
+                if markovian:
+                    pos[v] = len(busy)
+                    busy.append(v)
+                else:
+                    heap.append((draw_service(rng), v))
         heap.sort()
 
     sampling = sample_interval is not None
@@ -180,13 +196,13 @@ def _simulate_core(
         next_sample = 0
 
     accumulating = window is not None
+    acc_on = False
     if accumulating:
         w0, w1 = window
         if not 0 <= w0 < w1 <= horizon + 1e-9:
             raise ValueError("window must satisfy 0 <= start < end <= horizon")
         area = [0.0] * len(Q)
         last_upd = [0.0] * len(Q)
-        acc_on = False
 
     def record_sample(idx: int):
         qrow = occupancy[idx]
@@ -194,11 +210,6 @@ def _simulate_core(
         for i in range(1, top + 1):
             qrow[i - 1] = Q[i] / n
         overflow[idx] = Q[depth + 1] if len(Q) > depth + 1 else 0
-
-    def flush_level(i: int, now: float):
-        # accumulate Q_i over [last_upd[i], now] before Q_i changes
-        area[i] += Q[i] * (now - last_upd[i])
-        last_upd[i] = now
 
     def debug_check():
         expect = [0] * len(Q)
@@ -210,17 +221,17 @@ def _simulate_core(
                 expect[i] += 1
         if expect != list(Q[: len(expect)]) or any(Q[len(expect) :]):
             raise InvariantViolation("incremental occupancy counts diverged from state")
-        if sorted(busy) != sorted(v for v, l in enumerate(lengths) if l > 0) and markovian:
+        if markovian and sorted(busy) != sorted(v for v, l in enumerate(lengths) if l > 0):
             raise InvariantViolation("busy-server structure diverged from state")
 
     t = 0.0
-    next_arrival = expo(arrival_rate)
+    next_arrival = -log(1.0 - rnd()) / arrival_rate
     events = arrivals = departures = 0
 
     while True:
         if markovian:
             nb = len(busy)
-            next_dep = t + expo(nb) if nb else math.inf
+            next_dep = t - log(1.0 - rnd()) / nb if nb else math.inf
         else:
             next_dep = heap[0][0] if heap else math.inf
         if next_arrival <= next_dep:
@@ -244,12 +255,22 @@ def _simulate_core(
         t = t_next
         if is_arrival:
             arrivals += 1
-            next_arrival = t + expo(arrival_rate)
-            row = adj[randbelow(m)]
+            next_arrival = t - log(1.0 - rnd()) / arrival_rate
+            w = bits(m_bits)
+            while w >= m:
+                w = bits(m_bits)
+            row = adj[w]
             nrow = len(row)
             if d == 2 and nrow > 2:
-                i = randbelow(nrow)
-                j = randbelow(nrow - 1)
+                k = nrow.bit_length()
+                i = bits(k)
+                while i >= nrow:
+                    i = bits(k)
+                nrest = nrow - 1
+                k = nrest.bit_length()
+                j = bits(k)
+                while j >= nrest:
+                    j = bits(k)
                 if j >= i:
                     j += 1
                 a, b = row[i], row[j]
@@ -262,14 +283,39 @@ def _simulate_core(
                     target = a if rnd() < 0.5 else b
                 sampled = (a, b) if on_assign is not None else None
             else:
+                # graph.floyd_sample, then choose_shortest, inlined draw for draw
                 de = d if d < nrow else nrow
                 if de == nrow:
                     sampled = row
-                elif de == 1:
-                    sampled = (row[randbelow(nrow)],)
                 else:
-                    sampled = [row[i] for i in floyd_sample(nrow, de, randbelow)]
-                target = choose_shortest(sampled, lengths, rng)
+                    chosen: set[int] = set()
+                    sampled = []
+                    for top in range(nrow - de + 1, nrow + 1):
+                        k = top.bit_length()
+                        i = bits(k)
+                        while i >= top:
+                            i = bits(k)
+                        if i in chosen:
+                            i = top - 1
+                        chosen.add(i)
+                        sampled.append(row[i])
+                best = -1
+                for v in sampled:
+                    l = lengths[v]
+                    if best < 0 or l < best:
+                        best = l
+                        ties = [v]
+                    elif l == best:
+                        ties.append(v)
+                nties = len(ties)
+                if nties == 1:
+                    target = ties[0]
+                else:
+                    k = nties.bit_length()
+                    i = bits(k)
+                    while i >= nties:
+                        i = bits(k)
+                    target = ties[i]
             l = lengths[target]
             if on_assign is not None:
                 on_assign(target, l, sampled, lengths)
@@ -280,35 +326,43 @@ def _simulate_core(
                 if accumulating:
                     area.append(0.0)
                     last_upd.append(w0 if acc_on else 0.0)
-            if accumulating and acc_on:
-                flush_level(lnew, t)
+            if acc_on:
+                # accumulate Q_i over [last_upd[i], t] before Q_i changes
+                area[lnew] += Q[lnew] * (t - last_upd[lnew])
+                last_upd[lnew] = t
             Q[lnew] += 1
             if l == 0:
-                pos[target] = len(busy)
-                busy.append(target)
-                if not markovian:
-                    heapq.heappush(heap, (t + service.draw(rng), target))
+                if markovian:
+                    pos[target] = len(busy)
+                    busy.append(target)
+                else:
+                    heapq.heappush(heap, (t + draw_service(rng), target))
         else:
             departures += 1
             if markovian:
-                i = randbelow(len(busy))
+                k = nb.bit_length()
+                i = bits(k)
+                while i >= nb:
+                    i = bits(k)
                 v = busy[i]
             else:
                 _, v = heapq.heappop(heap)
             l = lengths[v]
-            if accumulating and acc_on:
-                flush_level(l, t)
+            if acc_on:
+                area[l] += Q[l] * (t - last_upd[l])
+                last_upd[l] = t
             lengths[v] = l - 1
             Q[l] -= 1
-            if l == 1:
-                i = pos[v]
-                last = busy[-1]
-                busy[i] = last
-                pos[last] = i
-                busy.pop()
-                pos[v] = -1
-            elif not markovian:
-                heapq.heappush(heap, (t + service.draw(rng), v))
+            if markovian:
+                if l == 1:
+                    i = pos[v]
+                    last = busy[-1]
+                    busy[i] = last
+                    pos[last] = i
+                    busy.pop()
+                    pos[v] = -1
+            elif l > 1:
+                heapq.heappush(heap, (t + draw_service(rng), v))
         events += 1
         if debug and events % DEBUG_CHECK_EVERY == 0:
             debug_check()
@@ -320,7 +374,7 @@ def _simulate_core(
             for i in range(len(Q)):
                 last_upd[i] = w0
         for i in range(len(Q)):
-            flush_level(i, w1)
+            area[i] += Q[i] * (w1 - last_upd[i])
 
     record = None
     if sampling:
@@ -583,10 +637,13 @@ def coupled_simulate(
     n = graph.n_servers
     m = graph.n_dispatchers
     adj = graph.adjacency
+    # draws inlined as in _simulate_core, equal to randrange/expovariate
     rng = random.Random(seed)
-    randbelow = rng.randrange
+    bits = rng.getrandbits
     rnd = rng.random
-    expo = rng.expovariate
+    log = math.log
+    m_bits = m.bit_length()
+    n_bits = n.bit_length()
 
     g_sys = _OrderedSystem(n)
     k_sys = _OrderedSystem(n)
@@ -620,8 +677,8 @@ def coupled_simulate(
     arrival_rate = lam * n
     dep_rate = float(n)
     t = 0.0
-    next_arrival = expo(arrival_rate)
-    next_dep = expo(dep_rate)
+    next_arrival = -log(1.0 - rnd()) / arrival_rate
+    next_dep = -log(1.0 - rnd()) / dep_rate
     events = arrivals = 0
 
     while True:
@@ -637,8 +694,11 @@ def coupled_simulate(
         t = t_next
         if is_arrival:
             arrivals += 1
-            next_arrival = t + expo(arrival_rate)
-            row = adj[randbelow(m)]
+            next_arrival = t - log(1.0 - rnd()) / arrival_rate
+            w = bits(m_bits)
+            while w >= m:
+                w = bits(m_bits)
+            row = adj[w]
             u = rnd()
 
             # constrained system: min-of-d over the dispatcher's neighborhood
@@ -664,10 +724,20 @@ def coupled_simulate(
                 delta += 1
 
             # step (b): uniform server at the chosen length, per system
-            g_candidates = g_sys.levels[i_g]
-            vg = g_candidates[randbelow(len(g_candidates))]
-            k_candidates = k_sys.levels[i_k]
-            vk = k_candidates[randbelow(len(k_candidates))]
+            candidates = g_sys.levels[i_g]
+            nc = len(candidates)
+            k = nc.bit_length()
+            r = bits(k)
+            while r >= nc:
+                r = bits(k)
+            vg = candidates[r]
+            candidates = k_sys.levels[i_k]
+            nc = len(candidates)
+            k = nc.bit_length()
+            r = bits(k)
+            while r >= nc:
+                r = bits(k)
+            vk = candidates[r]
 
             lg, lk = i_g + 1, i_k + 1
             D -= level_diff(lg)
@@ -677,8 +747,10 @@ def coupled_simulate(
             k_sys.arrive_at(vk)
             D += level_diff(lk)
         else:
-            next_dep = t + expo(dep_rate)
-            j = randbelow(n)
+            next_dep = t - log(1.0 - rnd()) / dep_rate
+            j = bits(n_bits)
+            while j >= n:
+                j = bits(n_bits)
             lvl_g, vg = g_sys.nth_ordered(j)
             lvl_k, vk = k_sys.nth_ordered(j)
             if lvl_g > 0:

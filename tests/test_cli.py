@@ -133,6 +133,23 @@ def test_compare_refuses_horizon_mismatch(tmp_path):
     assert run("compare", "--a", str(a), "--b", str(b)) == 1
 
 
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [("0.2,0.5", "expected 4 cells, found 2"),
+     ("0.2,0.5,abc,0", "could not convert string to float: 'abc'")],
+)
+def test_compare_malformed_row_is_format_error(tmp_path, capsys, bad_row, message):
+    good, bad = tmp_path / "ok.csv", tmp_path / "bad.csv"
+    args = ["ode", "--lambda", "0.8", "--horizon", "0.1", "--depth", "2"]
+    assert run(*args, "--sample-interval", "0.1", "--out", str(good)) == 0
+    text = good.read_text()
+    bad.write_text(text + bad_row + "\n")
+    bad_line = len(text.splitlines()) + 1
+    capsys.readouterr()
+    assert run("compare", "--a", str(good), "--b", str(bad)) == 3
+    assert f"{bad}, line {bad_line}: {message}" in capsys.readouterr().err
+
+
 def test_simulate_vs_ode_compare(tmp_path):
     g = tmp_path / "c.bpg"
     run("gen", "--kind", "complete", "--n", "500", "--m", "500", "--out", str(g))

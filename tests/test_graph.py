@@ -133,6 +133,26 @@ def test_fixed_degree_dispatcher_degree_statistics():
     assert abs(degs.mean() - c * n / m) <= 3 * se + 1e-12
 
 
+def test_fixed_degree_dispatcher_degree_variance():
+    # Each dispatcher degree is Binomial(N, c/M) marginally, and the degrees
+    # of one graph sum to c*N exactly, so that graph's sample variance
+    # (ddof=1, about the exact mean c*N/M) has expectation
+    # N p (1-p) * M/(M-1). Graphs are independent: the tolerance is 4
+    # standard errors of the per-graph variances' own spread. At c=20 an
+    # isolated dispatcher (a retry, which conditions the law) has
+    # probability below 1e-6 per graph.
+    n = m = 200
+    c = 20
+    p = c / m
+    variances = np.array([
+        generate_fixed_server_degree(n, m, c, seed=seed).dispatcher_degrees().var(ddof=1)
+        for seed in range(100)
+    ])
+    expected = n * p * (1 - p) * m / (m - 1)
+    se = variances.std(ddof=1) / math.sqrt(len(variances))
+    assert abs(variances.mean() - expected) <= 4 * se
+
+
 def test_inhomogeneous_p_one_is_complete():
     assert generate_inhomogeneous(5, 3, 1.0, seed=0) == complete_bipartite(5, 3)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sparselb.records import (
+    TrajectoryFormatError,
     TrajectoryRecord,
     check_compatible_metadata,
     compare_trajectories,
@@ -27,6 +28,19 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert meta["lambda"] == "0.8" and meta["d"] == "2"
     assert np.allclose(back.occupancy, rec.occupancy, atol=1e-12)
     assert np.allclose(back.sample_times, rec.sample_times)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "no header row"),
+     ("# lambda: 0.8\n", "no header row"),
+     ("# lambda: 0.8\nreplica,mean_qlen,q1\n", "line 2: not a trajectory CSV")],
+)
+def test_trajectory_csv_header_errors(tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(TrajectoryFormatError, match=message):
+        read_trajectory_csv(path)
 
 
 def test_compare_identical_is_zero():
