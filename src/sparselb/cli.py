@@ -47,20 +47,29 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(text: str) -> list[int]:
-    """Comma-separated ints; 'a..b' tokens expand to inclusive ranges."""
+    """Comma-separated ints; 'a..b' tokens expand to inclusive ranges.
+    An empty list or a reversed range is a usage error."""
     out: list[int] = []
     for token in text.split(","):
         token = token.strip()
         if ".." in token:
-            lo, hi = token.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(x) for x in token.split("..", 1))
+            if hi < lo:
+                raise argparse.ArgumentTypeError(f"reversed range {token!r}")
+            out.extend(range(lo, hi + 1))
         elif token:
             out.append(int(token))
-    return out
+    return _nonempty(out, text)
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return _nonempty([float(tok) for tok in text.split(",") if tok.strip()], text)
+
+
+def _nonempty(values: list, text: str) -> list:
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty list {text!r}")
+    return values
 
 
 def _sim_metadata(args, command: str, extra: Optional[dict] = None) -> dict:
@@ -100,7 +109,7 @@ def cmd_gen(args) -> int:
 
 def cmd_check(args) -> int:
     g = graphs.read_graph(args.graph)
-    uniform, argmax = properties.uniform_subcriticality_metric(g, args.d)
+    uniform, argmax = properties.uniform_subcriticality_metric(g)
     opt = gsz = None
     if args.optimal:
         report = properties.optimal_subcriticality_load(g, args.d)

@@ -126,9 +126,6 @@ class BipartiteGraph:
     def dispatcher_degrees(self) -> np.ndarray:
         return np.array([len(row) for row in self.adjacency], dtype=np.int64)
 
-    def server_degrees(self) -> np.ndarray:
-        return np.array([len(row) for row in self.reverse_adjacency], dtype=np.int64)
-
     @property
     def is_connected(self) -> bool:
         """True iff the bipartite graph is connected (BFS, cached)."""
@@ -496,8 +493,9 @@ def write_graph(graph: BipartiteGraph, path) -> None:
 
 
 def read_graph(path) -> BipartiteGraph:
-    """Read a BPG v1 file. Accepts edges in any order; rejects duplicates,
-    out-of-range indices, and count mismatches."""
+    """Read a BPG v1 file. Accepts edges in any order; rejects indices that
+    are not ASCII decimal digits, out-of-range indices, duplicates, count
+    mismatches and dispatchers without an edge."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != "BPG v1":
@@ -505,10 +503,9 @@ def read_graph(path) -> BipartiteGraph:
         dims = fh.readline().split()
         if len(dims) != 3:
             raise GraphFormatError("second line must be '<N> <M> <E>'")
-        try:
-            n, m, e = (int(x) for x in dims)
-        except ValueError as exc:
-            raise GraphFormatError(f"non-integer dimensions: {dims}") from exc
+        if not all(x.isascii() and x.isdigit() for x in dims):
+            raise GraphFormatError(f"non-integer dimensions: {dims}")
+        n, m, e = (int(x) for x in dims)
         if n < 1 or m < 1 or e < 0:
             raise GraphFormatError(f"invalid dimensions N={n} M={m} E={e}")
         rows: list[set[int]] = [set() for _ in range(m)]
@@ -519,10 +516,9 @@ def read_graph(path) -> BipartiteGraph:
                 continue
             if len(parts) != 2:
                 raise GraphFormatError(f"line {lineno}: expected '<server> <dispatcher>'")
-            try:
-                v, w = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise GraphFormatError(f"line {lineno}: non-integer edge") from exc
+            if not (line.isascii() and parts[0].isdigit() and parts[1].isdigit()):
+                raise GraphFormatError(f"line {lineno}: non-integer edge")
+            v, w = int(parts[0]), int(parts[1])
             if not 0 <= v < n:
                 raise GraphFormatError(f"line {lineno}: server index {v} out of range")
             if not 0 <= w < m:
@@ -533,4 +529,7 @@ def read_graph(path) -> BipartiteGraph:
             count += 1
         if count != e:
             raise GraphFormatError(f"edge count mismatch: header says {e}, found {count}")
+    for w, row in enumerate(rows):
+        if not row:
+            raise GraphFormatError(f"dispatcher {w} has no compatible server")
     return BipartiteGraph(n, m, [sorted(r) for r in rows], meta={"generator": "file"})

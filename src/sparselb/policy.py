@@ -20,6 +20,7 @@ import numpy as np
 
 DIST_SUM_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
+PROBE_MAX_SUPPORT = 30  # longest queue-length distribution empirical_lipschitz probes
 
 
 def validate_distribution(x) -> np.ndarray:
@@ -162,7 +163,7 @@ def _perturb_pair(x: np.ndarray, eps: float, src: int, dst: int):
     return y
 
 
-def _anchor_pairs(max_support: int):
+def _anchor_pairs():
     """Deterministic extreme pairs: point masses and near-point masses.
 
     Perturbing a deep point mass toward length 0 realizes ratios close to
@@ -175,7 +176,7 @@ def _anchor_pairs(max_support: int):
     e1 = np.zeros(2)
     e1[1] = 1.0
     pairs.append((e0, e1))
-    for k in (1, 5, max_support - 1):
+    for k in (1, 5, PROBE_MAX_SUPPORT - 1):
         base = np.zeros(k + 1)
         base[k] = 1.0
         for eps in (1e-3, 1e-2, 1e-1):
@@ -190,7 +191,6 @@ def empirical_lipschitz(
     policy: AssignmentPolicy,
     trials: int,
     rng: np.random.Generator,
-    max_support: int = 30,
 ) -> float:
     """Largest observed ratio sum|p(x)-p(y)| / sum|x-y| over probe pairs.
 
@@ -209,11 +209,6 @@ def empirical_lipschitz(
         den = float(np.sum(np.abs(x - y)))
         if den < 1e-15:
             return
-        lx, ly = x.size, y.size
-        if lx != ly:
-            pad = max(lx, ly)
-            x = np.concatenate((x, np.zeros(pad - lx)))
-            y = np.concatenate((y, np.zeros(pad - ly)))
         num = float(
             np.sum(np.abs(policy.probabilities(x, validate=False) - policy.probabilities(y, validate=False)))
         )
@@ -221,13 +216,13 @@ def empirical_lipschitz(
         if ratio > best:
             best = ratio
 
-    for x, y in _anchor_pairs(max_support):
+    for x, y in _anchor_pairs():
         consider(x, y)
 
     eps_grid = (1e-3, 1e-2, 1e-1)
     n_pert = trials // 2
     for trial in range(trials):
-        size = int(rng.integers(1, max_support + 1))
+        size = int(rng.integers(1, PROBE_MAX_SUPPORT + 1))
         x = rng.dirichlet(np.ones(size))
         if trial < n_pert and size >= 2:
             src = int(rng.integers(size))

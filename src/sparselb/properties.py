@@ -10,8 +10,10 @@ search). No efficient upper-bound certificate is known for the sup over
 Subcriticality: some static randomized split of each dispatcher's load
 keeps every server's normalized load at most 1 in the limit. The uniform
 split gives the closed-form metric max_v (N/M) sum_{w ~ v} 1/deg(w); the
-exact finite-N min-max load is solved by bisection on the target load with
-a max-flow feasibility check (monotone in the target, so no LP needed).
+exact finite-N min-max load is the smallest server capacity t at which a
+max flow carries all N units of supply. That flow is concave and piecewise
+linear in t, so Newton steps along its minimum cut reach the optimum
+exactly after at most N + 1 max-flow solves (no LP, no tolerance).
 
 Both conditions are asymptotic statements about graph sequences; at a
 single finite N these routines report the finite-N quantities and leave
@@ -32,8 +34,6 @@ from .graph import BipartiteGraph, GraphFamily
 
 ENUMERATION_CAP = 10**6
 EXACT_MAX_SERVERS = 22
-BISECTION_ITERATIONS = 40
-LOAD_TOL = 1e-6
 _FLOW_EPS = 1e-12
 
 
@@ -51,20 +51,15 @@ class SubcriticalityReport:
 
     uniform_metric: float
     argmax_server: int
-    optimal_load: Optional[float] = None
-    gamma_support_size: Optional[int] = None
-
-    @property
-    def optimal_computed(self) -> bool:
-        return self.optimal_load is not None
+    optimal_load: float
+    gamma_support_size: int
 
 
-def uniform_subcriticality_metric(graph: BipartiteGraph, d: int = 2) -> tuple[float, int]:
+def uniform_subcriticality_metric(graph: BipartiteGraph) -> tuple[float, int]:
     """Max over servers of (N/M) sum_{w ~ v} 1/deg(w), with its argmax.
 
     Under the uniform split each dispatcher contributes 1/deg(w) to every
-    neighbor regardless of d, so the value does not depend on d; the
-    parameter is accepted for interface symmetry with the exact solver.
+    neighbor regardless of d, so the value does not depend on d.
     """
     n, m = graph.n_servers, graph.n_dispatchers
     if graph.is_complete:
@@ -97,7 +92,7 @@ class _Dinic:
         self.cap.append(0.0)
         return idx
 
-    def _bfs(self, s: int, t: int) -> Optional[list[int]]:
+    def _bfs(self, s: int) -> list[int]:
         level = [-1] * self.n
         level[s] = 0
         queue = deque([s])
@@ -108,7 +103,7 @@ class _Dinic:
                 if self.cap[idx] > _FLOW_EPS and level[v] < 0:
                     level[v] = level[u] + 1
                     queue.append(v)
-        return level if level[t] >= 0 else None
+        return level
 
     def _dfs(self, u: int, t: int, pushed: float, level: list[int], it: list[int]) -> float:
         if u == t:
@@ -125,12 +120,14 @@ class _Dinic:
             it[u] += 1
         return 0.0
 
-    def max_flow(self, s: int, t: int) -> float:
+    def max_flow(self, s: int, t: int) -> tuple[float, list[int]]:
+        """(flow value, final BFS levels): nodes with level >= 0 are the
+        source side of a minimum cut."""
         total = 0.0
         while True:
-            level = self._bfs(s, t)
-            if level is None:
-                return total
+            level = self._bfs(s)
+            if level[t] < 0:
+                return total, level
             it = [0] * self.n
             while True:
                 pushed = self._dfs(s, t, math.inf, level, it)
@@ -159,59 +156,51 @@ def _enumerate_pairs(graph: BipartiteGraph, d: int):
     return pairs
 
 
-def optimal_subcriticality_load(
-    graph: BipartiteGraph,
-    d: int,
-    tol: float = LOAD_TOL,
-) -> SubcriticalityReport:
+def _pair_flow(pairs, n: int, t: float):
+    """Max flow of the pair network at server capacity t: source -> each
+    (w, U) pair with its supply -> member servers -> sink at capacity t.
+
+    Returns (flow, cut, net, pair_edges): `cut` counts the servers on the
+    source side of the minimum cut, the slope of the max flow in t there.
+    """
+    n_pairs = len(pairs)
+    sink = 1 + n_pairs + n
+    net = _Dinic(sink + 1)
+    pair_edges = []
+    for k, (_, subset, supply) in enumerate(pairs):
+        net.add_edge(0, 1 + k, supply)
+        pair_edges.append([net.add_edge(1 + k, 1 + n_pairs + v, supply) for v in subset])
+    for v in range(n):
+        net.add_edge(1 + n_pairs + v, sink, t)
+    flow, level = net.max_flow(0, sink)
+    cut = sum(1 for v in range(n) if level[1 + n_pairs + v] >= 0)
+    return flow, cut, net, pair_edges
+
+
+def optimal_subcriticality_load(graph: BipartiteGraph, d: int) -> SubcriticalityReport:
     """Exact finite-N min over static splits gamma of the max server load.
 
-    Feasibility of target load t is a max-flow problem (source -> each
-    (w, U) pair with its supply -> member servers -> sink at capacity t);
-    feasibility is monotone in t, so bisection over
-    [1, uniform_metric] converges, and the returned gamma is read off the
-    flow at the feasible endpoint. Absolute tolerance `tol` on the load.
+    The max flow F(t) of the pair network is concave and piecewise linear
+    in the server capacity t, and the total supply is N, so the optimum is
+    the smallest t with F(t) = N. Newton steps from t = 1 along the minimum
+    cut's slope k (t += (N - F(t)) / k) never overshoot it, and k strictly
+    decreases, so the loop ends after at most N + 1 solves. gamma is read
+    off the flow at the optimum.
     """
-    uniform, argmax = uniform_subcriticality_metric(graph, d)
+    uniform, argmax = uniform_subcriticality_metric(graph)
     pairs = _enumerate_pairs(graph, d)
     n = graph.n_servers
-    n_pairs = len(pairs)
-    source = 0
-    sink = 1 + n_pairs + n
-    total_supply = sum(p[2] for p in pairs)  # equals N/M * M = N
+    t, last_cut = 1.0, n + 1
+    while True:
+        flow, cut, net, pair_edges = _pair_flow(pairs, n, t)
+        if flow >= n - 1e-9:
+            break
+        assert 0 < cut < last_cut, "min-cut slope must strictly decrease"
+        t += (n - flow) / cut
+        last_cut = cut
 
-    def solve(t: float):
-        net = _Dinic(sink + 1)
-        pair_edges = []
-        for k, (_, subset, supply) in enumerate(pairs):
-            net.add_edge(source, 1 + k, supply)
-            edges = [net.add_edge(1 + k, 1 + n_pairs + v, supply) for v in subset]
-            pair_edges.append(edges)
-        for v in range(n):
-            net.add_edge(1 + n_pairs + v, sink, t)
-        flow = net.max_flow(source, sink)
-        return flow >= total_supply - 1e-9, net, pair_edges
-
-    lo, hi = 1.0, max(1.0, uniform)
-    feasible_lo, net, pair_edges = solve(lo)
-    if feasible_lo:
-        optimal = lo
-    else:
-        feasible_hi, net, pair_edges = solve(hi)  # uniform split attains hi
-        assert feasible_hi, "uniform split must be feasible at its own load"
-        for _ in range(BISECTION_ITERATIONS):
-            if hi - lo <= tol / 4:
-                break
-            mid = 0.5 * (lo + hi)
-            ok, net_mid, edges_mid = solve(mid)
-            if ok:
-                hi, net, pair_edges = mid, net_mid, edges_mid
-            else:
-                lo = mid
-        optimal = hi
-
-    # gamma from the flow at the feasible endpoint: fraction of each pair's
-    # supply sent to each member server
+    # gamma from the flow at the optimum: fraction of each pair's supply
+    # sent to each member server
     support = 0
     for (w, subset, supply), edges in zip(pairs, pair_edges):
         for idx in edges:
@@ -219,12 +208,11 @@ def optimal_subcriticality_load(
             if sent > 1e-12 * max(1.0, supply):
                 support += 1
 
-    assert optimal <= uniform + 1e-9, "uniform split must be feasible"
-    assert optimal >= 1.0 - 1e-9, "flow conservation bounds the load below by 1"
+    assert t <= uniform + 1e-9, "uniform split must be feasible"
     return SubcriticalityReport(
         uniform_metric=uniform,
         argmax_server=argmax,
-        optimal_load=float(optimal),
+        optimal_load=t,
         gamma_support_size=support,
     )
 
@@ -474,7 +462,7 @@ def sparsity_trend(
     for n in sizes:
         for seed in seeds:
             graph = family.build(n, seed)
-            uniform, _ = uniform_subcriticality_metric(graph, d)
+            uniform, _ = uniform_subcriticality_metric(graph)
             optimal = None
             if include_optimal:
                 optimal = optimal_subcriticality_load(graph, d).optimal_load

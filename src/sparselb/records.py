@@ -24,6 +24,7 @@ FORMAT_VERSION = "sparselb v0.1.0"
 
 # metadata keys that must agree before two trajectory files are compared
 _COMPARE_KEYS = ("lambda", "d", "depth")
+_TIME_TOL = 1e-9  # sample times closer than this count as equal in compare_trajectories
 
 
 class TrajectoryFormatError(ValueError):
@@ -70,10 +71,6 @@ class SteadyStateSummary:
     occupancy_mean: np.ndarray
     occupancy_stderr: np.ndarray
     config: dict = field(default_factory=dict)
-
-    @property
-    def n_replicas(self) -> int:
-        return len(self.replica_mean_qlen)
 
     @property
     def depth(self) -> int:
@@ -222,7 +219,6 @@ def compare_trajectories(
     a: TrajectoryRecord,
     b: TrajectoryRecord,
     levels: Optional[int] = None,
-    time_tol: float = 1e-9,
 ) -> tuple[float, float]:
     """(sup, l1) distances between two occupancy paths.
 
@@ -235,11 +231,11 @@ def compare_trajectories(
     if levels is not None:
         k = min(k, levels)
     ta, tb = a.sample_times, b.sample_times
-    if abs(ta[-1] - tb[-1]) > time_tol or abs(ta[0] - tb[0]) > time_tol:
+    if abs(ta[-1] - tb[-1]) > _TIME_TOL or abs(ta[0] - tb[0]) > _TIME_TOL:
         raise ValueError(
             f"trajectory horizons differ: [{ta[0]}, {ta[-1]}] vs [{tb[0]}, {tb[-1]}]"
         )
-    if len(ta) == len(tb) and np.allclose(ta, tb, atol=time_tol, rtol=0):
+    if len(ta) == len(tb) and np.allclose(ta, tb, atol=_TIME_TOL, rtol=0):
         qb = b.occupancy[:, :k]
     else:
         qb = np.column_stack(

@@ -118,16 +118,6 @@ def choose_shortest(sampled: Sequence[int], lengths: Sequence[int], rng: random.
     return ties[rng.randrange(len(ties))]
 
 
-@dataclass
-class _CoreResult:
-    record: Optional[TrajectoryRecord]
-    area: Optional[list[float]]  # per-level time integral of Q_i over the window
-    final_lengths: list[int]
-    event_count: int
-    arrival_count: int
-    departure_count: int
-
-
 def _simulate_core(
     graph: BipartiteGraph,
     d: int,
@@ -141,9 +131,10 @@ def _simulate_core(
     depth: int,
     debug: bool,
     on_assign: Optional[Callable[[int, int, Sequence[int]], None]],
-) -> _CoreResult:
-    """One replica. Records a trajectory when sample_interval is set and
-    accumulates per-level time integrals over `window` when given.
+) -> tuple[Optional[TrajectoryRecord], Optional[list[float]]]:
+    """One replica: (record, area). Records a trajectory when
+    sample_interval is set, and `area` holds the per-level time integrals
+    of Q_i over `window` when one is given.
 
     Draws are inlined: `r = bits(k); while r >= n: r = bits(k)` with
     k = n.bit_length() is CPython's `rng.randrange(n)`, and
@@ -388,14 +379,7 @@ def _simulate_core(
             departure_count=departures,
             final_queue_lengths=np.array(lengths, dtype=np.int64),
         )
-    return _CoreResult(
-        record=record,
-        area=area if accumulating else None,
-        final_lengths=lengths,
-        event_count=events,
-        arrival_count=arrivals,
-        departure_count=departures,
-    )
+    return record, (area if accumulating else None)
 
 
 def simulate(
@@ -424,7 +408,7 @@ def simulate(
     _check_inputs(graph, d, lam, allow_disconnected, allow_overload)
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    result = _simulate_core(
+    record, _ = _simulate_core(
         graph,
         int(d),
         lam,
@@ -438,7 +422,7 @@ def simulate(
         debug,
         on_assign,
     )
-    return result.record
+    return record
 
 
 def steady_state(
@@ -475,7 +459,7 @@ def steady_state(
     rep_occ = np.zeros((replicas, depth))
     rep_mql = np.zeros(replicas)
     for r in range(replicas):
-        result = _simulate_core(
+        _, area = _simulate_core(
             graph,
             int(d),
             lam,
@@ -489,7 +473,6 @@ def steady_state(
             False,
             None,
         )
-        area = result.area
         denom = n * measure
         rep_mql[r] = sum(area[1:]) / denom
         top = min(depth, len(area) - 1)

@@ -169,15 +169,27 @@ def test_exit_codes(tmp_path):
     bad = tmp_path / "bad.bpg"
     bad.write_text("not a graph\n")
     assert run("check", "--graph", str(bad), "--out", str(tmp_path / "z.csv")) == 3
+    bad.write_text("BPG v1\n2 2 1\n0 0\n")  # dispatcher 1 has no edge
+    assert run("check", "--graph", str(bad), "--out", str(tmp_path / "z.csv")) == 3
     assert run("reproduce", "no-such-recipe") == 1
     assert run("gen", "--kind", "fixed-degree", "--n", "200", "--m", "200", "--c", "1",
                "--out", str(tmp_path / "iso.bpg")) == 1  # generation cannot avoid isolation
     assert run("compare", "--a", str(tmp_path / "nope.csv"), "--b", str(tmp_path / "nope.csv")) == 3
 
 
-def test_usage_error_is_exit_1():
+def test_usage_error_is_exit_1(tmp_path):
     assert run("gen", "--kind", "complete") == 1  # missing --out
     assert run("nonexistent-command") == 1
+    out = tmp_path / "x.csv"
+    trend = ("trend", "--family", "fixed-degree-log2", "--out", str(out))
+    assert run(*trend, "--sizes", "300..250") == 1  # reversed range
+    assert run(*trend, "--sizes", "250,300..250") == 1
+    assert run(*trend, "--seeds", ",") == 1  # empty list
+    g = tmp_path / "c.bpg"
+    run("gen", "--kind", "complete", "--n", "4", "--out", str(g))
+    assert run("check", "--graph", str(g), "--epsilons", ",", "--out", str(out)) == 1
+    assert run("reproduce", "degree-sweep", "--sizes", ",", "--out", str(out)) == 1
+    assert not out.exists()
 
 
 def test_disconnected_graph_exit(tmp_path):

@@ -308,6 +308,11 @@ def test_io_accepts_any_order(tmp_path):
         "BPG v1\n2 2 2\n0 0\n0 0\n",  # duplicate
         "BPG v1\n2 2 2\n0 0\n",  # count mismatch
         "BPG v1\n2 2 1\n0 0 0\n",  # malformed edge line
+        "BPG v1\n12 1 2\n0 0\n1_0 0\n",  # int() would read 10
+        "BPG v1\n12 1 2\n0 0\n+5 0\n",  # int() would read 5
+        "BPG v1\n12 1 2\n0 0\n\u0663 0\n",  # Arabic-Indic three
+        "BPG v1\n1_2 1 2\n0 0\n1 0\n",  # dimension line
+        "BPG v1\n2 2 1\n0 0\n",  # dispatcher 1 has no edge
     ],
 )
 def test_io_rejects_malformed(tmp_path, content):

@@ -15,6 +15,8 @@ from sparselb.graph import (
 )
 from sparselb.properties import (
     EnumerationCapError,
+    _enumerate_pairs,
+    _pair_flow,
     bad_dispatcher_count,
     optimal_subcriticality_load,
     sparsity_deficiency,
@@ -84,18 +86,34 @@ def test_optimal_load_oracles():
     assert optimal_subcriticality_load(complete_bipartite(4, 4), 2).optimal_load == pytest.approx(1.0, abs=1e-9)
 
 
-def test_optimal_load_matches_lp_oracle():
-    pytest.importorskip("scipy")
+def _small_instances():
+    """Braess plus six small random graphs."""
     rng = np.random.default_rng(5)
     instances = [braess_example()]
     for k in range(6):
         n = int(rng.integers(4, 9))
         m = int(rng.integers(3, 8))
         instances.append(generate_inhomogeneous(n, m, 0.5, seed=int(rng.integers(1e6))))
-    for g in instances:
+    return instances
+
+
+def test_optimal_load_matches_lp_oracle():
+    pytest.importorskip("scipy")
+    for g in _small_instances():
         flow = optimal_subcriticality_load(g, 2).optimal_load
         lp = linprog_min_max_load(g, 2)
         assert abs(flow - lp) <= 2e-5, (g, flow, lp)
+
+
+def test_optimal_load_is_tight():
+    """The returned load carries all N units of supply, and 1e-7 less does
+    not: the value is the optimum, not an upper bracket of it."""
+    for g in _small_instances():
+        t = optimal_subcriticality_load(g, 2).optimal_load
+        pairs = _enumerate_pairs(g, 2)
+        n = g.n_servers
+        assert _pair_flow(pairs, n, t)[0] >= n - 1e-9, (g, t)
+        assert _pair_flow(pairs, n, t - 1e-7)[0] < n - 1e-9, (g, t)
 
 
 def test_optimal_load_invariants_random():
