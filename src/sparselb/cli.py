@@ -488,7 +488,13 @@ def build_parser() -> tuple[_Parser, dict]:
 
 
 def _config_defaults(path: str, args) -> dict:
-    """Flag defaults from a JSON object; "lambda" sets --lambda, unknown keys are refused."""
+    """Flag defaults from a JSON object; "lambda" sets --lambda, unknown keys are refused.
+
+    A number or a list becomes the text a flag would carry (a list joined
+    by commas), so argparse checks it with the flag's own type, such as
+    `_int_list`; null and strings pass through. A switch takes only true
+    or false.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
@@ -498,7 +504,18 @@ def _config_defaults(path: str, args) -> dict:
     unknown = sorted(key for key in overrides if dest[key] not in valid)
     if unknown:
         raise CliUsageError(f"unknown config key(s) {unknown}; valid keys: {sorted(valid)}")
-    return {dest[key]: value for key, value in overrides.items()}
+    for key, value in overrides.items():
+        if isinstance(getattr(args, dest[key]), bool) and not isinstance(value, bool):
+            raise CliUsageError(f"config key {key!r} takes true or false, not {value!r}")
+    return {dest[key]: _flag_text(value) for key, value in overrides.items()}
+
+
+def _flag_text(value):
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return str(value)
+    return value
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -11,6 +11,7 @@ a bounded number of times before giving up on an isolated dispatcher.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -19,6 +20,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 GENERATION_RETRIES = 100
+# The fixed-degree generator works in blocks of about this many entries, so
+# that no array it makes outgrows the memory freed graph lists leave for reuse.
+_BLOCK_ENTRIES = 1 << 14
 
 
 class GraphFormatError(ValueError):
@@ -35,6 +39,7 @@ def floyd_sample(n: int, k: int, randbelow: Callable[[int], int]) -> list[int]:
     `randbelow(m)` must return a uniform integer in [0, m). The returned
     list holds k distinct indices; its order is not uniform over
     arrangements, only the underlying set is uniform.
+    `generate_fixed_server_degree` runs these steps for a block of servers at once.
     """
     if k > n:
         raise ValueError(f"cannot sample {k} items from {n}")
@@ -66,6 +71,7 @@ class BipartiteGraph:
         "n_edges",
         "meta",
         "_connected",
+        "_csr",
     )
 
     def __init__(
@@ -90,6 +96,39 @@ class BipartiteGraph:
         self.n_edges = sum(len(row) for row in self.adjacency)
         self.meta = dict(meta) if meta else {}
         self._connected: Optional[bool] = None
+        self._csr: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+    @classmethod
+    def _from_server_rows(
+        cls,
+        n_servers: int,
+        n_dispatchers: int,
+        pool: np.ndarray,
+        server_rows: list[list[int]],
+        meta: dict,
+    ) -> "BipartiteGraph":
+        """Graph from each server's row of dispatchers, made of the int
+        objects in `pool` (`np.arange(max(N, M), dtype=object)`). The caller
+        has validated the rows: ascending, duplicate-free and in range, and
+        covering every dispatcher.
+
+        Yields the same `adjacency` and `reverse_adjacency` lists as the list
+        constructor. The dispatcher rows grow by appends in server order, so
+        they ascend too, and every row shares the pool's ints: an edge costs
+        a list slot in each direction, not a new int.
+        """
+        self = cls.__new__(cls)
+        self.n_servers, self.n_dispatchers = n_servers, n_dispatchers
+        self.reverse_adjacency = server_rows
+        self.adjacency = [[] for _ in range(n_dispatchers)]
+        for v, row in zip(pool, server_rows):
+            for w in row:
+                self.adjacency[w].append(v)
+        self.n_edges = sum(map(len, server_rows))
+        self.meta = dict(meta)
+        self._connected = None
+        self._csr = None
+        return self
 
     def _validate_rows(self):
         n = self.n_servers
@@ -166,21 +205,21 @@ class BipartiteGraph:
                 yield (v, w)
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dispatcher-major CSR view: (indptr, server_indices).
+        """Dispatcher-major CSR view: (int64 indptr, int32 server_indices),
+        read-only and built once on first use.
 
         Row w spans indices[indptr[w]:indptr[w+1]]. Materializes the edge
         list, so avoid on huge complete graphs.
         """
-        degs = self.dispatcher_degrees()
-        indptr = np.zeros(self.n_dispatchers + 1, dtype=np.int64)
-        np.cumsum(degs, out=indptr[1:])
-        indices = np.empty(self.n_edges, dtype=np.int64)
-        pos = 0
-        for row in self.adjacency:
-            nxt = pos + len(row)
-            indices[pos:nxt] = row
-            pos = nxt
-        return indptr, indices
+        if self._csr is None:
+            indptr = np.zeros(self.n_dispatchers + 1, dtype=np.int64)
+            np.cumsum(self.dispatcher_degrees(), out=indptr[1:])
+            indices = np.fromiter(
+                itertools.chain.from_iterable(self.adjacency), dtype=np.int32, count=self.n_edges
+            )
+            indptr.flags.writeable = indices.flags.writeable = False
+            self._csr = (indptr, indices)
+        return self._csr
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BipartiteGraph):
@@ -243,24 +282,36 @@ def generate_fixed_server_degree(
     Resamples the whole graph (server picks are exchangeable, so a local
     patch would bias the law) up to GENERATION_RETRIES times if some
     dispatcher ends isolated.
+
+    Each server runs Floyd's method (`floyd_sample`): its k-th draw is
+    uniform on [0, M-c+k] and is replaced by M-c+k if the server already
+    holds it. The bounds never depend on earlier draws, so one
+    `rng.integers` call over a (servers, c) block consumes the stream
+    exactly as the block's scalar draws in server order do.
     """
     if not 1 <= c <= n_dispatchers:
         raise ValueError(f"server degree c={c} must be in [1, {n_dispatchers}]")
     rng = np.random.default_rng(seed)
-    randbelow = lambda m: int(rng.integers(m))
+    top = np.arange(n_dispatchers - c, n_dispatchers, dtype=np.int32)  # M-c+k
+    block = max(1, _BLOCK_ENTRIES // c)
+    pool = np.arange(max(n_servers, n_dispatchers), dtype=object)
     for attempt in range(GENERATION_RETRIES):
-        rows: list[list[int]] = [[] for _ in range(n_dispatchers)]
-        for v in range(n_servers):
-            for w in floyd_sample(n_dispatchers, c, randbelow):
-                rows[w].append(v)
-        if all(rows):
-            rows = [sorted(row) for row in rows]
-            return BipartiteGraph(
+        covered = np.zeros(n_dispatchers, dtype=bool)
+        rows: list[list[int]] = []
+        for v0 in range(0, n_servers, block):
+            picks = rng.integers(0, top + 1, size=(min(block, n_servers - v0), c), dtype=np.int32)
+            for k in range(1, c):
+                picks[(picks[:, :k] == picks[:, k, None]).any(axis=1), k] = top[k]
+            covered[picks] = True
+            picks.sort(axis=1)
+            rows += pool[picks].tolist()
+        if covered.all():
+            return BipartiteGraph._from_server_rows(
                 n_servers,
                 n_dispatchers,
+                pool,
                 rows,
                 meta={"generator": "fixed-degree", "c": c, "seed": seed, "retries": attempt},
-                _validated=True,
             )
     raise GraphGenerationError(
         f"fixed-degree generation left an isolated dispatcher in all "
@@ -493,43 +544,179 @@ def write_graph(graph: BipartiteGraph, path) -> None:
 
 
 def read_graph(path) -> BipartiteGraph:
-    """Read a BPG v1 file. Accepts edges in any order; rejects indices that
-    are not ASCII decimal digits, out-of-range indices, duplicates, count
-    mismatches and dispatchers without an edge."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "BPG v1":
-            raise GraphFormatError(f"bad header {header!r}; expected 'BPG v1'")
-        dims = fh.readline().split()
-        if len(dims) != 3:
-            raise GraphFormatError("second line must be '<N> <M> <E>'")
-        if not all(x.isascii() and x.isdigit() for x in dims):
-            raise GraphFormatError(f"non-integer dimensions: {dims}")
-        n, m, e = (int(x) for x in dims)
-        if n < 1 or m < 1 or e < 0:
-            raise GraphFormatError(f"invalid dimensions N={n} M={m} E={e}")
-        rows: list[set[int]] = [set() for _ in range(m)]
-        count = 0
-        for lineno, line in enumerate(fh, start=3):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise GraphFormatError(f"line {lineno}: expected '<server> <dispatcher>'")
-            if not (line.isascii() and parts[0].isdigit() and parts[1].isdigit()):
-                raise GraphFormatError(f"line {lineno}: non-integer edge")
-            v, w = int(parts[0]), int(parts[1])
-            if not 0 <= v < n:
-                raise GraphFormatError(f"line {lineno}: server index {v} out of range")
-            if not 0 <= w < m:
-                raise GraphFormatError(f"line {lineno}: dispatcher index {w} out of range")
-            if v in rows[w]:
-                raise GraphFormatError(f"line {lineno}: duplicate edge ({v}, {w})")
-            rows[w].add(v)
-            count += 1
-        if count != e:
-            raise GraphFormatError(f"edge count mismatch: header says {e}, found {count}")
-    for w, row in enumerate(rows):
-        if not row:
-            raise GraphFormatError(f"dispatcher {w} has no compatible server")
-    return BipartiteGraph(n, m, [sorted(r) for r in rows], meta={"generator": "file"})
+    """Read a BPG v1 file. Accepts edges in any order, separated by ASCII
+    whitespace, with LF, CRLF or CR line endings; rejects indices that are
+    not ASCII decimal digits, out-of-range indices, duplicates, count
+    mismatches and dispatchers without an edge. Errors name the file and,
+    where one applies, the line."""
+    with open(path, "rb") as fh:
+        n, m, indptr, indices = _parse_bpg(fh.read(), path)
+    pool = np.arange(max(n, m), dtype=object)
+    bounds = indptr.tolist()
+    rows = [pool[indices[a:b]].tolist() for a, b in zip(bounds, bounds[1:])]
+    del indices  # before the dispatcher rows are built
+    return BipartiteGraph._from_server_rows(n, m, pool, rows, meta={"generator": "file"})
+
+
+# bytes.split() whitespace; the body of a BPG file holds these and digits only
+_WHITESPACE = np.zeros(256, dtype=bool)
+_WHITESPACE[list(b" \t\n\r\x0b\x0c")] = True
+_DIGIT = np.zeros(256, dtype=bool)
+_DIGIT[list(b"0123456789")] = True
+_INT64_DIGITS = 18  # any 18-digit decimal fits in an int64
+
+
+def _stable_order(keys: np.ndarray, n_keys: int) -> np.ndarray:
+    """`np.argsort(keys, kind="stable")` for keys in [0, n_keys).
+
+    Keys that fit 16 bits go through numpy's radix sort, several times
+    faster than its stable sort of wider integers.
+    """
+    if n_keys <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
+
+
+def _next_line(data: bytes, start: int) -> tuple[bytes, int]:
+    """The line at `start` without its ending, and where the next line
+    starts. A line ends at LF, CRLF or a lone CR, as text mode reads it."""
+    ends = [i for i in (data.find(b"\n", start), data.find(b"\r", start)) if i >= 0]
+    if not ends:
+        return data[start:], len(data)
+    end = min(ends)
+    return data[start:end], end + (2 if data[end : end + 2] == b"\r\n" else 1)
+
+
+def _parse_bpg(data: bytes, path) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """(N, M, indptr, indices) of a BPG v1 file's bytes, validated in bulk;
+    (indptr, indices) is the server-major CSR."""
+
+    def error(message: str, line: Optional[int] = None) -> GraphFormatError:
+        where = path if line is None else f"{path}, line {line}"
+        return GraphFormatError(f"{where}: {message}")
+
+    header, pos = _next_line(data, 0)
+    if header != b"BPG v1":
+        raise error(f"bad header {_text(header)!r}; expected 'BPG v1'", 1)
+    dims_line, pos = _next_line(data, pos)
+    dims = dims_line.split()
+    if len(dims) != 3:
+        raise error("second line must be '<N> <M> <E>'", 2)
+    if not all(x.isdigit() for x in dims):  # bytes.isdigit() is ASCII only
+        raise error(f"non-integer dimensions: {[_text(x) for x in dims]}", 2)
+    n, m, e = (int(x) for x in dims)
+    if n < 1 or m < 1:
+        raise error(f"invalid dimensions N={n} M={m} E={e}", 2)
+    try:
+        servers, dispatchers = _body_edges(np.frombuffer(memoryview(data)[pos:], dtype=np.uint8), n, m)
+    except _LineError as exc:
+        raise error(exc.message, 3 + exc.line) from None
+    if servers.size != e:
+        raise error(f"edge count mismatch: header says {e}, found {servers.size}")
+    degrees = np.bincount(dispatchers, minlength=m)
+    if not degrees.all():
+        raise error(f"dispatcher {int(np.argmin(degrees))} has no compatible server")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(servers, minlength=n), out=indptr[1:])
+    return n, m, indptr, dispatchers
+
+
+def _text(raw: bytes) -> str:
+    return raw.decode("utf-8", "backslashreplace")
+
+
+class _LineError(Exception):
+    """A malformed edge line; `line` counts from 0 at the first edge line."""
+
+    def __init__(self, line: int, message: str):
+        super().__init__(line, message)
+        self.line, self.message = line, message
+
+
+def _body_edges(body: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(servers, dispatchers) of the edge lines in `body`, sorted by
+    (server, dispatcher).
+
+    Raises _LineError for the first line, in file order, that a line-by-line
+    reader would reject. Line numbers are worked out only then.
+    """
+    breaks = body == 10
+    lone_cr = body == 13
+    if lone_cr.any():
+        lone_cr[:-1] &= ~breaks[1:]  # the LF of a CRLF ends the line
+        breaks |= lone_cr
+    del lone_cr
+    breaks = np.flatnonzero(breaks)
+
+    def first_error(line: int, message: str) -> _LineError:
+        # The lines before `line` passed this check; they may fail a later one.
+        try:
+            _body_edges(body[: breaks[line - 1] + 1 if line else 0], n, m)
+        except _LineError as earlier:
+            return earlier
+        return _LineError(line, message)
+
+    space = _WHITESPACE[body]
+    stray = np.flatnonzero(~(space | _DIGIT[body]))
+    # token i spans body[starts[i]:ends[i]], a maximal run of non-whitespace
+    inside = np.zeros(body.size + 2, dtype=bool)
+    np.logical_not(space, out=inside[1:-1])
+    del space
+    position = np.int32 if body.size < 2**31 else np.int64
+    starts = np.flatnonzero(inside[1:] > inside[:-1]).astype(position)
+    ends = np.flatnonzero(inside[1:] < inside[:-1]).astype(position)
+    del inside
+    # every non-blank line holds exactly two tokens, and only digits
+    row = np.searchsorted(breaks, starts)
+    paired = row.size % 2 == 0 and bool(
+        np.all(row[0::2] == row[1::2]) and np.all(row[2::2] > row[1:-1:2])
+    )
+    if stray.size or not paired:
+        rows, counts = np.unique(row, return_counts=True)
+        miscounted = rows[counts != 2]
+        line = int(np.concatenate([miscounted, np.searchsorted(breaks, stray)]).min())
+        if line in miscounted:
+            raise first_error(line, "expected '<server> <dispatcher>'")
+        raise first_error(line, "non-integer edge")
+    del row, stray
+
+    # add up digits from the right; a position left of its token is masked
+    # out (negative positions wrap to bytes that are masked out too)
+    lengths = ends - starts
+    values = np.zeros(starts.size, dtype=np.int64)
+    at = ends.copy()
+    for k in range(min(int(lengths.max(initial=0)), _INT64_DIGITS)):
+        at -= 1
+        digit = (body[at] - ord("0")) * (lengths > k)
+        values += digit.astype(np.int64) * 10**k
+    del at
+
+    def token(i) -> int:
+        return int(body[starts[i] : ends[i]].tobytes())
+
+    for i in np.flatnonzero(lengths > _INT64_DIGITS):
+        values[i] = min(token(i), np.iinfo(np.int64).max)
+    del lengths
+    servers, dispatchers = values[0::2], values[1::2]
+    out_of_range = (servers >= n) | (dispatchers >= m)
+    if out_of_range.any():
+        i = int(np.argmax(out_of_range))
+        line = int(np.searchsorted(breaks, starts[2 * i]))
+        if servers[i] >= n:
+            raise first_error(line, f"server index {token(2 * i)} out of range")
+        raise first_error(line, f"dispatcher index {token(2 * i + 1)} out of range")
+
+    # stable, so a repeated edge sorts after its first copy
+    order = _stable_order(dispatchers, m)
+    order = order[_stable_order(servers[order], n)]
+    sorted_servers, sorted_dispatchers = servers[order], dispatchers[order]
+    repeat = (sorted_servers[1:] == sorted_servers[:-1]) & (
+        sorted_dispatchers[1:] == sorted_dispatchers[:-1]
+    )
+    if repeat.any():
+        i = int(order[1:][repeat].min())
+        raise _LineError(
+            int(np.searchsorted(breaks, starts[2 * i])),
+            f"duplicate edge ({servers[i]}, {dispatchers[i]})",
+        )
+    return sorted_servers, sorted_dispatchers

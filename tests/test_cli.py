@@ -232,6 +232,74 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"sizes": [], "seeds": [0]},  # empty list
+        {"sizes": [32], "seeds": []},
+        {"sizes": ["300..250"], "seeds": [0]},  # reversed range
+        {"sizes": [32, 1.5], "seeds": [0]},  # not an integer
+        {"sizes": [32], "seeds": [0], "epsilons": []},
+        {"sizes": [32], "seeds": [0], "epsilons": ["x"]},
+        {"sizes": [32], "seeds": [0], "seed": 1.5},  # a number is checked like the flag too
+    ],
+)
+def test_config_list_values_checked_like_flags(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "t.csv"
+    assert run("trend", "--family", "fixed-degree-log2", "--budget", "8",
+               "--config", str(cfg), "--out", str(out)) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_switch_takes_only_booleans(tmp_path, capsys):
+    g = tmp_path / "m.bpg"
+    run("gen", "--kind", "matching", "--n", "4", "--out", str(g))
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "t.csv"
+    args = ("simulate", "--graph", str(g), "--d", "1", "--lambda", "0.5", "--horizon", "1",
+            "--config", str(cfg), "--out", str(out))
+    cfg.write_text(json.dumps({"allow-disconnected": "false"}))  # a string is not false
+    assert run(*args) == 1
+    assert "takes true or false" in capsys.readouterr().err
+    assert not out.exists()
+    cfg.write_text(json.dumps({"allow-disconnected": False}))
+    assert run(*args) == 1  # disconnected graph refused, as without the config
+    cfg.write_text(json.dumps({"allow-disconnected": True}))
+    assert run(*args) == 0
+
+
+def test_config_list_values_match_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sizes": [32, "40..41"], "seeds": [0, 1], "epsilons": 0.15}))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    trend = ("trend", "--family", "fixed-degree-log2", "--budget", "8")
+    assert run(*trend, "--config", str(cfg), "--out", str(a)) == 0
+    assert run(*trend, "--sizes", "32,40..41", "--seeds", "0,1", "--epsilons", "0.15",
+               "--out", str(b)) == 0
+    assert _data_rows(a) == _data_rows(b)
+    assert len(_data_rows(a)) == 1 + 3 * 2
+
+
+@pytest.mark.parametrize(
+    "content, where, message",
+    [
+        (b"BPG v1\n2 1 2\n0 0\n1 x\n", ", line 4", "non-integer edge"),
+        (b"BPG v1\n2 1 2\n0 0\n\xff 0\n", ", line 4", "non-integer edge"),
+        (b"BPG v1\n2 1 3\n0 0\n1 0\n", "", "edge count mismatch: header says 3, found 2"),
+    ],
+)
+def test_graph_format_error_names_file(tmp_path, capsys, content, where, message):
+    bad = tmp_path / "bad.bpg"
+    bad.write_bytes(content)
+    out = tmp_path / "z.csv"
+    assert run("check", "--graph", str(bad), "--out", str(out)) == 3
+    assert capsys.readouterr().err == f"i/o error: {bad}{where}: {message}\n"
+    assert not out.exists()
+
+
 def test_trend_command(tmp_path):
     out = tmp_path / "trend.csv"
     assert run("trend", "--family", "fixed-degree-log2", "--sizes", "32,64",

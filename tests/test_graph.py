@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparselb.graph import (
+    GENERATION_RETRIES,
     BipartiteGraph,
     GraphFormatError,
     GraphGenerationError,
@@ -118,6 +121,56 @@ def test_fixed_degree_every_seed_exact_degree():
         g = generate_fixed_server_degree(50, 37, 9, seed=seed)
         assert all(g.server_degree(v) == 9 for v in range(50))
         assert g.n_edges == 450
+
+
+def _reference_fixed_degree(n, m, c, seed):
+    """The fixed-degree generator written one scalar draw per Floyd step,
+    as `generate_fixed_server_degree` was before it drew in blocks."""
+    rng = np.random.default_rng(seed)
+    randbelow = lambda k: int(rng.integers(k))
+    for attempt in range(GENERATION_RETRIES):
+        rows = [[] for _ in range(m)]
+        for v in range(n):
+            for w in floyd_sample(m, c, randbelow):
+                rows[w].append(v)
+        if all(rows):
+            meta = {"generator": "fixed-degree", "c": c, "seed": seed, "retries": attempt}
+            return BipartiteGraph(n, m, [sorted(row) for row in rows], meta=meta)
+    raise GraphGenerationError(
+        f"fixed-degree generation left an isolated dispatcher in all "
+        f"{GENERATION_RETRIES} attempts (N={n}, M={m}, c={c}); "
+        f"the c/M regime is too sparse"
+    )
+
+
+@pytest.mark.parametrize(
+    "n, m, c, seed, retries",
+    [
+        (1000, 1000, 7, 1, 1),
+        (200, 50, 3, 5, 1),
+        (1000, 1000, 4, 0, None),  # fails every attempt
+        (30, 30, 1, 4, None),  # fails every attempt
+        (4, 4, 4, 0, 0),  # c = M: the first draw has one value and consumes nothing
+        (50, 37, 9, 3, 0),
+        (300, 300, 20, 8, 0),
+        (40, 3, 2, 2, 0),
+    ],
+)
+def test_fixed_degree_matches_scalar_reference(n, m, c, seed, retries):
+    if retries is None:
+        with pytest.raises(GraphGenerationError) as expected:
+            _reference_fixed_degree(n, m, c, seed)
+        with pytest.raises(GraphGenerationError) as raised:
+            generate_fixed_server_degree(n, m, c, seed)
+        assert str(raised.value) == str(expected.value)
+        return
+    expected = _reference_fixed_degree(n, m, c, seed)
+    assert expected.meta["retries"] == retries
+    g = generate_fixed_server_degree(n, m, c, seed)
+    assert g.adjacency == expected.adjacency
+    assert g.reverse_adjacency == expected.reverse_adjacency
+    assert g.meta == expected.meta
+    assert g.n_edges == expected.n_edges == n * c
 
 
 def test_fixed_degree_dispatcher_degree_statistics():
@@ -313,13 +366,106 @@ def test_io_accepts_any_order(tmp_path):
         "BPG v1\n12 1 2\n0 0\n\u0663 0\n",  # Arabic-Indic three
         "BPG v1\n1_2 1 2\n0 0\n1 0\n",  # dimension line
         "BPG v1\n2 2 1\n0 0\n",  # dispatcher 1 has no edge
+        b"BPG v1\n2 1 2\n0 0\n\xff 0\n",  # not UTF-8 on line 4
+        b"BPG\xff v1\n2 1 2\n0 0\n1 0\n",  # not UTF-8 in the header
+        "BPG v1\n2 1 2\n0\x1c0\n1 0\n",  # str.split() separator, not ASCII whitespace
     ],
 )
 def test_io_rejects_malformed(tmp_path, content):
     path = tmp_path / "bad.bpg"
-    path.write_text(content)
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
     with pytest.raises(GraphFormatError):
         read_graph(path)
+
+
+@pytest.mark.parametrize(
+    "content, where, message",
+    [
+        ("BGP v1\n2 2 1\n0 0\n", ", line 1", "bad header 'BGP v1'; expected 'BPG v1'"),
+        ("BPG v1\n2 1 2\n0 0\n1 x\n", ", line 4", "non-integer edge"),
+        ("BPG v1\r\n2 1 2\r\n0 0\r\n\r\n1 0 0\r\n", ", line 5", "expected '<server> <dispatcher>'"),
+        ("BPG v1\r4 1 2\r0 0\r5 0\r", ", line 4", "server index 5 out of range"),
+        ("BPG v1\n4 2 2\n4 0\n0 1\n", ", line 3", "server index 4 out of range"),
+        ("BPG v1\n4 2 2\n0 0\n0 2\n", ", line 4", "dispatcher index 2 out of range"),
+        ("BPG v1\n4 1 1\n0 99999999999999999999999\n", ", line 3",
+         "dispatcher index 99999999999999999999999 out of range"),
+        ("BPG v1\n4 2 2\n0 0\n00 0\n", ", line 4", "duplicate edge (0, 0)"),
+        # the first bad line in file order, whichever check finds it
+        ("BPG v1\n4 2 3\n1 0\n1 00\n7 0\n1 x\n", ", line 4", "duplicate edge (1, 0)"),
+        ("BPG v1\n4 2 3\n0 0\n7 0\n1 x\n", ", line 4", "server index 7 out of range"),
+        ("BPG v1\n2 2 2\n0 0\n", "", "edge count mismatch: header says 2, found 1"),
+        ("BPG v1\n2 2 1\n0 0\n", "", "dispatcher 1 has no compatible server"),
+    ],
+)
+def test_io_errors_name_file_and_line(tmp_path, content, where, message):
+    path = tmp_path / "bad.bpg"
+    path.write_bytes(content.encode("ascii"))
+    with pytest.raises(GraphFormatError) as raised:
+        read_graph(path)
+    assert str(raised.value) == f"{path}{where}: {message}"
+
+
+@st.composite
+def _bpg_text(draw):
+    """(graph from the list constructor, a BPG v1 file holding it in any
+    order, with blank lines, tabs, leading zeros and mixed line endings)."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 7))
+    rows = [
+        sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
+        for _ in range(m)
+    ]
+    edges = draw(st.permutations([(v, w) for w, row in enumerate(rows) for v in row]))
+    ending = st.sampled_from(["\n", "\r\n", "\r"])
+    gap = st.text(alphabet=" \t", min_size=0, max_size=3)
+    sep = st.text(alphabet=" \t", min_size=1, max_size=3)
+    index = lambda i: draw(st.sampled_from(["", "0", "00"])) + str(i)
+    lines = ["BPG v1" + draw(ending), f"{n} {m} {len(edges)}" + draw(ending)]
+    for v, w in edges:
+        for _ in range(draw(st.integers(0, 1))):
+            lines.append(draw(gap) + draw(ending))
+        lines.append(draw(gap) + index(v) + draw(sep) + index(w) + draw(gap) + draw(ending))
+    text = "".join(lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line ending at the end of the file
+    return BipartiteGraph(n, m, rows), text
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_bpg_text())
+def test_io_bulk_reader_matches_list_constructor(tmp_path_factory, case):
+    expected, text = case
+    path = tmp_path_factory.mktemp("bpg") / "g.bpg"
+    path.write_bytes(text.encode("ascii"))
+    g = read_graph(path)
+    assert (g.n_servers, g.n_dispatchers, g.n_edges) == (
+        expected.n_servers, expected.n_dispatchers, expected.n_edges
+    )
+    assert g.adjacency == expected.adjacency
+    assert g.reverse_adjacency == expected.reverse_adjacency
+
+
+def test_array_built_rows_share_index_objects(tmp_path):
+    # one int object per index value, whatever row it sits in
+    g = generate_fixed_server_degree(600, 500, 5, seed=1)
+    path = tmp_path / "g.bpg"
+    write_graph(g, path)
+    for graph in (g, read_graph(path)):
+        for rows in (graph.adjacency, graph.reverse_adjacency):
+            values = [x for row in rows for x in row]
+            assert len({id(x) for x in values}) == len(set(values))
+
+
+def test_csr_is_cached_and_read_only():
+    g = generate_fixed_server_degree(30, 20, 5, seed=3)
+    indptr, indices = g.csr()
+    assert g.csr()[1] is indices
+    assert not indptr.flags.writeable and not indices.flags.writeable
+    assert indptr.tolist() == [0, *np.cumsum([len(row) for row in g.adjacency]).tolist()]
+    assert indices.tolist() == [v for row in g.adjacency for v in row]
 
 
 def test_connectivity_flag_matches_bfs():
