@@ -336,6 +336,7 @@ def generate_inhomogeneous(
     if np.any((p <= 0) | (p > 1)):
         raise ValueError("edge probabilities must lie in (0, 1]")
     rng = np.random.default_rng(seed)
+    pool = np.arange(n_servers, dtype=object)  # rows share one int per server
     rows: list[list[int]] = []
     retries = 0
     for w in range(n_dispatchers):
@@ -350,7 +351,7 @@ def generate_inhomogeneous(
                 )
             row = np.flatnonzero(rng.random(n_servers) < p[w])
         retries += attempt
-        rows.append(row.tolist())
+        rows.append(pool[row].tolist())
     return BipartiteGraph(
         n_servers,
         n_dispatchers,
@@ -379,6 +380,7 @@ def generate_geometric(
     sxy = rng.random((n_servers, 2))
     dxy = rng.random((n_dispatchers, 2))
     r2 = radius * radius
+    pool = np.arange(n_servers, dtype=object)  # rows share one int per server
     rows: list[list[int]] = []
     retries = 0
 
@@ -399,7 +401,7 @@ def generate_geometric(
             dxy[w] = rng.random(2)
             row = neighbors(dxy[w])
         retries += attempt
-        rows.append(row.tolist())
+        rows.append(pool[row].tolist())
     return BipartiteGraph(
         n_servers,
         n_dispatchers,

@@ -22,6 +22,7 @@ threshold interpretation to the caller.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -65,9 +66,9 @@ def uniform_subcriticality_metric(graph: BipartiteGraph) -> tuple[float, int]:
     if graph.is_complete:
         # (N/M) * M * (1/N) without float accumulation error
         return 1.0, 0
-    loads = np.zeros(n)
-    for w, row in enumerate(graph.adjacency):
-        loads[np.asarray(row, dtype=np.int64)] += 1.0 / len(row)
+    # bincount adds each server's terms in dispatcher order, as a loop would
+    degs = graph.dispatcher_degrees()
+    loads = np.bincount(graph.csr()[1], weights=np.repeat(1.0 / degs, degs), minlength=n)
     loads *= n / m
     argmax = int(np.argmax(loads))
     return float(loads[argmax]), argmax
@@ -296,8 +297,9 @@ def _exact_deficiency(graph: BipartiteGraph, epsilon: float) -> tuple[int, int, 
 class _SubsetScorer:
     """Vectorized bad-dispatcher counting over one graph.
 
-    Holds a CSR view so a subset evaluates in O(E) numpy work and a
-    single-server flip in O(M).
+    Holds a CSR view, so a subset counts in O(E) numpy work, and each
+    server's dispatchers as one row of `rev`, an (N, max server degree)
+    int32 matrix padded with the sentinel M.
     """
 
     def __init__(self, graph: BipartiteGraph, epsilon: float):
@@ -306,14 +308,53 @@ class _SubsetScorer:
         self.indptr, self.indices = graph.csr()
         self.degs = graph.dispatcher_degrees()
         self.thresholds = epsilon * (self.degs * self.n)
+        server_degs = np.fromiter(map(len, graph.reverse_adjacency), dtype=np.int64, count=self.n)
+        self.rev = np.full((self.n, int(server_degs.max())), self.m, dtype=np.int32)
+        self.rev[np.arange(self.rev.shape[1]) < server_degs[:, None]] = np.fromiter(
+            itertools.chain.from_iterable(graph.reverse_adjacency),
+            dtype=np.int32,
+            count=graph.n_edges,
+        )
 
     def counts(self, member: np.ndarray) -> np.ndarray:
         sel = member[self.indices].astype(np.int64)
         return np.add.reduceat(sel, self.indptr[:-1])
 
+    def counts_from_rev(self, member: np.ndarray) -> np.ndarray:
+        """Same as `counts`, from the reverse rows of the smaller side of
+        the subset: O(min(|U|, N-|U|) * max server degree + M)."""
+        if 2 * np.count_nonzero(member) <= self.n:
+            return np.bincount(self.rev[member].ravel(), minlength=self.m + 1)[: self.m]
+        return self.degs - np.bincount(self.rev[~member].ravel(), minlength=self.m + 1)[: self.m]
+
     def bad(self, counts: np.ndarray, size: int) -> int:
         dev = np.abs(counts * self.n - size * self.degs)
         return int(np.sum(dev >= self.thresholds))
+
+    def flip_tables(self, counts: np.ndarray, size: int) -> tuple[int, int, np.ndarray]:
+        """(B+, B-, gain): the bad totals at sizes size+1 and size-1 with
+        every count unchanged, and the gain table, laid out [g+ | 0 | g- | 0]
+        with M+1 slots per half. g[w] is the change in w's bad flag when
+        w's count also moves with the size; the zero slots absorb the
+        sentinel M.
+
+        Flipping server v into (out of) the subset then makes exactly
+        B+ + sum(g+[rev[v]]) (B- + sum(g-[rev[v]])) dispatchers bad.
+        """
+        gain = np.zeros(2 * (self.m + 1), dtype=np.int64)
+        totals = []
+        for delta, half in ((1, gain[: self.m]), (-1, gain[self.m + 1 : -1])):
+            target = (size + delta) * self.degs
+            base = np.abs(counts * self.n - target) >= self.thresholds
+            half[:] = np.abs((counts + delta) * self.n - target) >= self.thresholds
+            half -= base
+            totals.append(int(np.count_nonzero(base)))
+        return totals[0], totals[1], gain
+
+
+# Flips scored per gather: small after a flip is taken, when the next one
+# tends to come soon; capped so the (chunk, max server degree) gather stays small.
+_CHUNK_MIN, _CHUNK_MAX = 32, 512
 
 
 def _sampled_deficiency(
@@ -325,11 +366,19 @@ def _sampled_deficiency(
     greedy single-server flips (strict improvement only) from the best
     random starts and their complements; complements score identically but
     climb differently, so they come free as extra basins.
+
+    Each sweep walks one random permutation of the servers and takes the
+    first valid flip that beats the current count. Flips are scored a chunk
+    of the permutation at a time from the gain tables of
+    `_SubsetScorer.flip_tables`, rebuilt in O(M) only after a flip is taken,
+    so a probe costs O(server degree), not O(M). The decisions, the RNG
+    calls and the probe count (valid flips up to and including each taken
+    one) are those of scoring one flip at a time.
     """
-    n = graph.n_servers
+    n, m = graph.n_servers, graph.n_dispatchers
     rng = np.random.default_rng(seed)
     scorer = _SubsetScorer(graph, epsilon)
-    rev = [np.asarray(row, dtype=np.int64) for row in graph.reverse_adjacency]
+    rev = scorer.rev
     probed = 0
     starts: list[tuple[int, np.ndarray]] = []
     for _ in range(budget):
@@ -337,10 +386,10 @@ def _sampled_deficiency(
         member = np.zeros(n, dtype=bool)
         member[rng.choice(n, size=size, replace=False)] = True
         probed += 1
-        starts.append((scorer.bad(scorer.counts(member), size), member))
+        starts.append((scorer.bad(scorer.counts_from_rev(member), size), member))
 
     starts.sort(key=lambda item: -item[0])
-    n_starts = 8 if n <= 512 else 2  # climbs cost O(N*M) per sweep
+    n_starts = 8 if n <= 512 else 2  # each climb rebuilds O(M) tables per flip taken
     seen: set[bytes] = set()
     basins: list[np.ndarray] = []
     for bad, member in starts:
@@ -356,28 +405,47 @@ def _sampled_deficiency(
     best_bad, best_member = starts[0]
     for start in basins:
         member = start.copy()
-        counts = scorer.counts(member).astype(np.int64)
+        counts = scorer.counts_from_rev(member)
         size = int(member.sum())
         current = scorer.bad(counts, size)
+        b_plus, b_minus, gain = scorer.flip_tables(counts, size)
         improved = True
         while improved:
             improved = False
-            for v in rng.permutation(n):
-                delta = -1 if member[v] else 1
-                if size + delta == 0 or size + delta == n:
+            order = rng.permutation(n)
+            i, chunk = 0, _CHUNK_MIN
+            while i < n:
+                vs = order[i : i + chunk]
+                leaving = member[vs]  # flip delta -1, else +1
+                valid = np.where(leaving, size > 1, size < n - 1)
+                scores = np.where(leaving, b_minus, b_plus) + gain[
+                    rev[vs] + (m + 1) * leaving[:, None]
+                ].sum(axis=1)
+                hits = np.flatnonzero(valid & (scores > current))
+                if hits.size == 0:
+                    probed += int(np.count_nonzero(valid))
+                    i += chunk
+                    chunk = min(2 * chunk, _CHUNK_MAX)
                     continue
-                trial = counts.copy()
-                trial[rev[v]] += delta
-                probed += 1
-                bad = scorer.bad(trial, size + delta)
-                if bad > current:
-                    current = bad
-                    member[v] = not member[v]
-                    counts = trial
-                    size += delta
-                    improved = True
+                j = int(hits[0])
+                probed += int(np.count_nonzero(valid[: j + 1]))
+                v = int(vs[j])
+                delta = -1 if leaving[j] else 1
+                member[v] = not member[v]
+                row = rev[v]
+                counts[row[row < m]] += delta
+                size += delta
+                current = int(scores[j])
+                b_plus, b_minus, gain = scorer.flip_tables(counts, size)
+                improved = True
+                i += j + 1
+                chunk = _CHUNK_MIN
         if current > best_bad:
             best_bad, best_member = current, member
+    # the certificate: re-count the witness from scratch, not incrementally
+    assert (
+        scorer.bad(scorer.counts(best_member), int(best_member.sum())) == best_bad
+    ), "incremental flip scores drifted from the witness's count"
     return best_bad, best_member, probed
 
 

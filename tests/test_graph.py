@@ -453,7 +453,12 @@ def test_array_built_rows_share_index_objects(tmp_path):
     g = generate_fixed_server_degree(600, 500, 5, seed=1)
     path = tmp_path / "g.bpg"
     write_graph(g, path)
-    for graph in (g, read_graph(path)):
+    for graph in (
+        g,
+        read_graph(path),
+        generate_inhomogeneous(600, 500, 0.01, seed=1),
+        generate_geometric(600, 500, 0.08, seed=1),
+    ):
         for rows in (graph.adjacency, graph.reverse_adjacency):
             values = [x for row in rows for x in row]
             assert len({id(x) for x in values}) == len(set(values))

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparselb.graph import (
+    BipartiteGraph,
     braess_example,
     complete_bipartite,
     generate_fixed_server_degree,
@@ -17,6 +20,7 @@ from sparselb.properties import (
     EnumerationCapError,
     _enumerate_pairs,
     _pair_flow,
+    _sampled_deficiency,
     bad_dispatcher_count,
     optimal_subcriticality_load,
     sparsity_deficiency,
@@ -76,6 +80,34 @@ def test_uniform_metric_braess():
     value, argmax = uniform_subcriticality_metric(braess_example())
     assert abs(value - 7 / 3) <= 1e-12
     assert argmax in (0, 1)
+
+
+def _loop_uniform_metric(graph):
+    """The uniform metric summed one dispatcher row at a time."""
+    n, m = graph.n_servers, graph.n_dispatchers
+    loads = np.zeros(n)
+    for row in graph.adjacency:
+        loads[np.asarray(row, dtype=np.int64)] += 1.0 / len(row)
+    loads *= n / m
+    argmax = int(np.argmax(loads))
+    return float(loads[argmax]), argmax
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        braess_example,
+        lambda: perfect_matching(7),
+        lambda: generate_fixed_server_degree(300, 200, 9, seed=2),
+        lambda: generate_inhomogeneous(300, 40, 0.005, seed=3),  # most servers isolated
+        lambda: generate_inhomogeneous(200, 150, np.linspace(0.01, 0.6, 150), seed=4),
+        lambda: generate_geometric(400, 300, 0.09, seed=5),
+    ],
+)
+def test_uniform_metric_matches_row_loop(build):
+    # same additions in the same order, so equal to the last bit
+    g = build()
+    assert uniform_subcriticality_metric(g) == _loop_uniform_metric(g)
 
 
 def test_optimal_load_oracles():
@@ -216,3 +248,131 @@ def test_trend_rows_and_csv():
     rows = sparsity_trend(log_squared_degree_family(), [0.1, 0.2], [32, 64], [0, 1], budget=32)
     assert len(rows) == 8
     assert {r.n for r in rows} == {32, 64}
+
+
+def _reference_sampled_deficiency(graph, epsilon, budget, seed):
+    """The sampled search written with one O(M) trial per flip probe, as
+    `_sampled_deficiency` was before it scored flips from gain tables."""
+    n = graph.n_servers
+    rng = np.random.default_rng(seed)
+    indptr, indices = graph.csr()
+    degs = graph.dispatcher_degrees()
+    thresholds = epsilon * (degs * n)
+
+    def counts_of(member):
+        return np.add.reduceat(member[indices].astype(np.int64), indptr[:-1])
+
+    def bad_of(counts, size):
+        return int(np.sum(np.abs(counts * n - size * degs) >= thresholds))
+
+    rev = [np.asarray(row, dtype=np.int64) for row in graph.reverse_adjacency]
+    probed = 0
+    starts = []
+    for _ in range(budget):
+        size = int(rng.integers(1, n)) if n > 1 else 1
+        member = np.zeros(n, dtype=bool)
+        member[rng.choice(n, size=size, replace=False)] = True
+        probed += 1
+        starts.append((bad_of(counts_of(member), size), member))
+
+    starts.sort(key=lambda item: -item[0])
+    n_starts = 8 if n <= 512 else 2
+    seen = set()
+    basins = []
+    for bad, member in starts:
+        for cand in (member, ~member):
+            if 0 < cand.sum() < n:
+                key = cand.tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    basins.append(cand)
+        if len(basins) >= 2 * n_starts:
+            break
+
+    best_bad, best_member = starts[0]
+    for start in basins:
+        member = start.copy()
+        counts = counts_of(member)
+        size = int(member.sum())
+        current = bad_of(counts, size)
+        improved = True
+        while improved:
+            improved = False
+            for v in rng.permutation(n):
+                delta = -1 if member[v] else 1
+                if size + delta == 0 or size + delta == n:
+                    continue
+                trial = counts.copy()
+                trial[rev[v]] += delta
+                probed += 1
+                bad = bad_of(trial, size + delta)
+                if bad > current:
+                    current = bad
+                    member[v] = not member[v]
+                    counts = trial
+                    size += delta
+                    improved = True
+        if current > best_bad:
+            best_bad, best_member = current, member
+    return best_bad, best_member, probed
+
+
+_SEARCH_CASES = {
+    "fixed-degree-200": (lambda: generate_fixed_server_degree(200, 200, 12, seed=1), 0.1, 64, 0),
+    "fixed-degree-120x90": (lambda: generate_fixed_server_degree(120, 90, 6, seed=2), 0.25, 32, 5),
+    "log2-600": (lambda: log_squared_degree_family().build(600, 0), 0.1, 16, 0),  # N > 512
+    "log2-700": (lambda: log_squared_degree_family().build(700, 3), 0.2, 8, 3),
+    "inhomogeneous-isolated-servers": (
+        lambda: generate_inhomogeneous(300, 40, 0.005, seed=3), 0.2, 32, 1
+    ),
+    "inhomogeneous-ramp": (
+        lambda: generate_inhomogeneous(80, 60, np.linspace(0.02, 0.5, 60), seed=6), 0.15, 32, 2
+    ),
+    "geometric-isolated-servers": (lambda: generate_geometric(300, 60, 0.04, seed=4), 0.2, 32, 2),
+    "geometric-150": (lambda: generate_geometric(150, 150, 0.15, seed=7), 0.1, 32, 4),
+    "matching-5": (lambda: perfect_matching(5), 0.1, 4, 0),  # climbs sit at size 1 or N-1
+    "matching-40": (lambda: perfect_matching(40), 0.3, 16, 1),
+    "complete-30x20": (lambda: complete_bipartite(30, 20), 0.1, 16, 0),
+    "complete-9x14": (lambda: complete_bipartite(9, 14), 0.05, 8, 2),
+    "budget-1-fixed-degree": (lambda: generate_fixed_server_degree(100, 80, 6, seed=8), 0.1, 1, 6),
+    "budget-1-inhomogeneous": (lambda: generate_inhomogeneous(50, 30, 0.2, seed=9), 0.3, 1, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SEARCH_CASES))
+def test_sampled_search_matches_one_flip_reference(case):
+    build, epsilon, budget, seed = _SEARCH_CASES[case]
+    g = build()
+    expected = _reference_sampled_deficiency(g, epsilon, budget, seed)
+    best, member, probed = _sampled_deficiency(g, epsilon, budget, seed)
+    assert (best, probed) == (expected[0], expected[2])
+    assert np.array_equal(member, expected[1])
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(1, 10))
+    rows = draw(
+        st.lists(
+            st.sets(st.integers(0, n - 1), min_size=1).map(sorted), min_size=m, max_size=m
+        )
+    )
+    return BipartiteGraph(n, m, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    g=_small_graphs(),
+    epsilon=st.floats(0.01, 0.99),
+    budget=st.integers(1, 256),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sampled_never_exceeds_exact(g, epsilon, budget, seed):
+    # below 2^(N-1) probes the sampled mode searches rather than enumerates
+    budget = min(budget, (1 << (g.n_servers - 1)) - 1)
+    sampled = sparsity_deficiency(g, epsilon, mode="sampled", budget=budget, seed=seed)
+    exact = sparsity_deficiency(g, epsilon, mode="exact")
+    assert sampled.deficiency <= exact.deficiency
+    count = bad_dispatcher_count(g, sampled.witness_subset, epsilon)
+    assert count / g.n_dispatchers == sampled.deficiency
