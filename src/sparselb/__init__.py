@@ -34,7 +34,6 @@ from .policy import (
     empirical_lipschitz,
     jsqd_policy,
     policy_from_name,
-    sample_assignment_length,
 )
 from .properties import (
     SparsityReport,

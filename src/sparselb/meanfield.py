@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .policy import AssignmentPolicy
+from .policy import AssignmentPolicy, distribution_from_occupancy
 from .records import TrajectoryRecord
 
 FIXED_POINT_RESIDUAL_TOL = 1e-12
@@ -156,7 +156,7 @@ def integrate_ode(
         # One validated call up front catches a malformed policy; the hot
         # loop then uses the raw evaluator (RK4 stages may sit slightly
         # outside the simplex, which the arithmetic tolerates).
-        policy.probabilities(np.diff(np.concatenate((q0, [0.0]))) * -1.0)
+        policy.probabilities(distribution_from_occupancy(q0))
 
         def rhs(y: np.ndarray) -> np.ndarray:
             q = np.concatenate(([1.0], y, [0.0]))

@@ -138,16 +138,6 @@ def policy_from_name(name: str) -> AssignmentPolicy:
     raise ValueError(f"unknown policy name {name!r}")
 
 
-def sample_assignment_length(policy: AssignmentPolicy, x, rng) -> int:
-    """Draw a queue length from p(x) using one uniform from `rng`.
-
-    `rng` needs a .random() method (random.Random and numpy Generators both
-    qualify); callers running in parallel pass distinct rng streams.
-    """
-    p = policy.probabilities(x)
-    return invert_cdf(p, rng.random())
-
-
 # ---------------------------------------------------------------------------
 # empirical Lipschitz estimation
 

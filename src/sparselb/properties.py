@@ -258,44 +258,10 @@ def bad_dispatcher_count(graph: BipartiteGraph, subset: Sequence[int], epsilon: 
     return bad
 
 
-def _exact_deficiency(graph: BipartiteGraph, epsilon: float) -> tuple[int, int, int]:
-    """(best bad count, witness mask, subsets probed) by full enumeration.
-
-    The bad set of U equals the bad set of its complement (the deviation is
-    invariant), so only masks with the top server bit clear are scanned --
-    half the work; the symmetry is asserted on the witness.
-    """
-    n, m = graph.n_servers, graph.n_dispatchers
-    masks = [0] * m
-    degs = [len(row) for row in graph.adjacency]
-    for w, row in enumerate(graph.adjacency):
-        acc = 0
-        for v in row:
-            acc |= 1 << v
-        masks[w] = acc
-    thresholds = [epsilon * (deg * n) for deg in degs]
-    best, witness = 0, 0
-    half = 1 << (n - 1) if n > 1 else 1
-    for u in range(half):
-        size = u.bit_count()
-        if size == 0:
-            continue
-        bad = 0
-        for w in range(m):
-            if abs((masks[w] & u).bit_count() * n - size * degs[w]) >= thresholds[w]:
-                bad += 1
-        if bad > best:
-            best, witness = bad, u
-    comp = ((1 << n) - 1) & ~witness
-    comp_members = [v for v in range(n) if comp >> v & 1]
-    assert (
-        bad_dispatcher_count(graph, comp_members, epsilon) == best
-    ), "complement symmetry violated"
-    return best, witness, half
-
-
 class _SubsetScorer:
-    """Vectorized bad-dispatcher counting over one graph.
+    """Vectorized bad-dispatcher counting over one graph; `flags` is the
+    only place the search code (exact scan, random starts, flip gains)
+    applies the bad-dispatcher rule.
 
     Holds a CSR view, so a subset counts in O(E) numpy work, and each
     server's dispatchers as one row of `rev`, an (N, max server degree)
@@ -327,9 +293,13 @@ class _SubsetScorer:
             return np.bincount(self.rev[member].ravel(), minlength=self.m + 1)[: self.m]
         return self.degs - np.bincount(self.rev[~member].ravel(), minlength=self.m + 1)[: self.m]
 
-    def bad(self, counts: np.ndarray, size: int) -> int:
-        dev = np.abs(counts * self.n - size * self.degs)
-        return int(np.sum(dev >= self.thresholds))
+    def flags(self, counts: np.ndarray, size) -> np.ndarray:
+        """Each dispatcher's bad flag, as in `bad_dispatcher_count`;
+        broadcasts over a batch of (..., M) int64 counts and sizes."""
+        return np.abs(counts * self.n - size * self.degs) >= self.thresholds
+
+    def bad(self, counts: np.ndarray, size):
+        return np.count_nonzero(self.flags(counts, size), axis=-1)
 
     def flip_tables(self, counts: np.ndarray, size: int) -> tuple[int, int, np.ndarray]:
         """(B+, B-, gain): the bad totals at sizes size+1 and size-1 with
@@ -344,12 +314,47 @@ class _SubsetScorer:
         gain = np.zeros(2 * (self.m + 1), dtype=np.int64)
         totals = []
         for delta, half in ((1, gain[: self.m]), (-1, gain[self.m + 1 : -1])):
-            target = (size + delta) * self.degs
-            base = np.abs(counts * self.n - target) >= self.thresholds
-            half[:] = np.abs((counts + delta) * self.n - target) >= self.thresholds
+            base = self.flags(counts, size + delta)
+            half[:] = self.flags(counts + delta, size + delta)
             half -= base
             totals.append(int(np.count_nonzero(base)))
         return totals[0], totals[1], gain
+
+
+# mask x dispatcher entries per block of the exact scan (~128 KB of int64)
+_EXACT_BLOCK_ENTRIES = 1 << 14
+
+
+def _exact_deficiency(graph: BipartiteGraph, epsilon: float) -> tuple[int, np.ndarray, int]:
+    """(best bad count, witness membership, subsets probed) by full enumeration.
+
+    The bad set of U equals the bad set of its complement (the deviation is
+    invariant), so only masks with the top server bit clear are scanned --
+    half the work; the symmetry is asserted on the witness. A block of masks
+    counts by popcount against each dispatcher's packed servers and scores
+    in one `_SubsetScorer.bad` call; the witness is the first mask with the
+    largest count (the empty mask scores 0, as epsilon > 0).
+    """
+    scorer = _SubsetScorer(graph, epsilon)
+    n = scorer.n
+    masks = np.bitwise_or.reduceat(1 << scorer.indices.astype(np.int64), scorer.indptr[:-1])
+    half = 1 << (n - 1) if n > 1 else 1
+    rows = max(1, _EXACT_BLOCK_ENTRIES // scorer.m)
+    best, witness = 0, 0
+    for lo in range(0, half, rows):
+        u = np.arange(lo, min(lo + rows, half), dtype=np.int64)
+        # popcounts come out uint8: widen them before count * N can wrap
+        counts = np.bitwise_count(u[:, None] & masks).astype(np.int64)
+        sizes = np.bitwise_count(u).astype(np.int64)
+        bad = scorer.bad(counts, sizes[:, None])
+        j = int(np.argmax(bad))
+        if bad[j] > best:
+            best, witness = int(bad[j]), int(u[j])
+    member = ((witness >> np.arange(n)) & 1).astype(bool)
+    assert (
+        bad_dispatcher_count(graph, np.flatnonzero(~member).tolist(), epsilon) == best
+    ), "complement symmetry violated"
+    return best, member, half
 
 
 # Flips scored per gather: small after a flip is taken, when the next one
@@ -365,7 +370,8 @@ def _sampled_deficiency(
     Probes `budget` random subsets uniform over sizes 1..N-1, then runs
     greedy single-server flips (strict improvement only) from the best
     random starts and their complements; complements score identically but
-    climb differently, so they come free as extra basins.
+    climb differently, so they come free as extra basins. Starts are kept
+    bit-packed; only the basins and the best one are unpacked.
 
     Each sweep walks one random permutation of the servers and takes the
     first valid flip that beats the current count. Flips are scored a chunk
@@ -380,19 +386,20 @@ def _sampled_deficiency(
     scorer = _SubsetScorer(graph, epsilon)
     rev = scorer.rev
     probed = 0
-    starts: list[tuple[int, np.ndarray]] = []
+    starts: list[tuple[int, np.ndarray]] = []  # (bad count, packed membership)
     for _ in range(budget):
         size = int(rng.integers(1, n)) if n > 1 else 1
         member = np.zeros(n, dtype=bool)
         member[rng.choice(n, size=size, replace=False)] = True
         probed += 1
-        starts.append((scorer.bad(scorer.counts_from_rev(member), size), member))
+        starts.append((int(scorer.bad(scorer.counts_from_rev(member), size)), np.packbits(member)))
 
     starts.sort(key=lambda item: -item[0])
     n_starts = 8 if n <= 512 else 2  # each climb rebuilds O(M) tables per flip taken
     seen: set[bytes] = set()
     basins: list[np.ndarray] = []
-    for bad, member in starts:
+    for bad, packed in starts:
+        member = np.unpackbits(packed, count=n).view(bool)
         for cand in (member, ~member):
             if 0 < cand.sum() < n:
                 key = cand.tobytes()
@@ -402,12 +409,12 @@ def _sampled_deficiency(
         if len(basins) >= 2 * n_starts:
             break
 
-    best_bad, best_member = starts[0]
+    best_bad, best_member = starts[0][0], np.unpackbits(starts[0][1], count=n).view(bool)
     for start in basins:
         member = start.copy()
         counts = scorer.counts_from_rev(member)
         size = int(member.sum())
-        current = scorer.bad(counts, size)
+        current = int(scorer.bad(counts, size))
         b_plus, b_minus, gain = scorer.flip_tables(counts, size)
         improved = True
         while improved:
@@ -466,30 +473,24 @@ def sparsity_deficiency(
         raise ValueError("epsilon must be positive")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if mode == "exact":
-        if graph.n_servers > EXACT_MAX_SERVERS:
-            raise ValueError(
-                f"exact enumeration limited to N <= {EXACT_MAX_SERVERS} "
-                f"(got N={graph.n_servers}); use mode='sampled'"
-            )
-        best, witness_mask, probed = _exact_deficiency(graph, epsilon)
-        witness = tuple(v for v in range(graph.n_servers) if witness_mask >> v & 1)
-    elif mode == "sampled":
-        n = graph.n_servers
-        if n <= EXACT_MAX_SERVERS and budget >= (1 << max(0, n - 1)):
-            # the budget covers exhaustive enumeration, so spend it there:
-            # the lower bound becomes tight by construction
-            best, witness_mask, probed = _exact_deficiency(graph, epsilon)
-            witness = tuple(v for v in range(n) if witness_mask >> v & 1)
-        else:
-            best, member, probed = _sampled_deficiency(graph, epsilon, budget, seed)
-            witness = tuple(int(v) for v in np.flatnonzero(member))
-    else:
+    if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', not {mode!r}")
+    n = graph.n_servers
+    if mode == "exact" and n > EXACT_MAX_SERVERS:
+        raise ValueError(
+            f"exact enumeration limited to N <= {EXACT_MAX_SERVERS} "
+            f"(got N={n}); use mode='sampled'"
+        )
+    # a sampled budget that covers exhaustive enumeration is spent there:
+    # the lower bound becomes tight by construction
+    if n <= EXACT_MAX_SERVERS and (mode == "exact" or budget >= (1 << max(0, n - 1))):
+        best, member, probed = _exact_deficiency(graph, epsilon)
+    else:
+        best, member, probed = _sampled_deficiency(graph, epsilon, budget, seed)
     return SparsityReport(
         epsilon=epsilon,
         deficiency=best / graph.n_dispatchers,
-        witness_subset=witness,
+        witness_subset=tuple(int(v) for v in np.flatnonzero(member)),
         mode=mode,
         subsets_probed=probed,
     )

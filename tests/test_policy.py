@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparselb.policy import (
     AssignmentPolicy,
@@ -12,7 +14,6 @@ from sparselb.policy import (
     occupancy_from_distribution,
     distribution_from_occupancy,
     policy_from_name,
-    sample_assignment_length,
     validate_distribution,
 )
 
@@ -132,9 +133,9 @@ def test_invariant_enforced_on_user_policies():
 def test_sample_assignment_degenerate():
     rng = random.Random(0)
     policy = jsqd_policy(2)
-    assert all(sample_assignment_length(policy, [1.0, 0.0], rng) == 0 for _ in range(50))
+    assert all(invert_cdf(policy.probabilities([1.0, 0.0]), rng.random()) == 0 for _ in range(50))
     x = [0.0, 0.0, 0.0, 1.0]
-    assert all(sample_assignment_length(policy, x, rng) == 3 for _ in range(50))
+    assert all(invert_cdf(policy.probabilities(x), rng.random()) == 3 for _ in range(50))
 
 
 def test_sample_assignment_statistics():
@@ -142,7 +143,7 @@ def test_sample_assignment_statistics():
     rng = random.Random(123)
     policy = jsqd_policy(2)
     draws = 200_000
-    hits = sum(sample_assignment_length(policy, [0.5, 0.5], rng) == 0 for _ in range(draws))
+    hits = sum(invert_cdf(policy.probabilities([0.5, 0.5]), rng.random()) == 0 for _ in range(draws))
     assert abs(hits / draws - 0.75) <= 0.004
 
 
@@ -153,6 +154,19 @@ def test_invert_cdf_skips_zero_cells():
     assert invert_cdf(p, 0.61) == 3
     assert invert_cdf(p, 0.999999999) == 3
     assert invert_cdf(p, 1.5) == 3  # float shortfall fallback
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cells=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=30).filter(
+        lambda cells: any(c > 0.0 for c in cells)
+    ),
+    u=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_invert_cdf_never_lands_on_empty_cell(cells, u):
+    # raw cells may sum above or below 1; normalized ones are a probability vector
+    for p in (np.asarray(cells), np.asarray(cells) / sum(cells)):
+        assert p[invert_cdf(p, u)] > 0.0
 
 
 def test_empirical_lipschitz_within_declared_bounds():

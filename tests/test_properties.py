@@ -19,6 +19,7 @@ from sparselb.graph import (
 from sparselb.properties import (
     EnumerationCapError,
     _enumerate_pairs,
+    _exact_deficiency,
     _pair_flow,
     _sampled_deficiency,
     bad_dispatcher_count,
@@ -349,6 +350,62 @@ def test_sampled_search_matches_one_flip_reference(case):
     assert np.array_equal(member, expected[1])
 
 
+def _reference_exact_deficiency(graph, epsilon):
+    """Full enumeration written as a Python bitmask loop, one dispatcher at a
+    time, as `_exact_deficiency` was before it scored blocks of masks through
+    `_SubsetScorer`. Returns (best bad count, witness membership, probed)."""
+    n, m = graph.n_servers, graph.n_dispatchers
+    masks = [0] * m
+    degs = [len(row) for row in graph.adjacency]
+    for w, row in enumerate(graph.adjacency):
+        acc = 0
+        for v in row:
+            acc |= 1 << v
+        masks[w] = acc
+    thresholds = [epsilon * (deg * n) for deg in degs]
+    best, witness = 0, 0
+    half = 1 << (n - 1) if n > 1 else 1
+    for u in range(half):
+        size = u.bit_count()
+        if size == 0:
+            continue
+        bad = 0
+        for w in range(m):
+            if abs((masks[w] & u).bit_count() * n - size * degs[w]) >= thresholds[w]:
+                bad += 1
+        if bad > best:
+            best, witness = bad, u
+    return best, np.array([witness >> v & 1 == 1 for v in range(n)]), half
+
+
+def _assert_exact_matches_reference(g, epsilon):
+    best, member, probed = _exact_deficiency(g, epsilon)
+    expected = _reference_exact_deficiency(g, epsilon)
+    assert (best, probed) == (expected[0], expected[2])
+    assert np.array_equal(member, expected[1])
+
+
+_EXACT_CASES = {
+    "n1": (lambda: complete_bipartite(1, 1), (0.1, 0.9)),
+    "n2": (lambda: BipartiteGraph(2, 3, [[0], [0, 1], [1]]), (0.1, 0.5, 0.9)),
+    "matching-4": (lambda: perfect_matching(4), (0.1, 0.4, 0.75)),
+    "complete-8x5": (lambda: complete_bipartite(8, 5), (0.01, 0.3)),
+    "braess": (braess_example, (0.1, 0.25, 1 / 3, 0.6)),
+    # 2^19 masks in blocks of 1638; the witnesses lie past the first block
+    "fixed-degree-20": (lambda: generate_fixed_server_degree(20, 10, 3, seed=2), (0.25, 0.6)),
+    # counts up to 18, so count * N overflows a uint8 popcount
+    "dense-18": (lambda: generate_inhomogeneous(18, 6, 0.9, seed=1), (0.05, 0.3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXACT_CASES))
+def test_exact_enumeration_matches_bitmask_reference(case):
+    build, epsilons = _EXACT_CASES[case]
+    g = build()
+    for epsilon in epsilons:
+        _assert_exact_matches_reference(g, epsilon)
+
+
 @st.composite
 def _small_graphs(draw):
     n = draw(st.integers(2, 12))
@@ -374,5 +431,6 @@ def test_sampled_never_exceeds_exact(g, epsilon, budget, seed):
     sampled = sparsity_deficiency(g, epsilon, mode="sampled", budget=budget, seed=seed)
     exact = sparsity_deficiency(g, epsilon, mode="exact")
     assert sampled.deficiency <= exact.deficiency
+    _assert_exact_matches_reference(g, epsilon)
     count = bad_dispatcher_count(g, sampled.witness_subset, epsilon)
     assert count / g.n_dispatchers == sampled.deficiency
