@@ -21,31 +21,36 @@ import numpy as np
 DIST_SUM_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
 PROBE_MAX_SUPPORT = 30  # longest queue-length distribution empirical_lipschitz probes
+PROBE_BLOCK = 1024  # probe pairs per evaluation block: 2 x 240 KB of padded rows
 
 
 def validate_distribution(x) -> np.ndarray:
     """Coerce to a 1-d float array; require entries in [0,1] summing to 1
-    within DIST_SUM_TOL."""
+    within DIST_SUM_TOL. NaN fails both tests."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("distribution must be a non-empty 1-d vector")
-    if np.any(arr < 0) or np.any(arr > 1):
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise ValueError("distribution entries must lie in [0, 1]")
     total = float(arr.sum())
-    if abs(total - 1.0) > DIST_SUM_TOL:
+    if not abs(total - 1.0) <= DIST_SUM_TOL:
         raise ValueError(f"distribution sums to {total!r}, not 1")
     return arr
 
 
 def occupancy_from_distribution(x) -> np.ndarray:
-    """Tail sums q[i] = sum_{j>=i} x_j, length len(x)+1, with q[0] pinned to
-    exactly 1 and q[len(x)] = 0 (the implicit zero tail)."""
+    """Tail sums q[..., i] = sum_{j>=i} x[..., j] along the last axis, one
+    cell longer than x, with q[..., 0] pinned to exactly 1 and q[..., -1] = 0
+    (the implicit zero tail). The right-to-left cumsum adds trailing zero
+    cells first, exactly, so zero-padding x leaves every other cell
+    bitwise unchanged."""
     arr = np.asarray(x, dtype=float)
-    tails = np.cumsum(arr[::-1])[::-1]
-    q = np.empty(arr.size + 1)
-    q[0] = 1.0
-    q[1 : arr.size] = tails[1:]
-    q[arr.size] = 0.0
+    n = arr.shape[-1]
+    tails = np.cumsum(arr[..., ::-1], axis=-1)[..., ::-1]
+    q = np.empty(arr.shape[:-1] + (n + 1,))
+    q[..., 0] = 1.0
+    q[..., 1:n] = tails[..., 1:]
+    q[..., n] = 0.0
     return q
 
 
@@ -59,24 +64,30 @@ def invert_cdf(p: Iterable[float], u: float) -> int:
     """Smallest index i with cum(p)[i] > u; lands only on positive cells.
 
     Falls back to the last positive cell when u exceeds the accumulated
-    total (float shortfall below 1).
+    total (float shortfall below 1). Raises ValueError when no cell is
+    positive.
     """
     cum = 0.0
-    last_pos = 0
+    last_pos = -1
     for i, pi in enumerate(p):
         if pi > 0.0:
             last_pos = i
             cum += pi
             if u < cum:
                 return i
+    if last_pos < 0:
+        raise ValueError("cannot invert a CDF with no positive cell")
     return last_pos
 
 
 class AssignmentPolicy:
     """An assignment probability function plus its declared smoothness.
 
-    `evaluator` maps a validated distribution array to a probability vector
-    of the same length. `declared_lipschitz_bound` is a known constant K
+    `evaluator` maps distributions along the last axis: given an array of
+    shape (..., L) whose rows are distributions, it returns the probability
+    vectors of the same shape, row by row. A trailing zero cell is an empty
+    queue length like any other, so zero-padding a row must only pad its
+    output with zeros. `declared_lipschitz_bound` is a known constant K
     with sum|p(x)-p(y)| <= K sum|x-y|, or None when unknown. Evaluators are
     pure functions and safe to share across workers.
     """
@@ -93,17 +104,32 @@ class AssignmentPolicy:
 
     def probabilities(self, x, *, validate: bool = True) -> np.ndarray:
         """Evaluate p(x), checking the output is a probability vector that
-        puts no mass on empty levels."""
+        puts no mass on empty levels.
+
+        The validated entry takes one 1-d distribution. With validate=False,
+        x may also be a block of distributions along the last axis, and
+        every row's output gets the same check.
+        """
         arr = validate_distribution(x) if validate else np.asarray(x, dtype=float)
         p = self.evaluator(arr)
-        total = float(p.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL or np.any(p < -PROB_SUM_TOL) or np.any(p > 1 + PROB_SUM_TOL):
-            raise ValueError(
-                f"policy {self.name!r} returned an invalid probability vector (sum={total!r})"
-            )
-        if np.any((arr == 0.0) & (p > PROB_SUM_TOL)):
-            raise ValueError(f"policy {self.name!r} puts mass on an empty queue length")
+        self._check_output(arr, p)
         return p
+
+    def _check_output(self, x: np.ndarray, p: np.ndarray) -> None:
+        """Raise ValueError unless each row of p sums to 1 within
+        PROB_SUM_TOL, has every cell in [-PROB_SUM_TOL, 1 + PROB_SUM_TOL],
+        and puts at most PROB_SUM_TOL on each level where x is 0. NaN fails.
+        For a block, the message names the sum of the row furthest from 1.
+        """
+        if p.shape != x.shape:
+            raise ValueError(f"policy {self.name!r} returned shape {p.shape} for input shape {x.shape}")
+        totals = p.sum(axis=-1)
+        off = abs(totals - 1.0)
+        if not ((off <= PROB_SUM_TOL).all() and p.min() >= -PROB_SUM_TOL and p.max() <= 1.0 + PROB_SUM_TOL):
+            total = float(np.ravel(totals)[np.argmax(off)])
+            raise ValueError(f"policy {self.name!r} returned an invalid probability vector (sum={total!r})")
+        if not p.max(where=x == 0.0, initial=0.0) <= PROB_SUM_TOL:
+            raise ValueError(f"policy {self.name!r} puts mass on an empty queue length")
 
     def __repr__(self) -> str:
         return f"AssignmentPolicy({self.name!r}, K={self.declared_lipschitz_bound})"
@@ -112,7 +138,8 @@ class AssignmentPolicy:
 def jsqd_policy(d: int) -> AssignmentPolicy:
     """Join-the-shortest-of-d-samples as an assignment probability function.
 
-    p[i] = q_i^d - q_{i+1}^d; the declared Lipschitz bound is 2 * d! * d^2.
+    p[i] = q_i^d - q_{i+1}^d along the last axis, so one call evaluates a
+    block of distributions; the declared Lipschitz bound is 2 * d! * d^2.
     """
     if d < 1 or d != int(d):
         raise ValueError("d must be a positive integer")
@@ -120,7 +147,7 @@ def jsqd_policy(d: int) -> AssignmentPolicy:
 
     def evaluator(x: np.ndarray) -> np.ndarray:
         qd = occupancy_from_distribution(x) ** d
-        p = np.maximum(qd[:-1] - qd[1:], 0.0)
+        p = np.maximum(qd[..., :-1] - qd[..., 1:], 0.0)
         # empty levels carry exactly zero mass; clear the float dust that
         # the q_0 = 1 pinning can leave at level 0
         p[x == 0.0] = 0.0
@@ -142,39 +169,33 @@ def policy_from_name(name: str) -> AssignmentPolicy:
 # empirical Lipschitz estimation
 
 
-def _perturb_pair(x: np.ndarray, eps: float, src: int, dst: int):
-    """Move min(eps, x[src]) mass from src to dst; None if nothing moves."""
-    m = min(eps, float(x[src]))
-    if m <= 0.0 or src == dst:
-        return None
-    y = x.copy()
-    y[src] -= m
-    y[dst] += m
-    return y
-
-
-def _anchor_pairs():
-    """Deterministic extreme pairs: point masses and near-point masses.
+def _anchor_rows(xs: np.ndarray, ys: np.ndarray) -> int:
+    """Write the deterministic extreme pairs - point masses and near-point
+    masses - into the first rows of zeroed blocks; return how many.
 
     Perturbing a deep point mass toward length 0 realizes ratios close to
     the policy's worst direction (for JSQ(d), d - O(eps)); pure uniform
     sampling essentially never finds these corners.
     """
-    pairs = []
-    e0 = np.zeros(2)
-    e0[0] = 1.0
-    e1 = np.zeros(2)
-    e1[1] = 1.0
-    pairs.append((e0, e1))
+    xs[0, 0] = 1.0
+    ys[0, 1] = 1.0
+    row = 1
     for k in (1, 5, PROBE_MAX_SUPPORT - 1):
-        base = np.zeros(k + 1)
-        base[k] = 1.0
         for eps in (1e-3, 1e-2, 1e-1):
-            moved = base.copy()
-            moved[k] -= eps
-            moved[0] += eps
-            pairs.append((base, moved))
-    return pairs
+            xs[row, k] = 1.0
+            ys[row, k] = 1.0 - eps
+            ys[row, 0] = eps
+            row += 1
+    return row
+
+
+def _block_max_ratio(policy: AssignmentPolicy, xs: np.ndarray, ys: np.ndarray) -> float:
+    """Largest sum|p(x)-p(y)| / sum|x-y| over the row pairs of a block,
+    skipping pairs with sum|x-y| < 1e-15; 0.0 when every pair is skipped."""
+    den = np.abs(xs - ys).sum(axis=1)
+    num = np.abs(policy.probabilities(xs, validate=False) - policy.probabilities(ys, validate=False)).sum(axis=1)
+    keep = den >= 1e-15
+    return float(np.max(num[keep] / den[keep], initial=0.0))
 
 
 def empirical_lipschitz(
@@ -189,38 +210,43 @@ def empirical_lipschitz(
     plus a fixed set of point-mass anchor pairs. Identical pairs are
     skipped. The result is a lower bound on the true constant and must stay
     below any declared bound.
+
+    Pairs are drawn one trial at a time and evaluated PROBE_BLOCK at a time,
+    zero-padded to PROBE_MAX_SUPPORT cells, through one checked evaluator
+    call per side; the anchors are the first block's first rows.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    xs = np.zeros((PROBE_BLOCK, PROBE_MAX_SUPPORT))
+    ys = np.zeros_like(xs)
+    rows = _anchor_rows(xs, ys)
     best = 0.0
-
-    def consider(x, y):
-        nonlocal best
-        den = float(np.sum(np.abs(x - y)))
-        if den < 1e-15:
-            return
-        num = float(
-            np.sum(np.abs(policy.probabilities(x, validate=False) - policy.probabilities(y, validate=False)))
-        )
-        ratio = num / den
-        if ratio > best:
-            best = ratio
-
-    for x, y in _anchor_pairs():
-        consider(x, y)
-
+    alphas = [np.ones(size) for size in range(PROBE_MAX_SUPPORT + 1)]
     eps_grid = (1e-3, 1e-2, 1e-1)
     n_pert = trials // 2
     for trial in range(trials):
         size = int(rng.integers(1, PROBE_MAX_SUPPORT + 1))
-        x = rng.dirichlet(np.ones(size))
+        x = rng.dirichlet(alphas[size])
         if trial < n_pert and size >= 2:
             src = int(rng.integers(size))
             dst = int(rng.integers(size))
-            y = _perturb_pair(x, eps_grid[trial % len(eps_grid)], src, dst)
-            if y is None:
+            # move min(eps, x[src]) mass from src to dst
+            m = min(eps_grid[trial % len(eps_grid)], float(x[src]))
+            if m <= 0.0 or src == dst:
                 continue
+            y = ys[rows]
+            y[:size] = x
+            y[src] -= m
+            y[dst] += m
         else:
-            y = rng.dirichlet(np.ones(size))
-        consider(x, y)
+            ys[rows, :size] = rng.dirichlet(alphas[size])
+        xs[rows, :size] = x
+        rows += 1
+        if rows == PROBE_BLOCK:
+            best = max(best, _block_max_ratio(policy, xs, ys))
+            xs.fill(0.0)
+            ys.fill(0.0)
+            rows = 0
+    if rows:
+        best = max(best, _block_max_ratio(policy, xs[:rows], ys[:rows]))
     return best

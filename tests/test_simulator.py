@@ -3,8 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparselb.graph import (
+    BipartiteGraph,
     braess_example,
     complete_bipartite,
     generate_fixed_server_degree,
@@ -221,6 +224,35 @@ def test_coupled_mismatch_fraction_moderate_degree():
     frac = coupled.mismatch_count / coupled.arrival_count
     assert frac <= 0.15
     assert coupled.margin_min >= 0
+
+
+@st.composite
+def _small_graphs(draw):
+    """Random bipartite graphs with N, M <= 8; every dispatcher keeps at
+    least one server, servers may be isolated."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 8))
+    rows = [
+        draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)) for _ in range(m)
+    ]
+    return BipartiteGraph(n, m, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    g=_small_graphs(),
+    d=st.integers(1, 3),
+    lam=st.floats(0.05, 0.95),
+    horizon=st.floats(0.5, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_coupling_margin_nonnegative_on_small_graphs(g, d, lam, horizon, seed):
+    # coupled_simulate asserts the inequality after every event; a violation
+    # raises InvariantViolation before the margin is ever returned
+    coupled = coupled_simulate(g, d, lam, horizon, seed=seed, allow_disconnected=True)
+    assert coupled.margin_min >= 0
+    assert np.all(coupled.margin_series >= 0)
+    assert np.all(np.diff(coupled.delta_series) >= 0)
 
 
 def test_coupled_task_conservation():
