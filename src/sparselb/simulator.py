@@ -23,7 +23,7 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -95,6 +95,13 @@ def _sample_grid(horizon: float, interval: float) -> np.ndarray:
     return np.arange(n + 1) * interval
 
 
+def _occupancy_row(row: np.ndarray, level: Sequence[float], scale: float) -> None:
+    """row[i-1] = level[i] / scale for i = 1..min(len(row), len(level) - 1);
+    cells past the last level keep their value."""
+    for i in range(1, min(len(row), len(level) - 1) + 1):
+        row[i - 1] = level[i] / scale
+
+
 def choose_shortest(sampled: Sequence[int], lengths: Sequence[int], rng: random.Random) -> int:
     """Shortest queue among the sampled servers, ties uniform among the
     tied samples by one rng.randrange(len(ties)) draw (none when the
@@ -130,7 +137,7 @@ def _simulate_core(
     window: Optional[tuple[float, float]],
     depth: int,
     debug: bool,
-    on_assign: Optional[Callable[[int, int, Sequence[int]], None]],
+    on_assign: Optional[Callable[[int, int, Sequence[int], Sequence[int]], None]],
 ) -> tuple[Optional[TrajectoryRecord], Optional[list[float]]]:
     """One replica: (record, area). Records a trajectory when
     sample_interval is set, and `area` holds the per-level time integrals
@@ -196,10 +203,7 @@ def _simulate_core(
         last_upd = [0.0] * len(Q)
 
     def record_sample(idx: int):
-        qrow = occupancy[idx]
-        top = min(depth, len(Q) - 1)
-        for i in range(1, top + 1):
-            qrow[i - 1] = Q[i] / n
+        _occupancy_row(occupancy[idx], Q, n)
         overflow[idx] = Q[depth + 1] if len(Q) > depth + 1 else 0
 
     def debug_check():
@@ -395,7 +399,7 @@ def simulate(
     allow_disconnected: bool = False,
     allow_overload: bool = False,
     debug: bool = False,
-    on_assign: Optional[Callable[[int, int, Sequence[int]], None]] = None,
+    on_assign: Optional[Callable[[int, int, Sequence[int], Sequence[int]], None]] = None,
 ) -> TrajectoryRecord:
     """Simulate JSQ(d) for `horizon` time units, sampling occupancy every
     `sample_interval`. Deterministic given (config, seed).
@@ -475,9 +479,7 @@ def steady_state(
         )
         denom = n * measure
         rep_mql[r] = sum(area[1:]) / denom
-        top = min(depth, len(area) - 1)
-        for i in range(1, top + 1):
-            rep_occ[r, i - 1] = area[i] / denom
+        _occupancy_row(rep_occ[r], area, denom)
     mean_q = rep_occ.mean(axis=0)
     mql = float(rep_mql.mean())
     if replicas > 1:
@@ -509,64 +511,6 @@ def steady_state(
 # coupled two-system run
 
 
-class _OrderedSystem:
-    """Queue state with per-level server lists, supporting rank-ordered
-    departures and O(1) level moves.
-
-    Servers are ordered by queue length, within a level by list position
-    (a fixed, deterministically evolving order); the occupancy law does
-    not depend on the within-level choice.
-    """
-
-    __slots__ = ("n", "lengths", "levels", "pos", "Q", "total")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.lengths = [0] * n
-        self.levels: list[list[int]] = [list(range(n))]
-        self.pos = list(range(n))
-        self.Q = [n]
-        self.total = 0
-
-    def move(self, v: int, target_level: int):
-        src = self.lengths[v]
-        lst = self.levels[src]
-        p = self.pos[v]
-        last = lst[-1]
-        lst[p] = last
-        self.pos[last] = p
-        lst.pop()
-        while len(self.levels) <= target_level:
-            self.levels.append([])
-            self.Q.append(0)
-        dst = self.levels[target_level]
-        self.pos[v] = len(dst)
-        dst.append(v)
-        self.lengths[v] = target_level
-
-    def arrive_at(self, v: int):
-        lnew = self.lengths[v] + 1
-        self.move(v, lnew)
-        self.Q[lnew] += 1
-        self.total += 1
-
-    def depart_from(self, v: int):
-        lold = self.lengths[v]
-        self.move(v, lold - 1)
-        self.Q[lold] -= 1
-        self.total -= 1
-
-    def nth_ordered(self, j: int) -> tuple[int, int]:
-        """(level, server) of the j-th server (0-based) in non-decreasing
-        queue-length order."""
-        for level, lst in enumerate(self.levels):
-            k = len(lst)
-            if j < k:
-                return level, lst[j]
-            j -= k
-        raise IndexError("ordered slot out of range")
-
-
 def _min_of_d_masses(counts: Sequence[int], total: int, d: int) -> Iterator[float]:
     """Lazy masses (tail_i/total)^d - (tail_{i+1}/total)^d of the shortest of
     d uniform draws from `total` servers, counts[i] of them at length i.
@@ -577,6 +521,17 @@ def _min_of_d_masses(counts: Sequence[int], total: int, d: int) -> Iterator[floa
         new_pow = (tail / total) ** d
         yield prev_pow - new_pow
         prev_pow = new_pow
+
+
+def _rank_level(counts: Iterable[int], j: int) -> tuple[int, int]:
+    """(level, offset): with counts[i] servers at length i, the j-th server
+    (0-based) in non-decreasing queue-length order is the offset-th one at
+    that level."""
+    for level, c in enumerate(counts):
+        if j < c:
+            return level, j
+        j -= c
+    raise IndexError("ordered slot out of range")
 
 
 def coupled_simulate(
@@ -601,8 +556,12 @@ def coupled_simulate(
     system inverts its neighborhood's min-of-d CDF at u, the flexible one
     inverts the global CDF at the same u - the comonotone coupling keeps
     the chosen queue lengths equal as often as the CDFs allow. When they
-    differ the mismatch count delta increases by one. Each system then
-    places the task on a uniform server at its own chosen length.
+    differ the mismatch count delta increases by one. The constrained
+    system then places the task on a uniform server among all of its
+    servers at its chosen length i_g, not only among those in w's row.
+    The twin's servers are exchangeable, so it keeps only its occupancy
+    counts: its task raises one count at its chosen length (the uniform
+    server it would pick is drawn and discarded).
 
     After every event the inequality
 
@@ -627,17 +586,22 @@ def coupled_simulate(
     log = math.log
     m_bits = m.bit_length()
     n_bits = n.bit_length()
+    d_k = d if d < n else n
 
-    g_sys = _OrderedSystem(n)
-    k_sys = _OrderedSystem(n)
+    # Constrained system: queue lengths and one server list per length.
+    # Servers are ranked by length, then by list position (a fixed,
+    # deterministically evolving order; the occupancy law does not depend
+    # on the within-level choice). Flexible twin: its level counts x_k.
+    # Q_g, Q_k: servers with >= i tasks. levels, x_k, Q_g and Q_k are
+    # padded to one length, so every level index is valid in all four.
+    lengths = [0] * n
+    levels: list[list[int]] = [list(range(n))]
+    x_k = [n]
+    Q_g = [n]
+    Q_k = [n]
 
     # D = sum_i |Q_i(K) - Q_i(G)|, updated at the touched level only
     D = delta = margin_min = 0
-
-    def level_diff(i: int) -> int:
-        qg = g_sys.Q[i] if i < len(g_sys.Q) else 0
-        qk = k_sys.Q[i] if i < len(k_sys.Q) else 0
-        return abs(qk - qg)
 
     grid = _sample_grid(horizon, sample_interval)
     g_occ = np.zeros((len(grid), depth))
@@ -649,11 +613,9 @@ def coupled_simulate(
     next_sample = 0
 
     def record_sample(idx: int):
-        for sys_, occ, over in ((g_sys, g_occ, g_over), (k_sys, k_occ, k_over)):
-            top = min(depth, len(sys_.Q) - 1)
-            for i in range(1, top + 1):
-                occ[idx, i - 1] = sys_.Q[i] / n
-            over[idx] = sys_.Q[depth + 1] if len(sys_.Q) > depth + 1 else 0
+        for Q, occ, over in ((Q_g, g_occ, g_over), (Q_k, k_occ, k_over)):
+            _occupancy_row(occ[idx], Q, n)
+            over[idx] = Q[depth + 1] if len(Q) > depth + 1 else 0
         delta_series[idx] = delta
         margin_series[idx] = margin_min
 
@@ -686,64 +648,65 @@ def coupled_simulate(
 
             # constrained system: min-of-d over the dispatcher's neighborhood
             nrow = len(row)
-            g_lengths = g_sys.lengths
-            max_l = 0
+            counts_g = [0] * len(x_k)
             for v in row:
-                l = g_lengths[v]
-                if l > max_l:
-                    max_l = l
-            counts_g = [0] * (max_l + 1)
-            for v in row:
-                counts_g[g_lengths[v]] += 1
+                counts_g[lengths[v]] += 1
             d_g = d if d < nrow else nrow
             i_g = invert_cdf(_min_of_d_masses(counts_g, nrow, d_g), u)
 
             # flexible twin: min-of-d over the global distribution
-            counts_k = [len(lst) for lst in k_sys.levels]
-            d_k = d if d < n else n
-            i_k = invert_cdf(_min_of_d_masses(counts_k, n, d_k), u)
+            i_k = invert_cdf(_min_of_d_masses(x_k, n, d_k), u)
 
             if i_g != i_k:
                 delta += 1
 
-            # step (b): uniform server at the chosen length, per system
-            candidates = g_sys.levels[i_g]
-            nc = len(candidates)
+            # step (b): a uniform server at the chosen length, per system;
+            # the twin's pick is drawn only to keep the stream
+            src = levels[i_g]
+            nc = len(src)
+            k = nc.bit_length()
+            p = bits(k)
+            while p >= nc:
+                p = bits(k)
+            nc = x_k[i_k]
             k = nc.bit_length()
             r = bits(k)
             while r >= nc:
                 r = bits(k)
-            vg = candidates[r]
-            candidates = k_sys.levels[i_k]
-            nc = len(candidates)
-            k = nc.bit_length()
-            r = bits(k)
-            while r >= nc:
-                r = bits(k)
-            vk = candidates[r]
-
-            lg, lk = i_g + 1, i_k + 1
-            D -= level_diff(lg)
-            g_sys.arrive_at(vg)
-            D += level_diff(lg)
-            D -= level_diff(lk)
-            k_sys.arrive_at(vk)
-            D += level_diff(lk)
+            step = 1
+            hi_g, hi_k = i_g + 1, i_k + 1
+            if max(hi_g, hi_k) == len(x_k):
+                levels.append([])
+                x_k.append(0)
+                Q_g.append(0)
+                Q_k.append(0)
         else:
             next_dep = t - log(1.0 - rnd()) / dep_rate
             j = bits(n_bits)
             while j >= n:
                 j = bits(n_bits)
-            lvl_g, vg = g_sys.nth_ordered(j)
-            lvl_k, vk = k_sys.nth_ordered(j)
-            if lvl_g > 0:
-                D -= level_diff(lvl_g)
-                g_sys.depart_from(vg)
-                D += level_diff(lvl_g)
-            if lvl_k > 0:
-                D -= level_diff(lvl_k)
-                k_sys.depart_from(vk)
-                D += level_diff(lvl_k)
+            hi_g, p = _rank_level(map(len, levels), j)
+            hi_k, _ = _rank_level(x_k, j)
+            src = levels[hi_g]
+            step = -1
+        # each system moves one task between levels hi - 1 and hi (none from
+        # an idle slot, hi = 0), so Q and D change at level hi only
+        if hi_g:
+            v = src[p]
+            src[p] = src[-1]
+            src.pop()
+            l = lengths[v] + step
+            lengths[v] = l
+            levels[l].append(v)
+            D -= abs(Q_k[hi_g] - Q_g[hi_g])
+            Q_g[hi_g] += step
+            D += abs(Q_k[hi_g] - Q_g[hi_g])
+        if hi_k:
+            x_k[hi_k - 1] -= step
+            x_k[hi_k] += step
+            D -= abs(Q_k[hi_k] - Q_g[hi_k])
+            Q_k[hi_k] += step
+            D += abs(Q_k[hi_k] - Q_g[hi_k])
         events += 1
         margin = 2 * delta - D
         if margin < margin_min:
@@ -758,7 +721,7 @@ def coupled_simulate(
         record_sample(next_sample)
         next_sample += 1
 
-    def as_record(occ, over, sys_):
+    def as_record(occ, over, Q):
         return TrajectoryRecord(
             sample_times=grid,
             occupancy=occ,
@@ -766,12 +729,12 @@ def coupled_simulate(
             n_servers=n,
             event_count=events,
             arrival_count=arrivals,
-            departure_count=arrivals - sys_.total,
+            departure_count=arrivals - sum(Q[1:]),
         )
 
     return CoupledRecord(
-        g_record=as_record(g_occ, g_over, g_sys),
-        k_record=as_record(k_occ, k_over, k_sys),
+        g_record=as_record(g_occ, g_over, Q_g),
+        k_record=as_record(k_occ, k_over, Q_k),
         delta_series=delta_series,
         margin_series=margin_series,
         mismatch_count=delta,

@@ -260,6 +260,11 @@ def test_coupled_task_conservation():
                                allow_disconnected=True)
     for rec in (coupled.g_record, coupled.k_record):
         assert rec.arrival_count == coupled.arrival_count
+        # tasks left at the horizon: sum_i Q_i, all of them within depth
+        assert not rec.overflow.any()
+        left = round(rec.n_servers * rec.occupancy[-1].sum())
+        assert left > 0
+        assert rec.departure_count == rec.arrival_count - left
 
 
 def test_coupled_rejects_bad_lambda():

@@ -13,14 +13,24 @@ import hashlib
 import numpy as np
 import pytest
 
-from sparselb.graph import complete_bipartite, generate_fixed_server_degree
+from sparselb.graph import (
+    braess_example,
+    complete_bipartite,
+    generate_fixed_server_degree,
+    perfect_matching,
+)
 from sparselb.simulator import coupled_simulate, simulate, steady_state
 
 # 2.7 servers per dispatcher on average; rows of 1-3 servers exercise the
 # d >= nrow and d=2, nrow=2 branches
 SPARSE = generate_fixed_server_degree(40, 30, 2, seed=4)
 COMPLETE = complete_bipartite(12, 5)
-GRAPHS = {"complete": COMPLETE, "sparse": SPARSE}
+GRAPHS = {
+    "complete": COMPLETE,
+    "sparse": SPARSE,
+    "matching": perfect_matching(8),  # disconnected: one server per dispatcher
+    "braess": braess_example(),
+}
 
 
 def _digest(*parts) -> str:
@@ -94,18 +104,38 @@ def test_steady_state_stream(case):
 
 
 COUPLED = {
+    ("braess", 2): "17686d12dd274da7",
     ("complete", 2): "d8b089c5d4549644",
+    ("matching", 2): "3946d26a20c4dbf4",
+    ("sparse", 1): "9450eb55b556358a",
     ("sparse", 2): "8650789798d9f918",
     ("sparse", 3): "3cd3b7270ca8b86e",
 }
+# depth 2 clips both systems' occupancy, so the overflow columns are nonzero
+COUPLED_DEPTH2 = {
+    ("sparse", 2): "9793c2d5e3abea7e",
+}
+
+
+def _coupled_run(name: str, d: int, depth: int):
+    return coupled_simulate(GRAPHS[name], d, 0.9, 25.0, seed=29, sample_interval=0.5,
+                            depth=depth, allow_disconnected=True)
+
+
+def _coupled_digest(c) -> str:
+    return _digest(
+        _record_digest(c.g_record), _record_digest(c.k_record), c.delta_series,
+        c.margin_series, c.mismatch_count, c.margin_min, c.event_count, c.arrival_count,
+    )
 
 
 @pytest.mark.parametrize("case", sorted(COUPLED), ids=lambda c: "-".join(map(str, c)))
 def test_coupled_stream(case):
-    name, d = case
-    c = coupled_simulate(GRAPHS[name], d, 0.9, 25.0, seed=29, sample_interval=0.5, depth=6)
-    got = _digest(
-        _record_digest(c.g_record), _record_digest(c.k_record), c.delta_series,
-        c.margin_series, c.mismatch_count, c.margin_min, c.event_count, c.arrival_count,
-    )
-    assert got == COUPLED[case]
+    assert _coupled_digest(_coupled_run(*case, depth=6)) == COUPLED[case]
+
+
+@pytest.mark.parametrize("case", sorted(COUPLED_DEPTH2), ids=lambda c: "-".join(map(str, c)))
+def test_coupled_overflow_stream(case):
+    c = _coupled_run(*case, depth=2)
+    assert c.g_record.overflow.any() and c.k_record.overflow.any()
+    assert _coupled_digest(c) == COUPLED_DEPTH2[case]
