@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .policy import AssignmentPolicy, distribution_from_occupancy
-from .records import TrajectoryRecord
+from .records import TrajectoryRecord, sample_grid
 
 FIXED_POINT_RESIDUAL_TOL = 1e-12
 CLAMP_TOL = 1e-9
@@ -144,41 +144,48 @@ def integrate_ode(
         depth = default_depth(lam, d)
     q0 = _validate_initial(q0, depth)
 
-    if policy is None:
-
-        def rhs(y: np.ndarray) -> np.ndarray:
-            q = np.concatenate(([1.0], y))
-            qd = q**d
-            q_next = np.concatenate((y[1:], [0.0]))
-            return lam * (qd[:-1] - qd[1:]) - (y - q_next)
-
-    else:
+    if policy is not None:
         # One validated call up front catches a malformed policy; the hot
         # loop then uses the raw evaluator (RK4 stages may sit slightly
         # outside the simplex, which the arithmetic tolerates).
         policy.probabilities(distribution_from_occupancy(q0))
 
-        def rhs(y: np.ndarray) -> np.ndarray:
-            q = np.concatenate(([1.0], y, [0.0]))
-            x = q[:-1] - q[1:]
-            p = policy.evaluator(x)
-            q_next = np.concatenate((y[1:], [0.0]))
-            return lam * p[:depth] - (y - q_next)
+    # Preallocated stage buffers: each ufunc writes the elements the
+    # allocating expressions made, so the outputs are bitwise the same.
+    q = np.zeros(depth + 2)  # [1, y, 0]: q[2:] is q_{i+1} with the closure 0
+    q[0] = 1.0
+    q_mid, q_lo, q_hi, q_next = q[1:-1], q[:-1], q[1:], q[2:]
+    qd, drift = np.empty(depth + 1), np.empty(depth)
+    k1, k2, k3, k4, stage = (np.empty(depth) for _ in range(5))
+
+    def rhs(y: np.ndarray, out: np.ndarray) -> None:
+        """out = lam * p_{i-1} - (q_i - q_{i+1})."""
+        np.copyto(q_mid, y)
+        if policy is None:
+            np.power(q_lo, d, qd)
+            np.multiply(lam, np.subtract(qd[:-1], qd[1:], out), out)
+        else:
+            x = np.subtract(q_lo, q_hi, qd)  # x_i = q_i - q_{i+1}
+            np.multiply(lam, policy.evaluator(x)[:depth], out)
+        np.subtract(out, np.subtract(y, q_next, drift), out)
 
     counters = {"taken": 0, "rejected": 0}
 
     def clamp(y: np.ndarray) -> tuple[np.ndarray, float]:
-        clipped = np.clip(y, 0.0, 1.0)
-        mono = np.minimum.accumulate(clipped)
-        return mono, float(np.max(np.abs(mono - y)))
+        mono = np.minimum.accumulate(np.clip(y, 0.0, 1.0, out=stage))
+        gap = np.abs(np.subtract(mono, y, stage), stage)
+        return mono, float(np.maximum.reduce(gap))  # np.max without its wrapper
 
     def advance(y: np.ndarray, h: float, halvings: int) -> np.ndarray:
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        raw = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        clamped, magnitude = clamp(raw)
+        rhs(y, k1)
+        for k, c, k_next in ((k1, 0.5 * h, k2), (k2, 0.5 * h, k3), (k3, h, k4)):
+            rhs(np.add(y, np.multiply(c, k, stage), stage), k_next)
+        # raw = y + (h / 6) * (k1 + 2 k2 + 2 k3 + k4), accumulated in k1
+        np.add(k1, np.multiply(2.0, k2, k2), k1)
+        np.add(k1, np.multiply(2.0, k3, k3), k1)
+        np.add(k1, k4, k1)
+        np.add(y, np.multiply(h / 6.0, k1, k1), k1)
+        clamped, magnitude = clamp(k1)
         if magnitude <= CLAMP_TOL:
             counters["taken"] += 1
             return clamped
@@ -191,8 +198,8 @@ def integrate_ode(
         y = advance(y, 0.5 * h, halvings + 1)
         return advance(y, 0.5 * h, halvings + 1)
 
-    n_samples = int(math.floor(horizon / sample_interval + 1e-9))
-    sample_times = np.arange(n_samples + 1) * sample_interval
+    sample_times = sample_grid(horizon, sample_interval)
+    n_samples = len(sample_times) - 1
     substeps = max(1, round(sample_interval / step))
     h = sample_interval / substeps
 

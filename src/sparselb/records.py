@@ -15,6 +15,7 @@ outputs diff directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -58,6 +59,15 @@ class TrajectoryRecord:
         if not 1 <= i <= self.depth:
             raise IndexError(f"level {i} outside recorded depth {self.depth}")
         return self.occupancy[:, i - 1]
+
+
+def sample_grid(horizon: float, interval: float) -> np.ndarray:
+    """Sample times 0, interval, 2*interval, ... up to horizon (within
+    1e-9 of a step); `interval` must be finite and positive."""
+    if not (math.isfinite(interval) and interval > 0):
+        raise ValueError(f"sample_interval must be finite and > 0, not {interval}")
+    n = int(math.floor(horizon / interval + 1e-9))
+    return np.arange(n + 1) * interval
 
 
 @dataclass

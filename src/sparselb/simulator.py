@@ -23,13 +23,12 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .graph import BipartiteGraph
-from .policy import invert_cdf
-from .records import CoupledRecord, SteadyStateSummary, TrajectoryRecord
+from .records import CoupledRecord, SteadyStateSummary, TrajectoryRecord, sample_grid
 
 DEFAULT_DEPTH = 30
 DEBUG_CHECK_EVERY = 10_000
@@ -90,11 +89,6 @@ def _check_inputs(graph: BipartiteGraph, d: int, lam: float, allow_disconnected:
         )
 
 
-def _sample_grid(horizon: float, interval: float) -> np.ndarray:
-    n = int(math.floor(horizon / interval + 1e-9))
-    return np.arange(n + 1) * interval
-
-
 def _occupancy_row(row: np.ndarray, level: Sequence[float], scale: float) -> None:
     """row[i-1] = level[i] / scale for i = 1..min(len(row), len(level) - 1);
     cells past the last level keep their value."""
@@ -138,10 +132,10 @@ def _simulate_core(
     depth: int,
     debug: bool,
     on_assign: Optional[Callable[[int, int, Sequence[int], Sequence[int]], None]],
-) -> tuple[Optional[TrajectoryRecord], Optional[list[float]]]:
-    """One replica: (record, area). Records a trajectory when
-    sample_interval is set, and `area` holds the per-level time integrals
-    of Q_i over `window` when one is given.
+) -> tuple[TrajectoryRecord, Optional[list[float]]]:
+    """One replica: (record, area). The record samples the occupancy
+    every `sample_interval` (no samples when it is None), and `area` holds
+    the per-level time integrals of Q_i over `window` when one is given.
 
     Draws are inlined: `r = bits(k); while r >= n: r = bits(k)` with
     k = n.bit_length() is CPython's `rng.randrange(n)`, and
@@ -187,11 +181,11 @@ def _simulate_core(
         heap.sort()
 
     sampling = sample_interval is not None
-    if sampling:
-        grid = _sample_grid(horizon, sample_interval)
-        occupancy = np.zeros((len(grid), depth))
-        overflow = np.zeros(len(grid), dtype=np.int64)
-        next_sample = 0
+    grid = sample_grid(horizon, sample_interval) if sampling else np.empty(0)
+    occupancy = np.zeros((len(grid), depth))
+    overflow = np.zeros(len(grid), dtype=np.int64)
+    sample_at = grid.tolist() + [math.inf]  # Python floats: no numpy scalar per event
+    next_sample = 0
 
     accumulating = window is not None
     acc_on = False
@@ -235,7 +229,7 @@ def _simulate_core(
             t_next, is_arrival = next_dep, False
 
         if sampling:
-            while next_sample < len(grid) and grid[next_sample] < t_next:
+            while sample_at[next_sample] < t_next:
                 record_sample(next_sample)
                 next_sample += 1
         if t_next > horizon:
@@ -371,18 +365,16 @@ def _simulate_core(
         for i in range(len(Q)):
             area[i] += Q[i] * (w1 - last_upd[i])
 
-    record = None
-    if sampling:
-        record = TrajectoryRecord(
-            sample_times=grid,
-            occupancy=occupancy,
-            overflow=overflow,
-            n_servers=n,
-            event_count=events,
-            arrival_count=arrivals,
-            departure_count=departures,
-            final_queue_lengths=np.array(lengths, dtype=np.int64),
-        )
+    record = TrajectoryRecord(
+        sample_times=grid,
+        occupancy=occupancy,
+        overflow=overflow,
+        n_servers=n,
+        event_count=events,
+        arrival_count=arrivals,
+        departure_count=departures,
+        final_queue_lengths=np.array(lengths, dtype=np.int64),
+    )
     return record, (area if accumulating else None)
 
 
@@ -393,7 +385,7 @@ def simulate(
     horizon: float,
     service="exponential",
     initial_lengths: Optional[Sequence[int]] = None,
-    sample_interval: float = 0.1,
+    sample_interval: Optional[float] = 0.1,
     seed: int = 0,
     depth: int = DEFAULT_DEPTH,
     allow_disconnected: bool = False,
@@ -402,7 +394,8 @@ def simulate(
     on_assign: Optional[Callable[[int, int, Sequence[int], Sequence[int]], None]] = None,
 ) -> TrajectoryRecord:
     """Simulate JSQ(d) for `horizon` time units, sampling occupancy every
-    `sample_interval`. Deterministic given (config, seed).
+    `sample_interval` (None: counts and final lengths only, no samples).
+    Deterministic given (config, seed); recording draws nothing.
 
     `on_assign(server, queue_length_before, sampled_servers, lengths)` is a
     test hook called at each assignment with live (read-only) state; leave
@@ -511,27 +504,26 @@ def steady_state(
 # coupled two-system run
 
 
-def _min_of_d_masses(counts: Sequence[int], total: int, d: int) -> Iterator[float]:
-    """Lazy masses (tail_i/total)^d - (tail_{i+1}/total)^d of the shortest of
-    d uniform draws from `total` servers, counts[i] of them at length i.
-    Empty lengths get exactly 0.0, which `invert_cdf` never returns."""
-    tail, prev_pow = total, 1.0  # (tail_0/total)^d
-    for c in counts:
+def _min_of_d_level(counts: Sequence[int], total: int, d: int, u: float) -> int:
+    """Length of the shortest of d uniform draws from `total` servers,
+    counts[i] of them at length i: `policy.invert_cdf` at u over the masses
+    (tail_i/total)^d - (tail_{i+1}/total)^d, fused into one loop with the
+    same float operations (non-positive masses skipped, last positive cell
+    as the fallback)."""
+    tail, prev_pow, cum, last = total, 1.0, 0.0, -1  # prev_pow = (tail_0/total)^d
+    for i, c in enumerate(counts):
         tail -= c
         new_pow = (tail / total) ** d
-        yield prev_pow - new_pow
+        mass = prev_pow - new_pow
         prev_pow = new_pow
-
-
-def _rank_level(counts: Iterable[int], j: int) -> tuple[int, int]:
-    """(level, offset): with counts[i] servers at length i, the j-th server
-    (0-based) in non-decreasing queue-length order is the offset-th one at
-    that level."""
-    for level, c in enumerate(counts):
-        if j < c:
-            return level, j
-        j -= c
-    raise IndexError("ordered slot out of range")
+        if mass > 0.0:
+            last = i
+            cum += mass
+            if u < cum:
+                return i
+    if last < 0:
+        raise ValueError("cannot invert a CDF with no positive cell")
+    return last
 
 
 def coupled_simulate(
@@ -552,11 +544,12 @@ def coupled_simulate(
     draws an ordered slot j: each system independently removes a task from
     its j-th server in queue-length-sorted order, if busy (idle slots are
     no-ops; this uniformizes the unit-rate servers exactly). An arrival
-    draws a dispatcher w and a single uniform variate u; the constrained
-    system inverts its neighborhood's min-of-d CDF at u, the flexible one
-    inverts the global CDF at the same u - the comonotone coupling keeps
-    the chosen queue lengths equal as often as the CDFs allow. When they
-    differ the mismatch count delta increases by one. The constrained
+    draws a dispatcher w and a single uniform variate u. The constrained
+    system counts its neighborhood's servers per length in one pass over
+    w's row, the twin uses its level counts, and each inverts its min-of-d
+    CDF at the same u with `_min_of_d_level`. This comonotone coupling
+    keeps the chosen queue lengths equal as often as the CDFs allow; when
+    they differ the mismatch count delta increases by one. The constrained
     system then places the task on a uniform server among all of its
     servers at its chosen length i_g, not only among those in w's row.
     The twin's servers are exchangeable, so it keeps only its occupancy
@@ -603,7 +596,8 @@ def coupled_simulate(
     # D = sum_i |Q_i(K) - Q_i(G)|, updated at the touched level only
     D = delta = margin_min = 0
 
-    grid = _sample_grid(horizon, sample_interval)
+    grid = sample_grid(horizon, sample_interval)
+    sample_at = grid.tolist() + [math.inf]
     g_occ = np.zeros((len(grid), depth))
     k_occ = np.zeros((len(grid), depth))
     g_over = np.zeros(len(grid), dtype=np.int64)
@@ -631,7 +625,7 @@ def coupled_simulate(
             t_next, is_arrival = next_arrival, True
         else:
             t_next, is_arrival = next_dep, False
-        while next_sample < len(grid) and grid[next_sample] < t_next:
+        while sample_at[next_sample] < t_next:
             record_sample(next_sample)
             next_sample += 1
         if t_next > horizon:
@@ -651,11 +645,10 @@ def coupled_simulate(
             counts_g = [0] * len(x_k)
             for v in row:
                 counts_g[lengths[v]] += 1
-            d_g = d if d < nrow else nrow
-            i_g = invert_cdf(_min_of_d_masses(counts_g, nrow, d_g), u)
+            i_g = _min_of_d_level(counts_g, nrow, d if d < nrow else nrow, u)
 
             # flexible twin: min-of-d over the global distribution
-            i_k = invert_cdf(_min_of_d_masses(x_k, n, d_k), u)
+            i_k = _min_of_d_level(x_k, n, d_k, u)
 
             if i_g != i_k:
                 delta += 1
@@ -685,9 +678,16 @@ def coupled_simulate(
             j = bits(n_bits)
             while j >= n:
                 j = bits(n_bits)
-            hi_g, p = _rank_level(map(len, levels), j)
-            hi_k, _ = _rank_level(x_k, j)
-            src = levels[hi_g]
+            # the j-th server in queue-length order, in each system
+            p = j
+            for hi_g, src in enumerate(levels):
+                if p < len(src):
+                    break
+                p -= len(src)
+            hi_k = 0
+            while j >= x_k[hi_k]:
+                j -= x_k[hi_k]
+                hi_k += 1
             step = -1
         # each system moves one task between levels hi - 1 and hi (none from
         # an idle slot, hi = 0), so Q and D change at level hi only

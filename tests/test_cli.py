@@ -192,6 +192,22 @@ def test_usage_error_is_exit_1(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "coupled", "ode"])
+@pytest.mark.parametrize("interval", ["0", "-0.5", "nan", "inf"])
+def test_bad_sample_interval_is_exit_1(tmp_path, capsys, command, interval):
+    g = tmp_path / "c.bpg"
+    run("gen", "--kind", "complete", "--n", "4", "--out", str(g))
+    out = tmp_path / "t.csv"
+    args = ["--lambda", "0.5", "--horizon", "1", "--sample-interval", interval, "--out", str(out)]
+    if command != "ode":
+        args += ["--graph", str(g)]
+    capsys.readouterr()
+    assert run(command, *args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sample_interval must be finite and > 0"), err
+    assert not out.exists()
+
+
 def test_disconnected_graph_exit(tmp_path):
     g = tmp_path / "m.bpg"
     run("gen", "--kind", "matching", "--n", "4", "--out", str(g))

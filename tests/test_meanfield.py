@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from sparselb.meanfield import (
+    CLAMP_TOL,
     ODEStepError,
     crossover_index,
     default_depth,
@@ -121,6 +124,73 @@ def test_step_rejection_cascade_recovers():
     assert res.steps_rejected >= 1
     q = res.final_state
     assert q[0] == 1.0 and np.all(np.diff(q) <= 1e-12) and np.all(q >= 0.0)
+
+
+def _reference_ode(lam, q0, horizon, depth, d, policy, step, sample_interval):
+    """Occupancy rows of integrate_ode's RK4 written with allocating numpy
+    expressions (np.concatenate per stage), the reference for the
+    integrator's preallocated stage buffers."""
+    if policy is None:
+
+        def rhs(y):
+            q = np.concatenate(([1.0], y))
+            qd = q**d
+            q_next = np.concatenate((y[1:], [0.0]))
+            return lam * (qd[:-1] - qd[1:]) - (y - q_next)
+
+    else:
+
+        def rhs(y):
+            q = np.concatenate(([1.0], y, [0.0]))
+            p = policy.evaluator(q[:-1] - q[1:])
+            q_next = np.concatenate((y[1:], [0.0]))
+            return lam * p[:depth] - (y - q_next)
+
+    def advance(y, h):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        raw = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        mono = np.minimum.accumulate(np.clip(raw, 0.0, 1.0))
+        if float(np.max(np.abs(mono - raw))) <= CLAMP_TOL:
+            return mono
+        return advance(advance(y, 0.5 * h), 0.5 * h)
+
+    n_samples = int(math.floor(horizon / sample_interval + 1e-9))
+    substeps = max(1, round(sample_interval / step))
+    y, rows = q0[1:].copy(), [q0[1:].copy()]
+    for _ in range(n_samples):
+        for _ in range(substeps):
+            y = advance(y, sample_interval / substeps)
+        rows.append(y)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("use_policy", [False, True], ids=["closed", "policy"])
+@pytest.mark.parametrize(
+    "lam,d,start,horizon,step,interval,rejects",
+    [
+        (0.9, 2, "empty", 8.0, 0.01, 0.1, False),
+        (0.8, 3, "ramp", 5.0, 0.05, 0.37, False),
+        (0.95, 2, "empty", 2.0, 2.0, 2.0, True),  # halved stages reuse the buffers
+    ],
+)
+def test_rk4_buffers_bitwise_equal_to_allocating_stages(
+    use_policy, lam, d, start, horizon, step, interval, rejects
+):
+    depth = 12
+    q0 = empty_occupancy(depth) if start == "empty" else np.linspace(1.0, 0.0, depth + 1)
+    policy = jsqd_policy(d) if use_policy else None
+    res = integrate_ode(lam, q0, horizon, depth=depth, d=d, policy=policy, step=step,
+                        sample_interval=interval)
+    ref = _reference_ode(lam, q0, horizon, depth, d, policy, step, interval)
+    assert (res.steps_rejected > 0) == rejects
+    assert res.record.occupancy.shape == ref.shape
+    for got, want in zip(res.record.occupancy, ref):
+        assert np.array_equal(got, want)
+    n = len(ref) - 1
+    assert np.array_equal(res.record.sample_times, np.arange(n + 1) * interval)
 
 
 def test_step_rejection_exhaustion_fails():

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparselb.graph import (
@@ -14,9 +14,11 @@ from sparselb.graph import (
     perfect_matching,
 )
 from sparselb.meanfield import fixed_point
+from sparselb.policy import invert_cdf
 from sparselb.records import TrajectoryRecord
 from sparselb.simulator import (
     ServiceDistribution,
+    _min_of_d_level,
     choose_shortest,
     coupled_simulate,
     lyapunov_series,
@@ -92,6 +94,19 @@ def test_determinism_bit_for_bit():
         assert np.array_equal(a.occupancy, b.occupancy)
         assert np.array_equal(a.final_queue_lengths, b.final_queue_lengths)
         assert a.event_count == b.event_count
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("service", ["exponential", "deterministic"])
+def test_recording_does_not_perturb_stream(service, d):
+    g = generate_fixed_server_degree(40, 30, 3, seed=2)
+    runs = [simulate(g, d, 0.9, 20.0, service=service, sample_interval=s, seed=5)
+            for s in (None, 0.1, 0.37)]
+    assert len(runs[0].sample_times) == 0 and runs[0].occupancy.shape == (0, 30)
+    for rec in runs[1:]:
+        assert np.array_equal(rec.final_queue_lengths, runs[0].final_queue_lengths)
+        assert (rec.event_count, rec.arrival_count, rec.departure_count) == (
+            runs[0].event_count, runs[0].arrival_count, runs[0].departure_count)
 
 
 def test_occupancy_counts_match_state_incrementally():
@@ -253,6 +268,39 @@ def test_coupling_margin_nonnegative_on_small_graphs(g, d, lam, horizon, seed):
     assert coupled.margin_min >= 0
     assert np.all(coupled.margin_series >= 0)
     assert np.all(np.diff(coupled.delta_series) >= 0)
+
+
+def _reference_min_of_d_masses(counts, total, d):
+    """Lazy min-of-d masses (tail_i/total)^d - (tail_{i+1}/total)^d, as the
+    coupled kernel fed them to invert_cdf before its fused walk."""
+    tail, prev_pow = total, 1.0
+    for c in counts:
+        tail -= c
+        new_pow = (tail / total) ** d
+        yield prev_pow - new_pow
+        prev_pow = new_pow
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    cells=st.lists(st.integers(0, 4), min_size=1, max_size=8).filter(any),
+    pad=st.integers(0, 3),
+    d=st.integers(1, 40),  # often >= total, the whole row
+    u=st.floats(0.0, 1.0, exclude_max=True),
+)
+@example(cells=[1, 1, 1], pad=2, d=3, u=math.nextafter(1.0, 0.0))  # masses sum to u: fallback
+@example(cells=[5, 5, 1000, 1], pad=0, d=187, u=math.nextafter(1.0, 0.0))  # last mass underflows
+@example(cells=[0, 0, 5], pad=0, d=7, u=0.0)
+def test_min_of_d_level_equals_reference_inversion(cells, pad, d, u):
+    counts = cells + [0] * pad
+    total = sum(counts)
+    want = invert_cdf(_reference_min_of_d_masses(counts, total, d), u)
+    assert _min_of_d_level(counts, total, d, u) == want
+
+
+def test_min_of_d_level_rejects_counts_without_mass():
+    with pytest.raises(ValueError):
+        _min_of_d_level([0, 0], 2, 2, 0.5)
 
 
 def test_coupled_task_conservation():
