@@ -54,6 +54,22 @@ def floyd_sample(n: int, k: int, randbelow: Callable[[int], int]) -> list[int]:
     return out
 
 
+def _check_sizes(n_servers: int, n_dispatchers: int) -> None:
+    if n_servers < 1 or n_dispatchers < 1:
+        raise ValueError("need at least one server and one dispatcher")
+
+
+def _transpose(rows: Sequence[Sequence[int]], size: int, labels: Sequence) -> list[list]:
+    """The other direction of `rows`: entry j lists labels[i] for every row i
+    holding j, by ascending i. Labels from an int pool (`np.arange(k,
+    dtype=object)`) are shared: an edge costs a list slot, not a new int."""
+    out: list[list] = [[] for _ in range(size)]
+    for label, row in zip(labels, rows):
+        for j in row:
+            out[j].append(label)
+    return out
+
+
 class BipartiteGraph:
     """Immutable bipartite compatibility graph.
 
@@ -61,6 +77,12 @@ class BipartiteGraph:
     dispatcher w; `reverse_adjacency[v]` the sorted sequence of dispatchers
     server v can serve. Rows may be `range` objects (complete graphs keep
     them implicit so K_{10^4,10^4} costs O(N+M) memory, not O(NM)).
+
+    The public constructor always validates the dispatcher rows (nonempty,
+    in range, no duplicate edge), sorts them and derives the server rows.
+    The generators, `complete_bipartite` and `read_graph` use the private
+    `_from_rows` instead; its callers guarantee sorted, in-range rows in
+    both directions, each the transpose of the other.
     """
 
     __slots__ = (
@@ -81,76 +103,42 @@ class BipartiteGraph:
         adjacency: Sequence[Sequence[int]],
         *,
         meta: Optional[dict] = None,
-        _validated: bool = False,
     ):
-        if n_servers < 1 or n_dispatchers < 1:
-            raise ValueError("need at least one server and one dispatcher")
-        if len(adjacency) != n_dispatchers:
-            raise ValueError("adjacency must have one row per dispatcher")
-        self.n_servers = n_servers
-        self.n_dispatchers = n_dispatchers
-        self.adjacency = list(adjacency)
-        if not _validated:
-            self._validate_rows()
-        self.reverse_adjacency = self._build_reverse()
-        self.n_edges = sum(len(row) for row in self.adjacency)
-        self.meta = dict(meta) if meta else {}
-        self._connected: Optional[bool] = None
-        self._csr: Optional[tuple[np.ndarray, np.ndarray]] = None
-
-    @classmethod
-    def _from_server_rows(
-        cls,
-        n_servers: int,
-        n_dispatchers: int,
-        pool: np.ndarray,
-        server_rows: list[list[int]],
-        meta: dict,
-    ) -> "BipartiteGraph":
-        """Graph from each server's row of dispatchers, made of the int
-        objects in `pool` (`np.arange(max(N, M), dtype=object)`). The caller
-        has validated the rows: ascending, duplicate-free and in range, and
-        covering every dispatcher.
-
-        Yields the same `adjacency` and `reverse_adjacency` lists as the list
-        constructor. The dispatcher rows grow by appends in server order, so
-        they ascend too, and every row shares the pool's ints: an edge costs
-        a list slot in each direction, not a new int.
-        """
-        self = cls.__new__(cls)
-        self.n_servers, self.n_dispatchers = n_servers, n_dispatchers
-        self.reverse_adjacency = server_rows
-        self.adjacency = [[] for _ in range(n_dispatchers)]
-        for v, row in zip(pool, server_rows):
-            for w in row:
-                self.adjacency[w].append(v)
-        self.n_edges = sum(map(len, server_rows))
-        self.meta = dict(meta)
-        self._connected = None
-        self._csr = None
-        return self
-
-    def _validate_rows(self):
-        n = self.n_servers
-        for w, row in enumerate(self.adjacency):
+        rows = []
+        for w, row in enumerate(adjacency):
             if len(row) == 0:
                 raise ValueError(f"dispatcher {w} has no compatible server")
             srow = sorted(row)
             for i, v in enumerate(srow):
-                if not 0 <= v < n:
+                if not 0 <= v < n_servers:
                     raise ValueError(f"server index {v} out of range for dispatcher {w}")
                 if i and v == srow[i - 1]:
                     raise ValueError(f"duplicate edge ({v}, {w})")
-            self.adjacency[w] = srow
+            rows.append(srow)
+        reverse = _transpose(rows, n_servers, range(n_dispatchers))
+        self._set(n_servers, n_dispatchers, rows, reverse, meta)
 
-    def _build_reverse(self) -> list[Sequence[int]]:
-        if all(isinstance(row, range) and row == range(self.n_servers) for row in self.adjacency):
-            return [range(self.n_dispatchers)] * self.n_servers
-        rev: list[list[int]] = [[] for _ in range(self.n_servers)]
-        for w, row in enumerate(self.adjacency):
-            for v in row:
-                rev[v].append(w)
-        return rev  # rows sorted because w increases
+    @classmethod
+    def _from_rows(cls, n_servers, n_dispatchers, adjacency, reverse_adjacency, meta):
+        """The private constructor: a graph from rows in both directions,
+        trusted as the class docstring says; only the sizes and row count are checked."""
+        self = cls.__new__(cls)
+        self._set(n_servers, n_dispatchers, adjacency, reverse_adjacency, meta)
+        return self
+
+    def _set(self, n_servers, n_dispatchers, adjacency, reverse_adjacency, meta):
+        """The one place a graph's fields are set."""
+        _check_sizes(n_servers, n_dispatchers)
+        if len(adjacency) != n_dispatchers:
+            raise ValueError("adjacency must have one row per dispatcher")
+        self.n_servers = n_servers
+        self.n_dispatchers = n_dispatchers
+        self.adjacency = adjacency
+        self.reverse_adjacency = reverse_adjacency
+        self.n_edges = sum(map(len, adjacency))
+        self.meta = dict(meta) if meta else {}
+        self._connected: Optional[bool] = None
+        self._csr: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def is_complete(self) -> bool:
@@ -243,10 +231,8 @@ class BipartiteGraph:
 
 def complete_bipartite(n_servers: int, n_dispatchers: int) -> BipartiteGraph:
     """K_{N,M}: every server compatible with every dispatcher."""
-    rows = [range(n_servers)] * n_dispatchers
-    return BipartiteGraph(
-        n_servers, n_dispatchers, rows, meta={"generator": "complete"}, _validated=True
-    )
+    n, m = n_servers, n_dispatchers
+    return BipartiteGraph._from_rows(n, m, [range(n)] * m, [range(m)] * n, {"generator": "complete"})
 
 
 def perfect_matching(n: int) -> BipartiteGraph:
@@ -255,8 +241,7 @@ def perfect_matching(n: int) -> BipartiteGraph:
     Used as a checker fixture (it satisfies the load condition trivially),
     not as a simulation target.
     """
-    rows = [[i] for i in range(n)]
-    return BipartiteGraph(n, n, rows, meta={"generator": "matching"}, _validated=True)
+    return BipartiteGraph(n, n, [[i] for i in range(n)], meta={"generator": "matching"})
 
 
 def braess_example() -> BipartiteGraph:
@@ -267,7 +252,7 @@ def braess_example() -> BipartiteGraph:
     yet any static split must push load 5/3 onto servers 0 and 1.
     """
     rows = [[0], [1]] + [sorted([w, 0, 1]) for w in range(2, 6)]
-    return BipartiteGraph(6, 6, rows, meta={"generator": "braess"}, _validated=True)
+    return BipartiteGraph(6, 6, rows, meta={"generator": "braess"})
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +274,13 @@ def generate_fixed_server_degree(
     `rng.integers` call over a (servers, c) block consumes the stream
     exactly as the block's scalar draws in server order do.
     """
+    _check_sizes(n_servers, n_dispatchers)
     if not 1 <= c <= n_dispatchers:
         raise ValueError(f"server degree c={c} must be in [1, {n_dispatchers}]")
     rng = np.random.default_rng(seed)
     top = np.arange(n_dispatchers - c, n_dispatchers, dtype=np.int32)  # M-c+k
     block = max(1, _BLOCK_ENTRIES // c)
-    pool = np.arange(max(n_servers, n_dispatchers), dtype=object)
+    pool = np.arange(max(n_servers, n_dispatchers), dtype=object)  # shared by both directions
     for attempt in range(GENERATION_RETRIES):
         covered = np.zeros(n_dispatchers, dtype=bool)
         rows: list[list[int]] = []
@@ -306,13 +292,9 @@ def generate_fixed_server_degree(
             picks.sort(axis=1)
             rows += pool[picks].tolist()
         if covered.all():
-            return BipartiteGraph._from_server_rows(
-                n_servers,
-                n_dispatchers,
-                pool,
-                rows,
-                meta={"generator": "fixed-degree", "c": c, "seed": seed, "retries": attempt},
-            )
+            meta = {"generator": "fixed-degree", "c": c, "seed": seed, "retries": attempt}
+            adjacency = _transpose(rows, n_dispatchers, pool)
+            return BipartiteGraph._from_rows(n_servers, n_dispatchers, adjacency, rows, meta)
     raise GraphGenerationError(
         f"fixed-degree generation left an isolated dispatcher in all "
         f"{GENERATION_RETRIES} attempts (N={n_servers}, M={n_dispatchers}, c={c}); "
@@ -332,11 +314,12 @@ def generate_inhomogeneous(
     An isolated dispatcher has only its own row resampled (rows are
     independent, so this preserves the conditional law).
     """
+    _check_sizes(n_servers, n_dispatchers)
     p = np.broadcast_to(np.asarray(p, dtype=float), (n_dispatchers,))
     if np.any((p <= 0) | (p > 1)):
         raise ValueError("edge probabilities must lie in (0, 1]")
     rng = np.random.default_rng(seed)
-    pool = np.arange(n_servers, dtype=object)  # rows share one int per server
+    pool = np.arange(max(n_servers, n_dispatchers), dtype=object)  # shared by both directions
     rows: list[list[int]] = []
     retries = 0
     for w in range(n_dispatchers):
@@ -352,13 +335,9 @@ def generate_inhomogeneous(
             row = np.flatnonzero(rng.random(n_servers) < p[w])
         retries += attempt
         rows.append(pool[row].tolist())
-    return BipartiteGraph(
-        n_servers,
-        n_dispatchers,
-        rows,
-        meta={"generator": "inhomogeneous", "seed": seed, "retries": retries},
-        _validated=True,
-    )
+    meta = {"generator": "inhomogeneous", "seed": seed, "retries": retries}
+    reverse = _transpose(rows, n_servers, pool)
+    return BipartiteGraph._from_rows(n_servers, n_dispatchers, rows, reverse, meta)
 
 
 def generate_geometric(
@@ -374,13 +353,14 @@ def generate_geometric(
     isolated dispatcher is moved to a fresh uniform position up to
     GENERATION_RETRIES times.
     """
+    _check_sizes(n_servers, n_dispatchers)
     if radius <= 0:
         raise ValueError("radius must be positive")
     rng = np.random.default_rng(seed)
     sxy = rng.random((n_servers, 2))
     dxy = rng.random((n_dispatchers, 2))
     r2 = radius * radius
-    pool = np.arange(n_servers, dtype=object)  # rows share one int per server
+    pool = np.arange(max(n_servers, n_dispatchers), dtype=object)  # shared by both directions
     rows: list[list[int]] = []
     retries = 0
 
@@ -402,20 +382,16 @@ def generate_geometric(
             row = neighbors(dxy[w])
         retries += attempt
         rows.append(pool[row].tolist())
-    return BipartiteGraph(
-        n_servers,
-        n_dispatchers,
-        rows,
-        meta={
-            "generator": "geometric",
-            "radius": radius,
-            "seed": seed,
-            "retries": retries,
-            "server_xy": sxy,
-            "dispatcher_xy": dxy,
-        },
-        _validated=True,
-    )
+    meta = {
+        "generator": "geometric",
+        "radius": radius,
+        "seed": seed,
+        "retries": retries,
+        "server_xy": sxy,
+        "dispatcher_xy": dxy,
+    }
+    reverse = _transpose(rows, n_servers, pool)
+    return BipartiteGraph._from_rows(n_servers, n_dispatchers, rows, reverse, meta)
 
 
 def radius_for_mean_degree(n_servers: int, mean_degree: float) -> float:
@@ -557,7 +533,7 @@ def read_graph(path) -> BipartiteGraph:
     bounds = indptr.tolist()
     rows = [pool[indices[a:b]].tolist() for a, b in zip(bounds, bounds[1:])]
     del indices  # before the dispatcher rows are built
-    return BipartiteGraph._from_server_rows(n, m, pool, rows, meta={"generator": "file"})
+    return BipartiteGraph._from_rows(n, m, _transpose(rows, m, pool), rows, {"generator": "file"})
 
 
 # bytes.split() whitespace; the body of a BPG file holds these and digits only

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .policy import AssignmentPolicy, distribution_from_occupancy
-from .records import TrajectoryRecord, sample_grid
+from .records import TrajectoryRecord, require_finite_positive, sample_grid
 
 FIXED_POINT_RESIDUAL_TOL = 1e-12
 CLAMP_TOL = 1e-9
@@ -138,8 +138,8 @@ def integrate_ode(
     """
     if not 0 < lam < 1:
         raise ValueError("lambda must lie in (0, 1)")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    require_finite_positive("horizon", horizon)
+    require_finite_positive("step", step)
     if depth is None:
         depth = default_depth(lam, d)
     q0 = _validate_initial(q0, depth)

@@ -61,11 +61,16 @@ class TrajectoryRecord:
         return self.occupancy[:, i - 1]
 
 
+def require_finite_positive(name: str, value: float) -> None:
+    """Raise a ValueError that names the argument unless `value` is finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, not {value}")
+
+
 def sample_grid(horizon: float, interval: float) -> np.ndarray:
     """Sample times 0, interval, 2*interval, ... up to horizon (within
     1e-9 of a step); `interval` must be finite and positive."""
-    if not (math.isfinite(interval) and interval > 0):
-        raise ValueError(f"sample_interval must be finite and > 0, not {interval}")
+    require_finite_positive("sample_interval", interval)
     n = int(math.floor(horizon / interval + 1e-9))
     return np.arange(n + 1) * interval
 

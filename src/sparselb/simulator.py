@@ -28,7 +28,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .graph import BipartiteGraph
-from .records import CoupledRecord, SteadyStateSummary, TrajectoryRecord, sample_grid
+from .records import (
+    CoupledRecord,
+    SteadyStateSummary,
+    TrajectoryRecord,
+    require_finite_positive,
+    sample_grid,
+)
 
 DEFAULT_DEPTH = 30
 DEBUG_CHECK_EVERY = 10_000
@@ -77,8 +83,7 @@ def _as_service(service) -> ServiceDistribution:
 def _check_inputs(graph: BipartiteGraph, d: int, lam: float, allow_disconnected: bool, allow_overload: bool):
     if d < 1 or d != int(d):
         raise ValueError("d must be a positive integer")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    require_finite_positive("lambda", lam)
     if lam >= 1:
         if not allow_overload:
             raise ValueError("lambda >= 1 is unstable; pass allow_overload=True to force")
@@ -403,8 +408,7 @@ def simulate(
     """
     service = _as_service(service)
     _check_inputs(graph, d, lam, allow_disconnected, allow_overload)
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    require_finite_positive("horizon", horizon)
     record, _ = _simulate_core(
         graph,
         int(d),
@@ -447,8 +451,9 @@ def steady_state(
     _check_inputs(graph, d, lam, allow_disconnected, allow_overload)
     if warmup is None:
         warmup = 10.0 / (1.0 - lam)
-    if measure <= 0 or warmup < 0:
-        raise ValueError("need warmup >= 0 and measure > 0")
+    if not (math.isfinite(warmup) and warmup >= 0):
+        raise ValueError(f"warmup must be finite and >= 0, not {warmup}")
+    require_finite_positive("measure", measure)
     if replicas < 1:
         raise ValueError("need at least one replica")
     n = graph.n_servers
@@ -566,8 +571,7 @@ def coupled_simulate(
     Markovian system.
     """
     _check_inputs(graph, d, lam, allow_disconnected, False)
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    require_finite_positive("horizon", horizon)
     d = int(d)
     n = graph.n_servers
     m = graph.n_dispatchers

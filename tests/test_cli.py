@@ -161,7 +161,7 @@ def test_simulate_vs_ode_compare(tmp_path):
     assert run("compare", "--a", str(sim), "--b", str(ode), "--levels", "8") == 0
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     assert run("gen", "--kind", "complete", "--n", "0", "--m", "2",
                "--out", str(tmp_path / "x.bpg")) == 1  # bad parameters
     assert run("simulate", "--graph", str(tmp_path / "missing.bpg"),
@@ -175,6 +175,13 @@ def test_exit_codes(tmp_path):
     assert run("gen", "--kind", "fixed-degree", "--n", "200", "--m", "200", "--c", "1",
                "--out", str(tmp_path / "iso.bpg")) == 1  # generation cannot avoid isolation
     assert run("compare", "--a", str(tmp_path / "nope.csv"), "--b", str(tmp_path / "nope.csv")) == 3
+    # a zero size is refused before the first draw, not after the retries
+    for kind in (["fixed-degree", "--c", "1"], ["inhomogeneous", "--p", "0.5"],
+                 ["geometric", "--radius", "0.3"]):
+        capsys.readouterr()
+        assert run("gen", "--kind", *kind, "--n", "0", "--m", "5",
+                   "--out", str(tmp_path / "zero.bpg")) == 1
+        assert capsys.readouterr().err == "error: need at least one server and one dispatcher\n"
 
 
 def test_usage_error_is_exit_1(tmp_path):
@@ -205,6 +212,29 @@ def test_bad_sample_interval_is_exit_1(tmp_path, capsys, command, interval):
     assert run(command, *args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: sample_interval must be finite and > 0"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [(c, "--horizon", v) for c in ("simulate", "coupled", "ode") for v in ("0", "-1", "nan", "inf")]
+    + [("ode", "--step", v) for v in ("0", "-1", "nan", "inf")]
+    + [("steady", "--warmup", v) for v in ("-1", "nan", "inf")]
+    + [("steady", "--measure", v) for v in ("0", "-1", "nan", "inf")]
+    + [(c, "--lambda", v) for c in ("simulate", "steady", "coupled", "ode")
+       for v in ("0", "-1", "nan", "inf")],
+)
+def test_bad_run_argument_is_exit_1(tmp_path, capsys, command, flag, value):
+    g = tmp_path / "c.bpg"
+    run("gen", "--kind", "complete", "--n", "4", "--out", str(g))
+    out = tmp_path / "t.csv"
+    args = [flag, value, "--out", str(out)]
+    if command != "ode":
+        args += ["--graph", str(g)]
+    capsys.readouterr()
+    assert run(command, *args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag[2:]} must "), err
     assert not out.exists()
 
 

@@ -63,15 +63,25 @@ def test_braess_example():
     assert g.is_connected
 
 
-def test_adjacency_reverse_consistency():
-    # re-derive one direction from the other on every generator
+def test_adjacency_reverse_consistency(tmp_path):
+    # re-derive one direction from the other on every builder, and check
+    # both against the validating constructor fed the dispatcher rows
+    write_graph(generate_fixed_server_degree(20, 30, 8, seed=6), tmp_path / "g.bpg")
     gs = [
         braess_example(),
+        complete_bipartite(7, 5),
+        perfect_matching(6),
         generate_fixed_server_degree(30, 20, 5, seed=3),
         generate_inhomogeneous(25, 15, 0.3, seed=4),
+        generate_inhomogeneous(15, 25, 0.3, seed=4),
         generate_geometric(40, 30, 0.4, seed=5),
+        generate_geometric(30, 40, 0.4, seed=5),
+        read_graph(tmp_path / "g.bpg"),
     ]
     for g in gs:
+        ref = BipartiteGraph(g.n_servers, g.n_dispatchers, g.adjacency)
+        assert [list(r) for r in g.adjacency] == ref.adjacency
+        assert [list(r) for r in g.reverse_adjacency] == ref.reverse_adjacency
         rederived = [[] for _ in range(g.n_servers)]
         for w, row in enumerate(g.adjacency):
             for v in row:
