@@ -280,8 +280,8 @@ def _six_places(*values: float) -> tuple[str, ...]:
 
 def _erg_trajectories(args, meta):
     sizes = args.sizes or [100, 1000]
-    depth = args.depth or 12
-    horizon = args.horizon or 20.0
+    depth = 12 if args.depth is None else args.depth
+    horizon = 20.0 if args.horizon is None else args.horizon
     meta.update(sizes=sizes, horizon=horizon, depth=depth)
 
     def rows():

@@ -11,6 +11,7 @@ a bounded number of times before giving up on an isolated dispatcher.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 from collections import deque
@@ -536,47 +537,25 @@ def read_graph(path) -> BipartiteGraph:
     return BipartiteGraph._from_rows(n, m, _transpose(rows, m, pool), rows, {"generator": "file"})
 
 
-# bytes.split() whitespace; the body of a BPG file holds these and digits only
-_WHITESPACE = np.zeros(256, dtype=bool)
-_WHITESPACE[list(b" \t\n\r\x0b\x0c")] = True
-_DIGIT = np.zeros(256, dtype=bool)
-_DIGIT[list(b"0123456789")] = True
-_INT64_DIGITS = 18  # any 18-digit decimal fits in an int64
-
-
-def _stable_order(keys: np.ndarray, n_keys: int) -> np.ndarray:
-    """`np.argsort(keys, kind="stable")` for keys in [0, n_keys).
-
-    Keys that fit 16 bits go through numpy's radix sort, several times
-    faster than its stable sort of wider integers.
-    """
-    if n_keys <= 1 << 16:
-        keys = keys.astype(np.uint16)
-    return np.argsort(keys, kind="stable")
-
-
-def _next_line(data: bytes, start: int) -> tuple[bytes, int]:
-    """The line at `start` without its ending, and where the next line
-    starts. A line ends at LF, CRLF or a lone CR, as text mode reads it."""
-    ends = [i for i in (data.find(b"\n", start), data.find(b"\r", start)) if i >= 0]
-    if not ends:
-        return data[start:], len(data)
-    end = min(ends)
-    return data[start:end], end + (2 if data[end : end + 2] == b"\r\n" else 1)
+# the bytes an edge line may hold: digits and ASCII whitespace (bytes.split())
+_BODY_BYTES = b"0123456789 \t\n\r\x0b\x0c"
 
 
 def _parse_bpg(data: bytes, path) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """(N, M, indptr, indices) of a BPG v1 file's bytes, validated in bulk;
-    (indptr, indices) is the server-major CSR."""
+    """(N, M, indptr, indices) of a BPG v1 file's bytes; (indptr, indices)
+    is the server-major CSR."""
 
     def error(message: str, line: Optional[int] = None) -> GraphFormatError:
         where = path if line is None else f"{path}, line {line}"
         return GraphFormatError(f"{where}: {message}")
 
-    header, pos = _next_line(data, 0)
+    # a line ends at LF, CRLF or a lone CR, as text mode reads it
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    header, _, data = data.partition(b"\n")
     if header != b"BPG v1":
         raise error(f"bad header {_text(header)!r}; expected 'BPG v1'", 1)
-    dims_line, pos = _next_line(data, pos)
+    dims_line, _, body = data.partition(b"\n")
+    del data
     dims = dims_line.split()
     if len(dims) != 3:
         raise error("second line must be '<N> <M> <E>'", 2)
@@ -585,10 +564,15 @@ def _parse_bpg(data: bytes, path) -> tuple[int, int, np.ndarray, np.ndarray]:
     n, m, e = (int(x) for x in dims)
     if n < 1 or m < 1:
         raise error(f"invalid dimensions N={n} M={m} E={e}", 2)
-    try:
-        servers, dispatchers = _body_edges(np.frombuffer(memoryview(data)[pos:], dtype=np.uint8), n, m)
-    except _LineError as exc:
-        raise error(exc.message, 3 + exc.line) from None
+    # `csr` stores server indices as int32, and an edge key v*M + w fits an int64
+    if n >= 2**31 or m >= 2**31:
+        raise error(f"dimensions N={n} M={m} too large; N and M must be below 2^31", 2)
+    keys = _bulk_keys(body, n, m)
+    if keys is None:  # not well formed: the line reader names the first bad line
+        edges = _edge_lines(body, n, m, error)
+        keys = np.array(sorted(v * m + w for v, w in edges), dtype=np.int64)
+    del body
+    servers, dispatchers = np.divmod(keys, m)
     if servers.size != e:
         raise error(f"edge count mismatch: header says {e}, found {servers.size}")
     degrees = np.bincount(dispatchers, minlength=m)
@@ -603,98 +587,46 @@ def _text(raw: bytes) -> str:
     return raw.decode("utf-8", "backslashreplace")
 
 
-class _LineError(Exception):
-    """A malformed edge line; `line` counts from 0 at the first edge line."""
+def _edge_lines(body: bytes, n: int, m: int, error) -> set[tuple[int, int]]:
+    """The edges (v, w) of a BPG body with LF line endings.
 
-    def __init__(self, line: int, message: str):
-        super().__init__(line, message)
-        self.line, self.message = line, message
-
-
-def _body_edges(body: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(servers, dispatchers) of the edge lines in `body`, sorted by
-    (server, dispatcher).
-
-    Raises _LineError for the first line, in file order, that a line-by-line
-    reader would reject. Line numbers are worked out only then.
+    This is the format's definition: blank lines are skipped, and every
+    other line holds a server and a dispatcher index in range, as ASCII
+    digits, not repeating an earlier edge. Raises `error(message, line)`
+    for the first line that does not.
     """
-    breaks = body == 10
-    lone_cr = body == 13
-    if lone_cr.any():
-        lone_cr[:-1] &= ~breaks[1:]  # the LF of a CRLF ends the line
-        breaks |= lone_cr
-    del lone_cr
-    breaks = np.flatnonzero(breaks)
+    edges: set[tuple[int, int]] = set()
+    for line, text in enumerate(body.split(b"\n"), start=3):
+        tokens = text.split()
+        if not tokens:
+            continue
+        if len(tokens) != 2:
+            raise error("expected '<server> <dispatcher>'", line)
+        if not (tokens[0].isdigit() and tokens[1].isdigit()):
+            raise error("non-integer edge", line)
+        edge = v, w = int(tokens[0]), int(tokens[1])
+        if v >= n:
+            raise error(f"server index {v} out of range", line)
+        if w >= m:
+            raise error(f"dispatcher index {w} out of range", line)
+        if edge in edges:
+            raise error(f"duplicate edge ({v}, {w})", line)
+        edges.add(edge)
+    return edges
 
-    def first_error(line: int, message: str) -> _LineError:
-        # The lines before `line` passed this check; they may fail a later one.
-        try:
-            _body_edges(body[: breaks[line - 1] + 1 if line else 0], n, m)
-        except _LineError as earlier:
-            return earlier
-        return _LineError(line, message)
 
-    space = _WHITESPACE[body]
-    stray = np.flatnonzero(~(space | _DIGIT[body]))
-    # token i spans body[starts[i]:ends[i]], a maximal run of non-whitespace
-    inside = np.zeros(body.size + 2, dtype=bool)
-    np.logical_not(space, out=inside[1:-1])
-    del space
-    position = np.int32 if body.size < 2**31 else np.int64
-    starts = np.flatnonzero(inside[1:] > inside[:-1]).astype(position)
-    ends = np.flatnonzero(inside[1:] < inside[:-1]).astype(position)
-    del inside
-    # every non-blank line holds exactly two tokens, and only digits
-    row = np.searchsorted(breaks, starts)
-    paired = row.size % 2 == 0 and bool(
-        np.all(row[0::2] == row[1::2]) and np.all(row[2::2] > row[1:-1:2])
-    )
-    if stray.size or not paired:
-        rows, counts = np.unique(row, return_counts=True)
-        miscounted = rows[counts != 2]
-        line = int(np.concatenate([miscounted, np.searchsorted(breaks, stray)]).min())
-        if line in miscounted:
-            raise first_error(line, "expected '<server> <dispatcher>'")
-        raise first_error(line, "non-integer edge")
-    del row, stray
-
-    # add up digits from the right; a position left of its token is masked
-    # out (negative positions wrap to bytes that are masked out too)
-    lengths = ends - starts
-    values = np.zeros(starts.size, dtype=np.int64)
-    at = ends.copy()
-    for k in range(min(int(lengths.max(initial=0)), _INT64_DIGITS)):
-        at -= 1
-        digit = (body[at] - ord("0")) * (lengths > k)
-        values += digit.astype(np.int64) * 10**k
-    del at
-
-    def token(i) -> int:
-        return int(body[starts[i] : ends[i]].tobytes())
-
-    for i in np.flatnonzero(lengths > _INT64_DIGITS):
-        values[i] = min(token(i), np.iinfo(np.int64).max)
-    del lengths
-    servers, dispatchers = values[0::2], values[1::2]
-    out_of_range = (servers >= n) | (dispatchers >= m)
-    if out_of_range.any():
-        i = int(np.argmax(out_of_range))
-        line = int(np.searchsorted(breaks, starts[2 * i]))
-        if servers[i] >= n:
-            raise first_error(line, f"server index {token(2 * i)} out of range")
-        raise first_error(line, f"dispatcher index {token(2 * i + 1)} out of range")
-
-    # stable, so a repeated edge sorts after its first copy
-    order = _stable_order(dispatchers, m)
-    order = order[_stable_order(servers[order], n)]
-    sorted_servers, sorted_dispatchers = servers[order], dispatchers[order]
-    repeat = (sorted_servers[1:] == sorted_servers[:-1]) & (
-        sorted_dispatchers[1:] == sorted_dispatchers[:-1]
-    )
-    if repeat.any():
-        i = int(order[1:][repeat].min())
-        raise _LineError(
-            int(np.searchsorted(breaks, starts[2 * i])),
-            f"duplicate edge ({servers[i]}, {dispatchers[i]})",
-        )
-    return sorted_servers, sorted_dispatchers
+def _bulk_keys(body: bytes, n: int, m: int) -> Optional[np.ndarray]:
+    """The sorted keys v*M + w of a well-formed BPG body, read by numpy's C
+    parser; None for a body that `_edge_lines` might reject, or that is blank."""
+    if body.translate(None, _BODY_BYTES) or not body.strip():
+        return None
+    try:
+        pairs = np.loadtxt(io.BytesIO(body), dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:  # a line without two indices, or an index beyond int64
+        return None
+    if pairs.shape[1] != 2 or (pairs[:, 0] >= n).any() or (pairs[:, 1] >= m).any():
+        return None
+    keys = pairs[:, 0] * m + pairs[:, 1]
+    del pairs
+    keys.sort()
+    return None if (keys[1:] == keys[:-1]).any() else keys

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .policy import AssignmentPolicy, distribution_from_occupancy
-from .records import TrajectoryRecord, require_finite_positive, sample_grid
+from .records import TrajectoryRecord, require_finite_positive, require_positive_int, sample_grid
 
 FIXED_POINT_RESIDUAL_TOL = 1e-12
 CLAMP_TOL = 1e-9
@@ -62,8 +62,8 @@ def fixed_point(lam: float, d: int, depth: int) -> np.ndarray:
     """
     if not 0 < lam < 1:
         raise ValueError("lambda must lie in (0, 1)")
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    require_positive_int("d", d)
+    require_positive_int("depth", depth)
     q = np.empty(depth + 1)
     q[0] = 1.0
     for i in range(1, depth + 1):
@@ -85,6 +85,7 @@ def fixed_point_residual(q: np.ndarray, lam: float, d: int) -> float:
 
 def empty_occupancy(depth: int) -> np.ndarray:
     """Occupancy of an empty system: [1, 0, ..., 0]."""
+    require_positive_int("depth", depth)
     q = np.zeros(depth + 1)
     q[0] = 1.0
     return q
@@ -140,8 +141,10 @@ def integrate_ode(
         raise ValueError("lambda must lie in (0, 1)")
     require_finite_positive("horizon", horizon)
     require_finite_positive("step", step)
+    require_positive_int("d", d)
     if depth is None:
         depth = default_depth(lam, d)
+    require_positive_int("depth", depth)
     q0 = _validate_initial(q0, depth)
 
     if policy is not None:

@@ -67,6 +67,12 @@ def require_finite_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and > 0, not {value}")
 
 
+def require_positive_int(name: str, value) -> None:
+    """Raise a ValueError that names the argument unless `value` is a whole number >= 1."""
+    if not (value >= 1 and value % 1 == 0):
+        raise ValueError(f"{name} must be a positive integer, not {value}")
+
+
 def sample_grid(horizon: float, interval: float) -> np.ndarray:
     """Sample times 0, interval, 2*interval, ... up to horizon (within
     1e-9 of a step); `interval` must be finite and positive."""

@@ -33,6 +33,7 @@ from .records import (
     SteadyStateSummary,
     TrajectoryRecord,
     require_finite_positive,
+    require_positive_int,
     sample_grid,
 )
 
@@ -81,8 +82,7 @@ def _as_service(service) -> ServiceDistribution:
 
 
 def _check_inputs(graph: BipartiteGraph, d: int, lam: float, allow_disconnected: bool, allow_overload: bool):
-    if d < 1 or d != int(d):
-        raise ValueError("d must be a positive integer")
+    require_positive_int("d", d)
     require_finite_positive("lambda", lam)
     if lam >= 1:
         if not allow_overload:
@@ -409,6 +409,7 @@ def simulate(
     service = _as_service(service)
     _check_inputs(graph, d, lam, allow_disconnected, allow_overload)
     require_finite_positive("horizon", horizon)
+    require_positive_int("depth", depth)
     record, _ = _simulate_core(
         graph,
         int(d),
@@ -444,16 +445,21 @@ def steady_state(
 
     Replica r runs an isolated simulation seeded with seed XOR r. The
     default warmup is 10/(1-lambda) time units, the relaxation scale of
-    the limiting dynamics. The mean queue length integrates every level,
-    not just the reported depth.
+    the limiting dynamics; an overloaded run must pass its own. The mean
+    queue length integrates every level, not just the reported depth.
     """
     service = _as_service(service)
     _check_inputs(graph, d, lam, allow_disconnected, allow_overload)
     if warmup is None:
+        if lam >= 1:
+            raise ValueError(
+                "warmup must be given at lambda >= 1; the default 10/(1 - lambda) needs lambda < 1"
+            )
         warmup = 10.0 / (1.0 - lam)
     if not (math.isfinite(warmup) and warmup >= 0):
         raise ValueError(f"warmup must be finite and >= 0, not {warmup}")
     require_finite_positive("measure", measure)
+    require_positive_int("depth", depth)
     if replicas < 1:
         raise ValueError("need at least one replica")
     n = graph.n_servers
@@ -570,8 +576,11 @@ def coupled_simulate(
     input. Exponential service only: the construction lives on the
     Markovian system.
     """
+    if lam >= 1:
+        raise ValueError(f"lambda must be < 1 in a coupled run, not {lam}")
     _check_inputs(graph, d, lam, allow_disconnected, False)
     require_finite_positive("horizon", horizon)
+    require_positive_int("depth", depth)
     d = int(d)
     n = graph.n_servers
     m = graph.n_dispatchers

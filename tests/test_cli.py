@@ -222,19 +222,30 @@ def test_bad_sample_interval_is_exit_1(tmp_path, capsys, command, interval):
     + [("steady", "--warmup", v) for v in ("-1", "nan", "inf")]
     + [("steady", "--measure", v) for v in ("0", "-1", "nan", "inf")]
     + [(c, "--lambda", v) for c in ("simulate", "steady", "coupled", "ode")
-       for v in ("0", "-1", "nan", "inf")],
+       for v in ("0", "-1", "nan", "inf")]
+    + [(c, "--d", v) for c in ("simulate", "steady", "coupled", "ode") for v in ("0", "-1")]
+    + [(c, "--depth", v)
+       for c in ("simulate", "steady", "coupled", "ode", "reproduce erg-trajectories")
+       for v in ("0", "-1")]
+    + [("reproduce erg-trajectories", "--horizon", "0")]
+    + [("coupled", "--lambda", "1.2")]
+    # no --warmup: the default 10/(1 - lambda) does not exist at lambda >= 1
+    + [(f"steady --allow-overload --lambda {lam}", "--warmup", None) for lam in ("1", "1.5")],
 )
 def test_bad_run_argument_is_exit_1(tmp_path, capsys, command, flag, value):
     g = tmp_path / "c.bpg"
     run("gen", "--kind", "complete", "--n", "4", "--out", str(g))
     out = tmp_path / "t.csv"
-    args = [flag, value, "--out", str(out)]
-    if command != "ode":
+    command = command.split()
+    args = ([] if value is None else [flag, value]) + ["--out", str(out)]
+    if command[0] not in ("ode", "reproduce"):
         args += ["--graph", str(g)]
     capsys.readouterr()
-    assert run(command, *args) == 1
+    assert run(*command, *args) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag[2:]} must "), err
+    if value is None:
+        assert "must be given" in err, err
     assert not out.exists()
 
 

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparselb import graph as graph_module
 from sparselb.graph import (
     GENERATION_RETRIES,
     BipartiteGraph,
@@ -406,6 +408,13 @@ def test_io_rejects_malformed(tmp_path, content):
         # the first bad line in file order, whichever check finds it
         ("BPG v1\n4 2 3\n1 0\n1 00\n7 0\n1 x\n", ", line 4", "duplicate edge (1, 0)"),
         ("BPG v1\n4 2 3\n0 0\n7 0\n1 x\n", ", line 4", "server index 7 out of range"),
+        # N and M stay below 2^31, checked before anything is allocated
+        ("BPG v1\n1 99999999999999999999 1\n0 0\n", ", line 2",
+         "dimensions N=1 M=99999999999999999999 too large; N and M must be below 2^31"),
+        ("BPG v1\n2147483648 1 1\n0 0\n", ", line 2",
+         "dimensions N=2147483648 M=1 too large; N and M must be below 2^31"),
+        ("BPG v1\n1 2147483648 1\n0 0\n", ", line 2",
+         "dimensions N=1 M=2147483648 too large; N and M must be below 2^31"),
         ("BPG v1\n2 2 2\n0 0\n", "", "edge count mismatch: header says 2, found 1"),
         ("BPG v1\n2 2 1\n0 0\n", "", "dispatcher 1 has no compatible server"),
     ],
@@ -456,6 +465,37 @@ def test_io_bulk_reader_matches_list_constructor(tmp_path_factory, case):
     )
     assert g.adjacency == expected.adjacency
     assert g.reverse_adjacency == expected.reverse_adjacency
+
+
+@st.composite
+def _mutated_bpg(draw):
+    """A small BPG file from `_bpg_text` with a few bytes replaced, inserted
+    or deleted."""
+    data = bytearray(draw(_bpg_text())[1].encode("ascii"))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(data)))
+        byte = draw(st.sampled_from(b"0123456789 \t\n\r\x0b\x0c\x1cx+\xff"))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if op == "insert":
+            data.insert(i, byte)
+        elif i < len(data):
+            data[i : i + 1] = bytes([byte]) if op == "replace" else b""
+    return bytes(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_mutated_bpg())
+def test_io_bulk_reader_matches_line_reader(data):
+    def outcome():
+        try:
+            n, m, indptr, indices = graph_module._parse_bpg(data, "g.bpg")
+        except GraphFormatError as exc:
+            return str(exc)
+        return n, m, indptr.tolist(), indices.tolist()
+
+    bulk = outcome()
+    with mock.patch.object(graph_module, "_bulk_keys", return_value=None):
+        assert outcome() == bulk  # every body through the line reader
 
 
 def test_array_built_rows_share_index_objects(tmp_path):
