@@ -561,12 +561,17 @@ def _parse_bpg(data: bytes, path) -> tuple[int, int, np.ndarray, np.ndarray]:
         raise error("second line must be '<N> <M> <E>'", 2)
     if not all(x.isdigit() for x in dims):  # bytes.isdigit() is ASCII only
         raise error(f"non-integer dimensions: {[_text(x) for x in dims]}", 2)
-    n, m, e = (int(x) for x in dims)
+    n_digits, m_digits, e_digits = (_significant(x) for x in dims)
+    # `csr` stores server indices as int32, and an edge key v*M + w fits an int64
+    if max(len(n_digits), len(m_digits)) > 10 or max(int(n_digits), int(m_digits)) >= 2**31:
+        raise error(
+            f"dimensions N={_shown(n_digits)} M={_shown(m_digits)} too large; N and M must be below 2^31", 2
+        )
+    if len(e_digits) > 19:
+        raise error(f"edge count E={_shown(e_digits)} too large; E is at most N*M < 2^62", 2)
+    n, m, e = int(n_digits), int(m_digits), int(e_digits)
     if n < 1 or m < 1:
         raise error(f"invalid dimensions N={n} M={m} E={e}", 2)
-    # `csr` stores server indices as int32, and an edge key v*M + w fits an int64
-    if n >= 2**31 or m >= 2**31:
-        raise error(f"dimensions N={n} M={m} too large; N and M must be below 2^31", 2)
     keys = _bulk_keys(body, n, m)
     if keys is None:  # not well formed: the line reader names the first bad line
         edges = _edge_lines(body, n, m, error)
@@ -587,6 +592,21 @@ def _text(raw: bytes) -> str:
     return raw.decode("utf-8", "backslashreplace")
 
 
+def _significant(token: bytes) -> bytes:
+    """An ASCII digit token without its leading zeros (b"0" for zero).
+    int() refuses a token of over 4300 digits, leading zeros included, so
+    callers bound this length before they convert."""
+    return token.lstrip(b"0") or b"0"
+
+
+def _shown(digits: bytes) -> str:
+    """A number for an error message: in full up to 40 digits, else its
+    first 20 digits and its length."""
+    if len(digits) <= 40:
+        return _text(digits)
+    return f"{_text(digits[:20])}... ({len(digits)} digits)"
+
+
 def _edge_lines(body: bytes, n: int, m: int, error) -> set[tuple[int, int]]:
     """The edges (v, w) of a BPG body with LF line endings.
 
@@ -604,11 +624,13 @@ def _edge_lines(body: bytes, n: int, m: int, error) -> set[tuple[int, int]]:
             raise error("expected '<server> <dispatcher>'", line)
         if not (tokens[0].isdigit() and tokens[1].isdigit()):
             raise error("non-integer edge", line)
-        edge = v, w = int(tokens[0]), int(tokens[1])
-        if v >= n:
-            raise error(f"server index {v} out of range", line)
-        if w >= m:
-            raise error(f"dispatcher index {w} out of range", line)
+        v_digits, w_digits = (_significant(x) for x in tokens)
+        # N, M < 2^31: an index of over 10 digits is out of range
+        if len(v_digits) > 10 or int(v_digits) >= n:
+            raise error(f"server index {_shown(v_digits)} out of range", line)
+        if len(w_digits) > 10 or int(w_digits) >= m:
+            raise error(f"dispatcher index {_shown(w_digits)} out of range", line)
+        edge = v, w = int(v_digits), int(w_digits)
         if edge in edges:
             raise error(f"duplicate edge ({v}, {w})", line)
         edges.add(edge)

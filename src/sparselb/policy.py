@@ -18,10 +18,13 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .records import require_positive_int
+
 DIST_SUM_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
 PROBE_MAX_SUPPORT = 30  # longest queue-length distribution empirical_lipschitz probes
 PROBE_BLOCK = 1024  # probe pairs per evaluation block: 2 x 240 KB of padded rows
+PROBE_EPS = np.array([1e-3, 1e-2, 1e-1])  # perturbation trial t moves PROBE_EPS[t % 3]
 
 
 def validate_distribution(x) -> np.ndarray:
@@ -169,24 +172,75 @@ def policy_from_name(name: str) -> AssignmentPolicy:
 # empirical Lipschitz estimation
 
 
-def _anchor_rows(xs: np.ndarray, ys: np.ndarray) -> int:
-    """Write the deterministic extreme pairs - point masses and near-point
-    masses - into the first rows of zeroed blocks; return how many.
+def _anchor_pairs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The deterministic extreme pairs - point masses and near-point masses -
+    as a block (xs, ys, sizes).
 
     Perturbing a deep point mass toward length 0 realizes ratios close to
     the policy's worst direction (for JSQ(d), d - O(eps)); pure uniform
     sampling essentially never finds these corners.
     """
+    depths = (1, 5, PROBE_MAX_SUPPORT - 1)
+    xs = np.zeros((1 + len(depths) * PROBE_EPS.size, PROBE_MAX_SUPPORT))
+    ys = np.zeros_like(xs)
+    sizes = np.empty(len(xs), dtype=np.int64)
     xs[0, 0] = 1.0
     ys[0, 1] = 1.0
+    sizes[0] = 2
     row = 1
-    for k in (1, 5, PROBE_MAX_SUPPORT - 1):
-        for eps in (1e-3, 1e-2, 1e-1):
+    for k in depths:
+        for eps in PROBE_EPS:
             xs[row, k] = 1.0
             ys[row, k] = 1.0 - eps
             ys[row, 0] = eps
+            sizes[row] = k + 1
             row += 1
-    return row
+    return xs, ys, sizes
+
+
+def _dirichlet_rows(rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
+    """One Dirichlet(1, ..., 1) row per size, zero-padded to PROBE_MAX_SUPPORT
+    cells: Exp(1) draws cut at the size and normalized, which is the law of
+    rng.dirichlet(np.ones(size))."""
+    rows = rng.standard_exponential((sizes.size, PROBE_MAX_SUPPORT))
+    rows[np.arange(PROBE_MAX_SUPPORT) >= sizes[:, None]] = 0.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows
+
+
+def _probe_pairs(trials: int, rng: np.random.Generator):
+    """Yield the probe pairs as blocks (xs, ys, sizes, t): row i pairs
+    xs[i] with ys[i], both zero past sizes[i], drawn by trial t[i] (-1 for
+    the anchors, which come first as a block of their own).
+
+    Trials come PROBE_BLOCK at a time, in a few generator calls per block.
+    Each has a uniform size on 1..PROBE_MAX_SUPPORT and a Dirichlet(1, ..., 1)
+    x. Trial t < trials // 2 of size >= 2 perturbs x: src and dst are
+    uniform cells, and y moves min(PROBE_EPS[t % 3], x[src]) from src to
+    dst; the trial is dropped when that is <= 0 or src == dst. Every other
+    trial draws an independent Dirichlet y.
+    """
+    xs, ys, sizes = _anchor_pairs()
+    yield xs, ys, sizes, np.full(sizes.size, -1)
+    n_pert = trials // 2
+    for start in range(0, trials, PROBE_BLOCK):
+        t = np.arange(start, min(start + PROBE_BLOCK, trials))
+        sizes = rng.integers(1, PROBE_MAX_SUPPORT + 1, size=t.size)
+        xs = _dirichlet_rows(rng, sizes)
+        pert = (t < n_pert) & (sizes >= 2)
+        ys = xs.copy()
+        ys[~pert] = _dirichlet_rows(rng, sizes[~pert])
+        rows = np.flatnonzero(pert)
+        src = rng.integers(0, sizes[rows])
+        dst = rng.integers(0, sizes[rows])
+        moved = np.minimum(PROBE_EPS[t[rows] % 3], xs[rows, src])
+        keep = (moved > 0.0) & (src != dst)
+        rows, src, dst, moved = rows[keep], src[keep], dst[keep], moved[keep]
+        ys[rows, src] -= moved
+        ys[rows, dst] += moved
+        kept = ~pert
+        kept[rows] = True
+        yield xs[kept], ys[kept], sizes[kept], t[kept]
 
 
 def _block_max_ratio(policy: AssignmentPolicy, xs: np.ndarray, ys: np.ndarray) -> float:
@@ -211,42 +265,12 @@ def empirical_lipschitz(
     skipped. The result is a lower bound on the true constant and must stay
     below any declared bound.
 
-    Pairs are drawn one trial at a time and evaluated PROBE_BLOCK at a time,
-    zero-padded to PROBE_MAX_SUPPORT cells, through one checked evaluator
-    call per side; the anchors are the first block's first rows.
+    Pairs are drawn and evaluated PROBE_BLOCK trials at a time, zero-padded
+    to PROBE_MAX_SUPPORT cells: a few vectorized generator calls and one
+    checked evaluator call per side for each block (see `_probe_pairs`).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    xs = np.zeros((PROBE_BLOCK, PROBE_MAX_SUPPORT))
-    ys = np.zeros_like(xs)
-    rows = _anchor_rows(xs, ys)
+    require_positive_int("trials", trials)
     best = 0.0
-    alphas = [np.ones(size) for size in range(PROBE_MAX_SUPPORT + 1)]
-    eps_grid = (1e-3, 1e-2, 1e-1)
-    n_pert = trials // 2
-    for trial in range(trials):
-        size = int(rng.integers(1, PROBE_MAX_SUPPORT + 1))
-        x = rng.dirichlet(alphas[size])
-        if trial < n_pert and size >= 2:
-            src = int(rng.integers(size))
-            dst = int(rng.integers(size))
-            # move min(eps, x[src]) mass from src to dst
-            m = min(eps_grid[trial % len(eps_grid)], float(x[src]))
-            if m <= 0.0 or src == dst:
-                continue
-            y = ys[rows]
-            y[:size] = x
-            y[src] -= m
-            y[dst] += m
-        else:
-            ys[rows, :size] = rng.dirichlet(alphas[size])
-        xs[rows, :size] = x
-        rows += 1
-        if rows == PROBE_BLOCK:
-            best = max(best, _block_max_ratio(policy, xs, ys))
-            xs.fill(0.0)
-            ys.fill(0.0)
-            rows = 0
-    if rows:
-        best = max(best, _block_max_ratio(policy, xs[:rows], ys[:rows]))
+    for xs, ys, _, _ in _probe_pairs(int(trials), rng):
+        best = max(best, _block_max_ratio(policy, xs, ys))
     return best

@@ -84,14 +84,18 @@ def _as_service(service) -> ServiceDistribution:
 def _check_inputs(graph: BipartiteGraph, d: int, lam: float, allow_disconnected: bool, allow_overload: bool):
     require_positive_int("d", d)
     require_finite_positive("lambda", lam)
-    if lam >= 1:
-        if not allow_overload:
-            raise ValueError("lambda >= 1 is unstable; pass allow_overload=True to force")
-        warnings.warn(f"running overloaded (lambda={lam}); queues will grow without bound")
+    if lam >= 1 and not allow_overload:
+        raise ValueError("lambda >= 1 is unstable; pass allow_overload=True to force")
     if not allow_disconnected and not graph.is_connected:
         raise ValueError(
             "graph is disconnected; pass allow_disconnected=True to simulate anyway"
         )
+
+
+def _warn_overload(lam: float) -> None:
+    """Warn about an allowed lambda >= 1; called once every argument check has passed."""
+    if lam >= 1:
+        warnings.warn(f"running overloaded (lambda={lam}); queues will grow without bound")
 
 
 def _occupancy_row(row: np.ndarray, level: Sequence[float], scale: float) -> None:
@@ -410,6 +414,7 @@ def simulate(
     _check_inputs(graph, d, lam, allow_disconnected, allow_overload)
     require_finite_positive("horizon", horizon)
     require_positive_int("depth", depth)
+    _warn_overload(lam)
     record, _ = _simulate_core(
         graph,
         int(d),
@@ -462,6 +467,7 @@ def steady_state(
     require_positive_int("depth", depth)
     if replicas < 1:
         raise ValueError("need at least one replica")
+    _warn_overload(lam)
     n = graph.n_servers
     horizon = warmup + measure
     rep_occ = np.zeros((replicas, depth))

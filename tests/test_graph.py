@@ -415,6 +415,17 @@ def test_io_rejects_malformed(tmp_path, content):
          "dimensions N=2147483648 M=1 too large; N and M must be below 2^31"),
         ("BPG v1\n1 2147483648 1\n0 0\n", ", line 2",
          "dimensions N=1 M=2147483648 too large; N and M must be below 2^31"),
+        # int() refuses over 4300 digits: an index or dimension that long is out of range
+        pytest.param("BPG v1\n2 1 1\n0 " + "1" * 5000 + "\n", ", line 3",
+                     "dispatcher index " + "1" * 20 + "... (5000 digits) out of range", id="long-index"),
+        pytest.param("BPG v1\n2 1 1\n" + "0" * 5000 + "2 0\n", ", line 3",
+                     "server index 2 out of range", id="long-zero-padded-index"),
+        pytest.param("BPG v1\n" + "9" * 5000 + " 1 1\n0 0\n", ", line 2",
+                     "dimensions N=" + "9" * 20 + "... (5000 digits) M=1 too large; N and M must be below 2^31",
+                     id="long-N"),
+        pytest.param("BPG v1\n2 1 " + "1" * 5000 + "\n0 0\n", ", line 2",
+                     "edge count E=" + "1" * 20 + "... (5000 digits) too large; E is at most N*M < 2^62",
+                     id="long-E"),
         ("BPG v1\n2 2 2\n0 0\n", "", "edge count mismatch: header says 2, found 1"),
         ("BPG v1\n2 2 1\n0 0\n", "", "dispatcher 1 has no compatible server"),
     ],

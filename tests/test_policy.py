@@ -10,6 +10,7 @@ from sparselb.policy import (
     PROBE_BLOCK,
     PROBE_MAX_SUPPORT,
     AssignmentPolicy,
+    _probe_pairs,
     empirical_lipschitz,
     invert_cdf,
     jsqd_policy,
@@ -214,49 +215,31 @@ def test_empirical_lipschitz_reaches_steep_direction():
 def test_empirical_lipschitz_trivial_trials():
     est = empirical_lipschitz(jsqd_policy(1), 1, np.random.default_rng(5))
     assert 1.0 - 1e-9 <= est <= 2.0 + 1e-9
+    for trials in (2.5, 0, -1):
+        with pytest.raises(ValueError, match="trials must be a positive integer"):
+            empirical_lipschitz(jsqd_policy(2), trials, np.random.default_rng(0))
+    assert empirical_lipschitz(jsqd_policy(2), 3.0, np.random.default_rng(0)) == empirical_lipschitz(
+        jsqd_policy(2), 3, np.random.default_rng(0)
+    )
 
 
-# The probe as it was before it evaluated pairs in blocks: one pair at a
-# time, two checked `probabilities` calls per pair, same draws in the same
-# order. The blocked probe must agree with it.
+# The probe's pairs come from one generator, `_probe_pairs`. The tests below
+# read the same blocks: the reference evaluates each unpadded pair on its
+# own, through two checked `probabilities` calls, as the probe did before it
+# evaluated blocks; the law test checks that the block draws give each trial
+# the law the probe declares.
 
 
-def _reference_pairs(trials, rng):
-    e0 = np.zeros(2)
-    e0[0] = 1.0
-    e1 = np.zeros(2)
-    e1[1] = 1.0
-    yield e0, e1
-    for k in (1, 5, PROBE_MAX_SUPPORT - 1):
-        base = np.zeros(k + 1)
-        base[k] = 1.0
-        for eps in (1e-3, 1e-2, 1e-1):
-            moved = base.copy()
-            moved[k] -= eps
-            moved[0] += eps
-            yield base, moved
-    eps_grid = (1e-3, 1e-2, 1e-1)
-    n_pert = trials // 2
-    for trial in range(trials):
-        size = int(rng.integers(1, PROBE_MAX_SUPPORT + 1))
-        x = rng.dirichlet(np.ones(size))
-        if trial < n_pert and size >= 2:
-            src = int(rng.integers(size))
-            dst = int(rng.integers(size))
-            m = min(eps_grid[trial % len(eps_grid)], float(x[src]))
-            if m <= 0.0 or src == dst:
-                continue
-            y = x.copy()
-            y[src] -= m
-            y[dst] += m
-        else:
-            y = rng.dirichlet(np.ones(size))
-        yield x, y
+def _pairs(trials, rng):
+    """Every probe pair as unpadded (x, y, t), in the probe's order."""
+    for xs, ys, sizes, ts in _probe_pairs(trials, rng):
+        for x, y, size, t in zip(xs, ys, sizes, ts):
+            yield x[:size], y[:size], int(t)
 
 
 def _pairwise_reference_lipschitz(policy, trials, rng):
     best = 0.0
-    for x, y in _reference_pairs(trials, rng):
+    for x, y, _ in _pairs(trials, rng):
         den = float(np.sum(np.abs(x - y)))
         if den < 1e-15:
             continue
@@ -268,17 +251,20 @@ def _pairwise_reference_lipschitz(policy, trials, rng):
 
 
 class _SameIndexRng:
-    """A Generator whose one-argument `integers(n)` always returns 0, so every
-    eps-perturbation has src == dst and is skipped."""
+    """A Generator whose `integers` with array bounds (the src and dst draws)
+    always returns 0s, so every eps-perturbation has src == dst and is
+    dropped."""
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
 
-    def integers(self, low, high=None):
-        return 0 if high is None else self._rng.integers(low, high)
+    def integers(self, low, high=None, size=None):
+        if np.ndim(high):
+            return np.zeros_like(high)
+        return self._rng.integers(low, high, size=size)
 
-    def dirichlet(self, alpha):
-        return self._rng.dirichlet(alpha)
+    def standard_exponential(self, size):
+        return self._rng.standard_exponential(size)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -294,6 +280,54 @@ def test_empirical_lipschitz_matches_pairwise_reference(d):
         got = empirical_lipschitz(policy, trials, _SameIndexRng(d))
         want = _pairwise_reference_lipschitz(policy, trials, _SameIndexRng(d))
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        # every perturbation was dropped: the first half keeps only its size-1 trials
+        assert all(t < 0 or t >= trials // 2 or x.size == 1 for x, _, t in _pairs(trials, _SameIndexRng(d)))
+
+
+def test_probe_block_draws_keep_each_trials_law():
+    # One seed, tolerances fixed in advance. 60 000 trials give 30 000
+    # independent pairs (t >= trials // 2), whose sizes no filter touches;
+    # and about 3 000 size-3 rows (every x, and the independent y). For
+    # those, x_0 ~ Beta(1, 2): mean 1/3, variance 1/18, fourth central
+    # moment 1/135, so the standard errors are 0.0043 (mean) and 0.0012
+    # (variance); the tolerances are 5 of them.
+    trials = 60_000
+    n_pert = trials // 2
+    indep_sizes, size3, kept_pert = [], [], 0
+    for xs, ys, sizes, ts in _probe_pairs(trials, np.random.default_rng(2024)):
+        anchors = ts < 0
+        xs, ys, sizes, ts = xs[~anchors], ys[~anchors], sizes[~anchors], ts[~anchors]
+        cells = np.arange(PROBE_MAX_SUPPORT)
+        for rows in (xs, ys):
+            assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)
+            assert np.all(rows[cells >= sizes[:, None]] == 0.0)
+            assert np.all(rows[cells < sizes[:, None]] >= 0.0)
+        indep = ts >= n_pert
+        indep_sizes.append(sizes[indep])
+        size3.append(xs[sizes == 3, 0])
+        size3.append(ys[indep & (sizes == 3), 0])
+        for x, y, size, t in zip(xs[~indep], ys[~indep], sizes[~indep], ts[~indep]):
+            if size < 2:  # too short to perturb: an independent pair
+                continue
+            kept_pert += 1
+            moved = np.flatnonzero(x != y)
+            assert moved.size == 2, (t, moved)
+            src = moved[0] if y[moved[0]] < x[moved[0]] else moved[1]
+            dst = moved[1] if src == moved[0] else moved[0]
+            m = min((1e-3, 1e-2, 1e-1)[t % 3], x[src])
+            assert y[src] == x[src] - m and y[dst] == x[dst] + m, t
+    assert kept_pert > 0.8 * n_pert  # size 1 drops 1/30 of them, src == dst about 1/10 of the rest
+    sizes = np.concatenate(indep_sizes)
+    assert sizes.size == trials - n_pert
+    counts = np.bincount(sizes, minlength=PROBE_MAX_SUPPORT + 1)
+    assert counts[0] == 0 and counts.size == PROBE_MAX_SUPPORT + 1
+    expected = sizes.size / PROBE_MAX_SUPPORT
+    chi2 = float(((counts[1:] - expected) ** 2 / expected).sum())
+    assert chi2 <= 80.44  # the 1 - 1e-6 quantile of chi-square with 29 degrees of freedom
+    x0 = np.concatenate(size3)
+    assert x0.size >= 2500
+    assert abs(x0.mean() - 1 / 3) <= 5 * math.sqrt(1 / 18 / x0.size)
+    assert abs(x0.var() - 1 / 18) <= 5 * math.sqrt((1 / 135 - (1 / 18) ** 2) / x0.size)
 
 
 @settings(max_examples=100, deadline=None)
@@ -349,10 +383,9 @@ def _one_bad_row_policy(target, mode):
     mode=st.sampled_from(["sum", "leak"]),
 )
 def test_empirical_lipschitz_rejects_one_bad_row_in_a_block(seed, trials, pick, side, mode):
-    pairs = list(_reference_pairs(trials, np.random.default_rng(seed)))
-    row = pairs[pick % len(pairs)][side]
-    target = np.zeros(PROBE_MAX_SUPPORT)
-    target[: row.size] = row
+    blocks = list(_probe_pairs(trials, np.random.default_rng(seed)))
+    rows = np.concatenate([block[side] for block in blocks])
+    target = rows[pick % len(rows)]
     assume(mode == "sum" or np.any(target == 0.0))
     message = "invalid probability vector" if mode == "sum" else "empty queue length"
     with pytest.raises(ValueError, match=message):

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,16 @@ def test_lambda_validation_and_override():
         simulate(g, 2, 0.0, 1.0)
     with pytest.warns(UserWarning):
         simulate(g, 2, 1.2, 1.0, allow_overload=True, seed=1)
+    # an allowed overload warns only once every other argument has passed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would escape as UserWarning, not ValueError
+        for lam in (1.0, 1.5):
+            with pytest.raises(ValueError, match="warmup must be given"):
+                steady_state(g, 2, lam, allow_overload=True)
+            with pytest.raises(ValueError, match="measure"):
+                steady_state(g, 2, lam, warmup=1.0, measure=0.0, allow_overload=True)
+            with pytest.raises(ValueError, match="horizon"):
+                simulate(g, 2, lam, 0.0, allow_overload=True)
 
 
 def test_disconnected_needs_override():
