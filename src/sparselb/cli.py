@@ -262,9 +262,10 @@ def cmd_trend(args) -> int:
 
 
 def _steady_mean(args, family, n, lam, service="exponential") -> tuple[float, float]:
+    """Steady-state mean queue length on the member of size n of the named family."""
     summary = simulator.steady_state(
-        family.build(n, args.seed), args.d, lam, warmup=50.0, measure=100.0, replicas=3,
-        service=service, seed=args.seed,
+        graphs.FAMILIES[family].build(n, args.seed), args.d, lam,
+        warmup=50.0, measure=100.0, replicas=3, service=service, seed=args.seed,
     )
     return summary.mean_qlen, summary.mean_qlen_stderr
 
@@ -286,7 +287,7 @@ def _erg_trajectories(args, meta):
 
     def rows():
         for n in sizes:
-            g = graphs.errg_log_squared_family().build(n, args.seed)
+            g = graphs.FAMILIES["errg-log2"].build(n, args.seed)
             rec = simulator.simulate(
                 g, args.d, args.lam, horizon, seed=args.seed, depth=depth, allow_disconnected=True
             )
@@ -300,12 +301,13 @@ def _erg_trajectories(args, meta):
 
 
 def _family_sweep(args, meta, families, default_sizes):
-    """Steady-state mean queue length per (family, N) against the fixed point."""
+    """Steady-state mean queue length per (family, N) against the fixed point;
+    `families` are names in graph.FAMILIES."""
     sizes = args.sizes or default_sizes
     target = _fixed_point_mean_qlen(args.lam, args.d)
     meta.update(sizes=sizes, target=f"{target:.6f}")
     rows = (
-        (family.name, n, *_six_places(*_steady_mean(args, family, n, args.lam)))
+        (family, n, *_six_places(*_steady_mean(args, family, n, args.lam)))
         for family in families
         for n in sizes
     )
@@ -313,17 +315,12 @@ def _family_sweep(args, meta, families, default_sizes):
 
 
 def _degree_sweep(args, meta):
-    families = [
-        graphs.constant_degree_family(4),
-        graphs.log_degree_family(),
-        graphs.log_squared_degree_family(),
-    ]
+    families = ("fixed-degree-4", "fixed-degree-log", "fixed-degree-log2")
     return _family_sweep(args, meta, families, [250, 1000, 4000])
 
 
 def _geometric_vs_errg(args, meta):
-    families = (graphs.errg_log_squared_family(), graphs.geometric_log_squared_family())
-    header, rows = _family_sweep(args, meta, families, [250, 1000])
+    header, rows = _family_sweep(args, meta, ("errg-log2", "geometric-log2"), [250, 1000])
     return [*header, "target"], ((*row, meta["target"]) for row in rows)
 
 
@@ -331,13 +328,12 @@ def _lambda_sweep(args, meta):
     sizes = args.sizes or [250, 1000, 4000]
     lambdas = args.lambdas or [0.5, 0.65, 0.8]
     meta.update(sizes=sizes, lambdas=lambdas)
-    family = graphs.errg_log_squared_family()
 
     def rows():
         for lam in lambdas:
             target = _fixed_point_mean_qlen(lam, args.d)
             for n in sizes:
-                mean, se = _steady_mean(args, family, n, lam)
+                mean, se = _steady_mean(args, "errg-log2", n, lam)
                 yield (str(lam), n, *_six_places(mean, se, target, abs(mean - target)))
 
     return ["lambda", "N", "mean_qlen", "stderr", "target", "gap"], rows()
@@ -346,9 +342,8 @@ def _lambda_sweep(args, meta):
 def _service_sweep(args, meta):
     sizes = args.sizes or [1000]
     meta.update(sizes=sizes)
-    family = graphs.errg_log_squared_family()
     rows = (
-        (kind, n, *_six_places(*_steady_mean(args, family, n, args.lam, kind)))
+        (kind, n, *_six_places(*_steady_mean(args, "errg-log2", n, args.lam, kind)))
         for kind in ServiceDistribution.KINDS
         for n in sizes
     )

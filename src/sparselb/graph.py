@@ -445,68 +445,38 @@ class GraphSpec:
 
 @dataclass(frozen=True)
 class GraphFamily:
-    """A size-indexed family of graph specs, e.g. fixed degree ceil(ln^2 N)."""
+    """A size-indexed graph sequence: `spec(n, seed)` is the GraphSpec of
+    its member with n servers and n dispatchers."""
 
     name: str
-    build_fn: Callable[[int, int], BipartiteGraph] = field(repr=False)
+    spec: Callable[[int, int], GraphSpec] = field(repr=False)
 
     def build(self, n: int, seed: int) -> BipartiteGraph:
-        return self.build_fn(n, seed)
+        return self.spec(n, seed).build()
+
+
+# The one table of named families. Each entry maps (n, seed) to a GraphSpec,
+# so a member can cross a process boundary as that frozen spec; the spec's
+# build() looks its generator up by name at call time.
+FAMILIES = {
+    family.name: family
+    for family in (
+        GraphFamily("fixed-degree-4", lambda n, seed: GraphSpec("fixed-degree", n, n, c=4, seed=seed)),
+        GraphFamily("fixed-degree-log", lambda n, seed: GraphSpec(
+            "fixed-degree", n, n, c=max(1, math.ceil(math.log(n))), seed=seed)),
+        GraphFamily("fixed-degree-log2", lambda n, seed: GraphSpec(
+            "fixed-degree", n, n, c=max(1, math.ceil(math.log(n) ** 2)), seed=seed)),
+        GraphFamily("errg-log2", lambda n, seed: GraphSpec(
+            "inhomogeneous", n, n, p=min(1.0, math.log(n) ** 2 / n), seed=seed)),
+        GraphFamily("geometric-log2", lambda n, seed: GraphSpec(
+            "geometric", n, n, radius=radius_for_mean_degree(n, math.log(n) ** 2), seed=seed)),
+    )
+}
 
 
 def log_squared_degree_family() -> GraphFamily:
-    """Fixed server degree c = ceil(ln^2 N), M = N."""
-    return GraphFamily(
-        "fixed-degree-log2",
-        lambda n, seed: generate_fixed_server_degree(
-            n, n, max(1, math.ceil(math.log(n) ** 2)), seed
-        ),
-    )
-
-
-def log_degree_family() -> GraphFamily:
-    """Fixed server degree c = ceil(ln N), M = N."""
-    return GraphFamily(
-        "fixed-degree-log",
-        lambda n, seed: generate_fixed_server_degree(
-            n, n, max(1, math.ceil(math.log(n))), seed
-        ),
-    )
-
-
-def constant_degree_family(c: int) -> GraphFamily:
-    """Fixed server degree c independent of N, M = N."""
-    return GraphFamily(
-        f"fixed-degree-{c}",
-        lambda n, seed: generate_fixed_server_degree(n, n, c, seed),
-    )
-
-
-def errg_log_squared_family() -> GraphFamily:
-    """Homogeneous random graph with edge probability ln^2(N)/N, M = N."""
-    return GraphFamily(
-        "errg-log2",
-        lambda n, seed: generate_inhomogeneous(
-            n, n, min(1.0, math.log(n) ** 2 / n), seed
-        ),
-    )
-
-
-def geometric_log_squared_family() -> GraphFamily:
-    """Geometric graph with radius tuned for mean degree ln^2(N), M = N."""
-    return GraphFamily(
-        "geometric-log2",
-        lambda n, seed: generate_geometric(
-            n, n, radius_for_mean_degree(n, math.log(n) ** 2), seed
-        ),
-    )
-
-
-FAMILIES = {
-    family.name: family
-    for family in (log_squared_degree_family(), log_degree_family(),
-                   errg_log_squared_family(), geometric_log_squared_family())
-}
+    """FAMILIES["fixed-degree-log2"] (c = ceil(ln^2 N)); benchmarks/run.py calls it."""
+    return FAMILIES["fixed-degree-log2"]
 
 
 # ---------------------------------------------------------------------------
@@ -553,14 +523,14 @@ def _parse_bpg(data: bytes, path) -> tuple[int, int, np.ndarray, np.ndarray]:
     data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     header, _, data = data.partition(b"\n")
     if header != b"BPG v1":
-        raise error(f"bad header {_text(header)!r}; expected 'BPG v1'", 1)
+        raise error(f"bad header {_shown(header, 'bytes')!r}; expected 'BPG v1'", 1)
     dims_line, _, body = data.partition(b"\n")
     del data
     dims = dims_line.split()
     if len(dims) != 3:
         raise error("second line must be '<N> <M> <E>'", 2)
     if not all(x.isdigit() for x in dims):  # bytes.isdigit() is ASCII only
-        raise error(f"non-integer dimensions: {[_text(x) for x in dims]}", 2)
+        raise error(f"non-integer dimensions: {[_shown(x, 'bytes') for x in dims]}", 2)
     n_digits, m_digits, e_digits = (_significant(x) for x in dims)
     # `csr` stores server indices as int32, and an edge key v*M + w fits an int64
     if max(len(n_digits), len(m_digits)) > 10 or max(int(n_digits), int(m_digits)) >= 2**31:
@@ -599,12 +569,12 @@ def _significant(token: bytes) -> bytes:
     return token.lstrip(b"0") or b"0"
 
 
-def _shown(digits: bytes) -> str:
-    """A number for an error message: in full up to 40 digits, else its
-    first 20 digits and its length."""
-    if len(digits) <= 40:
-        return _text(digits)
-    return f"{_text(digits[:20])}... ({len(digits)} digits)"
+def _shown(token: bytes, unit: str = "digits") -> str:
+    """A token for an error message: in full up to 40 bytes, else its
+    first 20 bytes and its length in `unit`s (one byte each)."""
+    if len(token) <= 40:
+        return _text(token)
+    return f"{_text(token[:20])}... ({len(token)} {unit})"
 
 
 def _edge_lines(body: bytes, n: int, m: int, error) -> set[tuple[int, int]]:

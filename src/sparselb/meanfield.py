@@ -299,8 +299,7 @@ def stability_weights(lam: float, depth: int, d: int = 2) -> StabilityWeights:
     """
     if not 0 < lam < 1:
         raise ValueError("lambda must lie in (0, 1)")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    require_positive_int("depth", depth)
     q_star = fixed_point(lam, d, max(depth + 1, default_depth(lam, d)))
     i0 = crossover_index(lam, q_star)
     build_depth = max(depth, i0 + 1)

@@ -144,8 +144,7 @@ def jsqd_policy(d: int) -> AssignmentPolicy:
     p[i] = q_i^d - q_{i+1}^d along the last axis, so one call evaluates a
     block of distributions; the declared Lipschitz bound is 2 * d! * d^2.
     """
-    if d < 1 or d != int(d):
-        raise ValueError("d must be a positive integer")
+    require_positive_int("d", d)
     d = int(d)
 
     def evaluator(x: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graph import BipartiteGraph, GraphFamily
+from .records import require_finite_positive, require_positive_int
 
 ENUMERATION_CAP = 10**6
 EXACT_MAX_SERVERS = 22
@@ -469,10 +470,8 @@ def sparsity_deficiency(
     mode="sampled" returns a lower bound from `budget` random subsets plus
     greedy local search, deterministic given `seed`.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    require_finite_positive("epsilon", epsilon)
+    require_positive_int("budget", budget)
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', not {mode!r}")
     n = graph.n_servers

@@ -465,8 +465,7 @@ def steady_state(
         raise ValueError(f"warmup must be finite and >= 0, not {warmup}")
     require_finite_positive("measure", measure)
     require_positive_int("depth", depth)
-    if replicas < 1:
-        raise ValueError("need at least one replica")
+    require_positive_int("replicas", replicas)
     _warn_overload(lam)
     n = graph.n_servers
     horizon = warmup + measure
@@ -775,8 +774,7 @@ def lyapunov_series(record: TrajectoryRecord, k: int) -> np.ndarray:
     is O(depth) per sample. Requires a simulator record (n_servers set)
     with no overflow, since truncated levels would silently drop mass.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    require_positive_int("k", k)
     if record.n_servers is None:
         raise ValueError("record lacks n_servers; V_k needs absolute counts")
     if np.any(record.overflow > 0):
@@ -795,8 +793,7 @@ def tail_moment_margin(occupancy_mean: Sequence[float], lam: float, k: int) -> f
     """((1+lam)/(1-lam)) * qbar_{k-1} - sum_{i>=k} qbar_i for steady-state
     occupancy averages (qbar_0 = 1); nonnegative when the stationary tail
     obeys the drift bound."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    require_positive_int("k", k)
     q = np.asarray(occupancy_mean, dtype=float)  # levels 1..K
     prefactor = (1.0 + lam) / (1.0 - lam)
     q_prev = 1.0 if k == 1 else float(q[k - 2])

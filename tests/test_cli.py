@@ -369,6 +369,29 @@ def test_trend_command(tmp_path):
                "--out", str(out)) == 1
 
 
+def test_trend_constant_degree_family(tmp_path):
+    out = tmp_path / "trend.csv"
+    assert run("trend", "--family", "fixed-degree-4", "--sizes", "40", "--seeds", "0..2",
+               "--out", str(out)) == 0
+    assert {row.split(",")[0] for row in _data_rows(out)[1:]} == {"fixed-degree-4"}
+
+
+@pytest.mark.parametrize("command", ["check", "trend"])
+@pytest.mark.parametrize("epsilon", ["0", "-0.1", "nan", "inf"])
+def test_bad_epsilon_is_exit_1(tmp_path, capsys, command, epsilon):
+    out = tmp_path / "out.csv"
+    if command == "check":
+        graph = tmp_path / "g.bpg"
+        assert run("gen", "--kind", "braess", "--out", str(graph)) == 0
+        argv = ["check", "--graph", str(graph)]
+    else:
+        argv = ["trend", "--family", "fixed-degree-log2", "--sizes", "32", "--seeds", "0"]
+    capsys.readouterr()
+    assert run(*argv, f"--epsilons={epsilon}", "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: epsilon must be finite and > 0")
+    assert not out.exists()
+
+
 _LEVELS = [f"q{i}" for i in range(1, 9)]
 
 # recipe -> (header, first-column keys) at --sizes 40 --depth 8 --lambdas 0.5,0.8

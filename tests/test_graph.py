@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sparselb import graph as graph_module
 from sparselb.graph import (
+    FAMILIES,
     GENERATION_RETRIES,
     BipartiteGraph,
     GraphFormatError,
@@ -335,6 +336,43 @@ def test_graph_spec_validation():
     assert GraphSpec("braess").build() == braess_example()
 
 
+# the documented member of each family at N = 1, 40 and 250 (M = N):
+# ln 40 = 3.69, ln^2 40 = 13.6, ln 250 = 5.52, ln^2 250 = 30.5
+_FAMILY_MEMBERS = [
+    *(("fixed-degree-4", n, {"kind": "fixed-degree", "c": 4}) for n in (1, 40, 250)),
+    ("fixed-degree-log", 1, {"kind": "fixed-degree", "c": 1}),
+    ("fixed-degree-log", 40, {"kind": "fixed-degree", "c": 4}),
+    ("fixed-degree-log", 250, {"kind": "fixed-degree", "c": 6}),
+    ("fixed-degree-log2", 1, {"kind": "fixed-degree", "c": 1}),
+    ("fixed-degree-log2", 40, {"kind": "fixed-degree", "c": 14}),
+    ("fixed-degree-log2", 250, {"kind": "fixed-degree", "c": 31}),
+    *(("errg-log2", n, {"kind": "inhomogeneous", "p": math.log(n) ** 2 / n}) for n in (1, 40, 250)),
+    *(("geometric-log2", n, {"kind": "geometric", "radius": math.sqrt(math.log(n) ** 2 / (math.pi * n))})
+      for n in (1, 40, 250)),
+]
+
+
+def test_families_registry_names():
+    assert sorted(FAMILIES) == sorted({name for name, _, _ in _FAMILY_MEMBERS})
+    for name, family in FAMILIES.items():
+        assert family.name == name
+
+
+@pytest.mark.parametrize("name, n, fields", _FAMILY_MEMBERS)
+def test_family_spec_is_documented(name, n, fields):
+    for seed in (0, 7):
+        assert FAMILIES[name].spec(n, seed) == GraphSpec(n=n, m=n, seed=seed, **fields)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_family_build_is_spec_build(name):
+    family = FAMILIES[name]
+    for seed in (0, 1):
+        graph = family.build(40, seed)
+        assert graph == family.spec(40, seed).build()
+        assert graph.n_servers == graph.n_dispatchers == 40
+
+
 def test_io_round_trips(tmp_path):
     for g in (perfect_matching(2), braess_example(), generate_inhomogeneous(9, 7, 0.5, seed=2)):
         path = tmp_path / "g.bpg"
@@ -426,6 +464,12 @@ def test_io_rejects_malformed(tmp_path, content):
         pytest.param("BPG v1\n2 1 " + "1" * 5000 + "\n0 0\n", ", line 2",
                      "edge count E=" + "1" * 20 + "... (5000 digits) too large; E is at most N*M < 2^62",
                      id="long-E"),
+        # a long header or dimension token is shown by its start and length
+        pytest.param("BPG v2" + "y" * 5000 + "\n", ", line 1",
+                     "bad header 'BPG v2" + "y" * 14 + "... (5006 bytes)'; expected 'BPG v1'", id="long-header"),
+        pytest.param("BPG v1\n1 2 " + "1" * 5000 + "x\n", ", line 2",
+                     "non-integer dimensions: ['1', '2', '" + "1" * 20 + "... (5001 bytes)']",
+                     id="long-non-integer-dimension"),
         ("BPG v1\n2 2 2\n0 0\n", "", "edge count mismatch: header says 2, found 1"),
         ("BPG v1\n2 2 1\n0 0\n", "", "dispatcher 1 has no compatible server"),
     ],

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from sparselb.graph import complete_bipartite
+from sparselb.meanfield import stability_weights
+from sparselb.policy import jsqd_policy
+from sparselb.properties import sparsity_deficiency
 from sparselb.records import (
     TrajectoryFormatError,
     TrajectoryRecord,
@@ -9,6 +13,7 @@ from sparselb.records import (
     read_trajectory_csv,
     write_trajectory_csv,
 )
+from sparselb.simulator import lyapunov_series, simulate, steady_state, tail_moment_margin
 
 
 def _record(times, occ, overflow=None):
@@ -76,3 +81,29 @@ def test_metadata_compatibility_gate():
         check_compatible_metadata({"lambda": "0.8"}, {"lambda": "0.5"})
     with pytest.raises(ValueError):
         check_compatible_metadata({"depth": "30"}, {"depth": "10"})
+
+
+def _small_record():
+    return simulate(complete_bipartite(2, 2), 1, 0.5, 1.0, seed=0)
+
+
+# (argument name, call taking the bad value): every whole-number argument is
+# checked by require_positive_int, so the error names it
+_INTEGER_ARGUMENTS = {
+    "sparsity_deficiency-budget": (
+        "budget", lambda v: sparsity_deficiency(complete_bipartite(4, 4), 0.1, budget=v)),
+    "steady_state-replicas": (
+        "replicas", lambda v: steady_state(complete_bipartite(2, 2), 1, 0.5, warmup=1.0, measure=1.0, replicas=v)),
+    "stability_weights-depth": ("depth", lambda v: stability_weights(0.5, v)),
+    "lyapunov_series-k": ("k", lambda v: lyapunov_series(_small_record(), v)),
+    "tail_moment_margin-k": ("k", lambda v: tail_moment_margin([0.5, 0.25, 0.125], 0.5, v)),
+    "jsqd_policy-d": ("d", lambda v: jsqd_policy(v)),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, float("nan")])
+@pytest.mark.parametrize("case", sorted(_INTEGER_ARGUMENTS))
+def test_integer_arguments_are_named(case, value):
+    name, call = _INTEGER_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=f"^{name} must be a positive integer, not {value}$"):
+        call(value)
