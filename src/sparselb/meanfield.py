@@ -62,8 +62,8 @@ def fixed_point(lam: float, d: int, depth: int) -> np.ndarray:
     """
     if not 0 < lam < 1:
         raise ValueError("lambda must lie in (0, 1)")
-    require_positive_int("d", d)
-    require_positive_int("depth", depth)
+    d = require_positive_int("d", d)
+    depth = require_positive_int("depth", depth)
     q = np.empty(depth + 1)
     q[0] = 1.0
     for i in range(1, depth + 1):
@@ -85,7 +85,7 @@ def fixed_point_residual(q: np.ndarray, lam: float, d: int) -> float:
 
 def empty_occupancy(depth: int) -> np.ndarray:
     """Occupancy of an empty system: [1, 0, ..., 0]."""
-    require_positive_int("depth", depth)
+    depth = require_positive_int("depth", depth)
     q = np.zeros(depth + 1)
     q[0] = 1.0
     return q
@@ -141,10 +141,10 @@ def integrate_ode(
         raise ValueError("lambda must lie in (0, 1)")
     require_finite_positive("horizon", horizon)
     require_finite_positive("step", step)
-    require_positive_int("d", d)
+    d = require_positive_int("d", d)
     if depth is None:
         depth = default_depth(lam, d)
-    require_positive_int("depth", depth)
+    depth = require_positive_int("depth", depth)
     q0 = _validate_initial(q0, depth)
 
     if policy is not None:
@@ -299,7 +299,7 @@ def stability_weights(lam: float, depth: int, d: int = 2) -> StabilityWeights:
     """
     if not 0 < lam < 1:
         raise ValueError("lambda must lie in (0, 1)")
-    require_positive_int("depth", depth)
+    depth = require_positive_int("depth", depth)
     q_star = fixed_point(lam, d, max(depth + 1, default_depth(lam, d)))
     i0 = crossover_index(lam, q_star)
     build_depth = max(depth, i0 + 1)

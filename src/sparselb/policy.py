@@ -144,8 +144,7 @@ def jsqd_policy(d: int) -> AssignmentPolicy:
     p[i] = q_i^d - q_{i+1}^d along the last axis, so one call evaluates a
     block of distributions; the declared Lipschitz bound is 2 * d! * d^2.
     """
-    require_positive_int("d", d)
-    d = int(d)
+    d = require_positive_int("d", d)
 
     def evaluator(x: np.ndarray) -> np.ndarray:
         qd = occupancy_from_distribution(x) ** d
@@ -268,8 +267,8 @@ def empirical_lipschitz(
     to PROBE_MAX_SUPPORT cells: a few vectorized generator calls and one
     checked evaluator call per side for each block (see `_probe_pairs`).
     """
-    require_positive_int("trials", trials)
+    trials = require_positive_int("trials", trials)
     best = 0.0
-    for xs, ys, _, _ in _probe_pairs(int(trials), rng):
+    for xs, ys, _, _ in _probe_pairs(trials, rng):
         best = max(best, _block_max_ratio(policy, xs, ys))
     return best

@@ -471,7 +471,7 @@ def sparsity_deficiency(
     greedy local search, deterministic given `seed`.
     """
     require_finite_positive("epsilon", epsilon)
-    require_positive_int("budget", budget)
+    budget = require_positive_int("budget", budget)
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', not {mode!r}")
     n = graph.n_servers

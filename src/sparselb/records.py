@@ -16,6 +16,7 @@ outputs diff directly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -67,10 +68,16 @@ def require_finite_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and > 0, not {value}")
 
 
-def require_positive_int(name: str, value) -> None:
-    """Raise a ValueError that names the argument unless `value` is a whole number >= 1."""
-    if not (value >= 1 and value % 1 == 0):
+def require_positive_int(name: str, value) -> int:
+    """`value` as an int; a ValueError that names the argument unless it is
+    an integer type (int, numpy integer) >= 1. Floats are refused, 2.0 too."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = 0
+    if count < 1:
         raise ValueError(f"{name} must be a positive integer, not {value}")
+    return count
 
 
 def sample_grid(horizon: float, interval: float) -> np.ndarray:

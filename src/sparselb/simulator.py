@@ -5,11 +5,14 @@ dispatcher uniformly, samples min(d, deg) of its compatible servers
 without replacement, and joins the shortest sampled queue (ties uniform
 among the tied samples). Servers serve FCFS at unit mean rate.
 
-Exponential service uses a memoryless race: the next departure candidate
-is redrawn at rate (number of busy servers) after every event, and a
-uniform busy server departs - exact by memorylessness, O(1) per event
-with no per-server timers. Deterministic and Pareto service schedule an
-explicit completion event when each head-of-line task starts service.
+Exponential service is uniformized (Jensen 1953): events come at the
+constant rate (lambda+1)*N, each one an arrival with probability
+lambda/(1+lambda) and otherwise a potential departure at a uniform server
+among all N, a no-op when that server is idle. The whole random input of
+such a run is then independent of its state. Deterministic and Pareto
+service keep a heap of completion times, scheduled when a task starts
+service. Either way every random number is drawn ahead of time in numpy
+blocks of BLOCK events, and the Python loop only applies the state update.
 
 The coupled run drives a constrained system and a fully flexible twin
 with shared arrival and potential-departure streams to expose their
@@ -20,8 +23,10 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import random
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -38,9 +43,10 @@ from .records import (
 )
 
 DEFAULT_DEPTH = 30
-DEBUG_CHECK_EVERY = 10_000
+BLOCK = 4096  # events drawn per numpy block
 PARETO_SHAPE = 3.0
 PARETO_SCALE = 2.0 / 3.0  # mean = shape*scale/(shape-1) = 1
+_WINDOW, _STOP = -1, -2  # boundary actions; a sample's action is its index
 
 
 class InvariantViolation(RuntimeError):
@@ -67,12 +73,14 @@ class ServiceDistribution:
     def is_markovian(self) -> bool:
         return self.kind == "exponential"
 
-    def draw(self, rng: random.Random) -> float:
+    def draw(self, gen: np.random.Generator, size: int) -> np.ndarray:
+        """`size` independent service times."""
         if self.kind == "deterministic":
-            return 1.0
+            return np.ones(size)
         if self.kind == "pareto":
-            return PARETO_SCALE * rng.paretovariate(PARETO_SHAPE)
-        return rng.expovariate(1.0)
+            # numpy's pareto is the Lomax law; 1 + Lomax is the classical Pareto
+            return PARETO_SCALE * (1.0 + gen.pareto(PARETO_SHAPE, size))
+        return gen.standard_exponential(size)
 
 
 def _as_service(service) -> ServiceDistribution:
@@ -81,8 +89,9 @@ def _as_service(service) -> ServiceDistribution:
     return ServiceDistribution(str(service))
 
 
-def _check_inputs(graph: BipartiteGraph, d: int, lam: float, allow_disconnected: bool, allow_overload: bool):
-    require_positive_int("d", d)
+def _check_inputs(graph: BipartiteGraph, d: int, lam: float, allow_disconnected: bool, allow_overload: bool) -> int:
+    """Validate the shared run arguments; returns d as an int."""
+    d = require_positive_int("d", d)
     require_finite_positive("lambda", lam)
     if lam >= 1 and not allow_overload:
         raise ValueError("lambda >= 1 is unstable; pass allow_overload=True to force")
@@ -90,6 +99,24 @@ def _check_inputs(graph: BipartiteGraph, d: int, lam: float, allow_disconnected:
         raise ValueError(
             "graph is disconnected; pass allow_disconnected=True to simulate anyway"
         )
+    return d
+
+
+def _require_seed(seed) -> int:
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"seed must be a non-negative integer, not {seed}")
+    return value
+
+
+def _replica_stream(seed: int, replica: int) -> np.random.Generator:
+    """Replica r's generator, from SeedSequence(seed, spawn_key=(r,)): no two
+    (seed, r) pairs share it, and it is not default_rng(seed), the stream
+    that the graph generators draw from."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replica,)))
 
 
 def _warn_overload(lam: float) -> None:
@@ -110,9 +137,9 @@ def choose_shortest(sampled: Sequence[int], lengths: Sequence[int], rng: random.
     tied samples by one rng.randrange(len(ties)) draw (none when the
     minimum is unique).
 
-    The simulator inlines this pick, draw for draw, on its generic path:
-    d = 1, d >= 3, and d = 2 on rows of at most two servers. d = 2 on
-    longer rows breaks a tie with one rng.random() < 0.5 instead.
+    A reference form of the routing step: the simulator draws its samples
+    in uniform order instead and takes the first shortest one, which
+    breaks ties uniformly with no draw.
     """
     best_len = None
     ties: list[int] = []
@@ -128,46 +155,95 @@ def choose_shortest(sampled: Sequence[int], lengths: Sequence[int], rng: random.
     return ties[rng.randrange(len(ties))]
 
 
+def _ordered_sample(gen: np.random.Generator, degs: np.ndarray, cols: int) -> list[np.ndarray]:
+    """Row positions as `cols` columns: row j holds an ordered sample of
+    min(cols, degs[j]) distinct positions below degs[j], uniform over
+    arrangements; columns past degs[j] repeat column 0.
+
+    Position k < min(cols, degs[j]) draws r below degs[j] - k (an exact
+    integer draw) and becomes the r-th position not picked before it."""
+    first = gen.integers(0, degs)
+    picks = [first]
+    for k in range(1, cols):
+        live = degs > k
+        r = gen.integers(0, degs[live] - k)
+        earlier = np.column_stack(picks)[live]
+        earlier.sort(axis=1)
+        for p in earlier.T:  # ascending: each earlier pick at or below r moves r up one
+            r += p <= r
+        pick = first.copy()
+        pick[live] = r
+        picks.append(pick)
+    return picks
+
+
+def _record_sample(occupancy: np.ndarray, overflow: np.ndarray, idx: int, Q: list[int], n: int) -> None:
+    depth = occupancy.shape[1]
+    _occupancy_row(occupancy[idx], Q, n)
+    overflow[idx] = Q[depth + 1] if len(Q) > depth + 1 else 0
+
+
+def _check_counts(lengths: list[int], Q: list[int]) -> None:
+    expect = _level_counts(lengths)
+    if expect != Q[: len(expect)] or any(Q[len(expect) :]):
+        raise InvariantViolation("incremental occupancy counts diverged from state")
+
+
+def _level_counts(lengths: list[int]) -> list[int]:
+    """Q[i] = number of servers with at least i tasks, i = 0..max(lengths)."""
+    return np.cumsum(np.bincount(lengths)[::-1])[::-1].tolist()
+
+
+def _drain(heap: list, until: float, lengths: list[int], Q: list[int], tw: list[float], next_service) -> None:
+    """Complete every scheduled service at or before `until`, in time order."""
+    while heap and heap[0][0] <= until:
+        t, v = heapq.heappop(heap)
+        l = lengths[v]
+        lengths[v] = l - 1
+        Q[l] -= 1
+        tw[l] -= t
+        if l > 1:
+            heapq.heappush(heap, (t + next_service(), v))
+
+
 def _simulate_core(
     graph: BipartiteGraph,
     d: int,
     lam: float,
     horizon: float,
     service: ServiceDistribution,
-    rng: random.Random,
+    gen: np.random.Generator,
     initial_lengths: Optional[Sequence[int]],
     sample_interval: Optional[float],
-    window: Optional[tuple[float, float]],
+    area_from: Optional[float],
     depth: int,
     debug: bool,
     on_assign: Optional[Callable[[int, int, Sequence[int], Sequence[int]], None]],
 ) -> tuple[TrajectoryRecord, Optional[list[float]]]:
     """One replica: (record, area). The record samples the occupancy
     every `sample_interval` (no samples when it is None), and `area` holds
-    the per-level time integrals of Q_i over `window` when one is given.
+    the per-level time integrals of Q_i over [area_from, horizon] when
+    `area_from` is given.
 
-    Draws are inlined: `r = bits(k); while r >= n: r = bits(k)` with
-    k = n.bit_length() is CPython's `rng.randrange(n)`, and
-    `-log(1.0 - rnd()) / rate` is `rng.expovariate(rate)`, draw for draw.
+    A block holds BLOCK events: their times, their kinds (Markovian runs),
+    each arrival's dispatcher and ordered server sample, and each potential
+    departure's server. The boundaries - sample times, the window start and
+    the horizon - cut the blocks into segments, and the loop over a segment
+    reads the block as Python lists and only updates the state. Departures
+    are stored as ~server (negative), arrivals as their first sample.
     """
-    n = graph.n_servers
-    m = graph.n_dispatchers
-    m_bits = m.bit_length()
-    adj = graph.adjacency
-    bits = rng.getrandbits
-    rnd = rng.random
-    log = math.log
-    draw_service = service.draw
-    arrival_rate = lam * n
+    n, m = graph.n_servers, graph.n_dispatchers
     markovian = service.is_markovian
+    degs = graph.dispatcher_degrees()
+    cols = min(d, int(degs.max()))
+    # pair: b is the other sample (d = 1 repeats the first); otherwise b lists
+    # the rest, and the general branch also drains the heap and calls the hook
+    pair = markovian and cols <= 2 and on_assign is None
+    csr = None if graph.is_complete else graph.csr()  # complete rows: position = server
+    rate = (lam + 1.0) * n if markovian else lam * n
+    p_arrival = lam / (1.0 + lam)
 
     lengths = [0] * n
-    Q = [n]  # Q[i] = number of servers with >= i tasks; grows with max length
-    # Markovian runs pick a uniform busy server (swap-remove list + index);
-    # the others keep a heap of scheduled completions
-    busy: list[int] = []
-    pos = [-1] * n
-    heap: list[tuple[float, int]] = []
     if initial_lengths is not None:
         if len(initial_lengths) != n:
             raise ValueError("initial_lengths must have one entry per server")
@@ -176,215 +252,131 @@ def _simulate_core(
             if l < 0:
                 raise ValueError("queue lengths must be nonnegative")
             lengths[v] = l
-            while len(Q) <= l:
-                Q.append(0)
-            for i in range(1, l + 1):
-                Q[i] += 1
-        for v, l in enumerate(lengths):
-            if l > 0:
-                if markovian:
-                    pos[v] = len(busy)
-                    busy.append(v)
-                else:
-                    heap.append((draw_service(rng), v))
-        heap.sort()
+    start_tasks = sum(lengths)
+    Q = _level_counts(lengths)
+    top = len(Q)
+    # tw[i] = sum of t * (change of Q_i at t) over the events so far, reset to
+    # Q_i * area_from when the window opens; then area_i = Q_i * horizon - tw[i]
+    tw = [0.0] * top
 
-    sampling = sample_interval is not None
-    grid = sample_grid(horizon, sample_interval) if sampling else np.empty(0)
+    next_service = None
+    heap: list[tuple[float, int]] = []
+    if not markovian:
+        def service_times():
+            while True:
+                yield from service.draw(gen, BLOCK).tolist()
+
+        next_service = service_times().__next__
+        heap = [(next_service(), v) for v, l in enumerate(lengths) if l > 0]
+        heapq.heapify(heap)
+
+    grid = sample_grid(horizon, sample_interval) if sample_interval is not None else np.empty(0)
     occupancy = np.zeros((len(grid), depth))
     overflow = np.zeros(len(grid), dtype=np.int64)
-    sample_at = grid.tolist() + [math.inf]  # Python floats: no numpy scalar per event
-    next_sample = 0
+    bounds = [(g, s) for s, g in enumerate(grid.tolist())]
+    if area_from is not None:
+        bounds.append((area_from, _WINDOW))
+    bounds.append((horizon, _STOP))
+    bounds.sort(key=lambda b: b[0])  # stable: a sample at the horizon precedes the stop
 
-    accumulating = window is not None
-    acc_on = False
-    if accumulating:
-        w0, w1 = window
-        if not 0 <= w0 < w1 <= horizon + 1e-9:
-            raise ValueError("window must satisfy 0 <= start < end <= horizon")
-        area = [0.0] * len(Q)
-        last_upd = [0.0] * len(Q)
-
-    def record_sample(idx: int):
-        _occupancy_row(occupancy[idx], Q, n)
-        overflow[idx] = Q[depth + 1] if len(Q) > depth + 1 else 0
-
-    def debug_check():
-        expect = [0] * len(Q)
-        expect[0] = n
-        for l in lengths:
-            for i in range(1, l + 1):
-                if i >= len(expect):
-                    expect.extend([0] * (i - len(expect) + 1))
-                expect[i] += 1
-        if expect != list(Q[: len(expect)]) or any(Q[len(expect) :]):
-            raise InvariantViolation("incremental occupancy counts diverged from state")
-        if markovian and sorted(busy) != sorted(v for v, l in enumerate(lengths) if l > 0):
-            raise InvariantViolation("busy-server structure diverged from state")
-
-    t = 0.0
-    next_arrival = -log(1.0 - rnd()) / arrival_rate
-    events = arrivals = departures = 0
-
-    while True:
+    def draw_block(t0: float):
+        times = t0 + np.cumsum(gen.standard_exponential(BLOCK)) / rate
         if markovian:
-            nb = len(busy)
-            next_dep = t - log(1.0 - rnd()) / nb if nb else math.inf
-        else:
-            next_dep = heap[0][0] if heap else math.inf
-        if next_arrival <= next_dep:
-            t_next, is_arrival = next_arrival, True
-        else:
-            t_next, is_arrival = next_dep, False
+            arriving = np.flatnonzero(gen.random(BLOCK) < p_arrival)
+        w = gen.integers(0, m, len(arriving) if markovian else BLOCK)
+        picks = _ordered_sample(gen, degs[w], cols)
+        if csr is not None:
+            base = csr[0][w]
+            picks = [csr[1][base + p] for p in picks]
+        if markovian:  # a potential departure holds ~server in the first column
+            spread = [~gen.integers(0, n, BLOCK)] + [np.zeros(BLOCK, dtype=np.int64) for _ in picks[1:]]
+            for col, p in zip(spread, picks):
+                col[arriving] = p
+            picks = spread
+        return times.tolist(), picks
 
-        if sampling:
-            while sample_at[next_sample] < t_next:
-                record_sample(next_sample)
-                next_sample += 1
-        if t_next > horizon:
-            break
-        if accumulating and not acc_on and t_next > w0:
-            # state has been constant since the last event, so the window
-            # opens with the current counts
-            acc_on = True
-            for i in range(len(Q)):
-                last_upd[i] = w0
-
-        t = t_next
-        if is_arrival:
-            arrivals += 1
-            next_arrival = t - log(1.0 - rnd()) / arrival_rate
-            w = bits(m_bits)
-            while w >= m:
-                w = bits(m_bits)
-            row = adj[w]
-            nrow = len(row)
-            if d == 2 and nrow > 2:
-                k = nrow.bit_length()
-                i = bits(k)
-                while i >= nrow:
-                    i = bits(k)
-                nrest = nrow - 1
-                k = nrest.bit_length()
-                j = bits(k)
-                while j >= nrest:
-                    j = bits(k)
-                if j >= i:
-                    j += 1
-                a, b = row[i], row[j]
-                la, lb = lengths[a], lengths[b]
-                if la < lb:
-                    target = a
-                elif lb < la:
-                    target = b
-                else:
-                    target = a if rnd() < 0.5 else b
-                sampled = (a, b) if on_assign is not None else None
+    T: list[float] = []
+    A: list[int] = []
+    B: list = []
+    first = np.empty(0, dtype=np.int64)
+    pos = bi = arrivals = 0
+    b_time, action = bounds[0]
+    while True:
+        end = bisect_right(T, b_time, pos)
+        for t, a, b in zip(T[pos:end], A[pos:end], B[pos:end]):
+            if a < 0:  # potential departure at server ~a
+                a = ~a
+                l = lengths[a]
+                if l:
+                    lengths[a] = l - 1
+                    Q[l] -= 1
+                    tw[l] -= t
+                continue
+            if pair:
+                l, lb = lengths[a], lengths[b]
+                if lb < l:
+                    a, l = b, lb
             else:
-                # graph.floyd_sample, then choose_shortest, inlined draw for draw
-                de = d if d < nrow else nrow
-                if de == nrow:
-                    sampled = row
-                else:
-                    chosen: set[int] = set()
-                    sampled = []
-                    for top in range(nrow - de + 1, nrow + 1):
-                        k = top.bit_length()
-                        i = bits(k)
-                        while i >= top:
-                            i = bits(k)
-                        if i in chosen:
-                            i = top - 1
-                        chosen.add(i)
-                        sampled.append(row[i])
-                best = -1
-                for v in sampled:
-                    l = lengths[v]
-                    if best < 0 or l < best:
-                        best = l
-                        ties = [v]
-                    elif l == best:
-                        ties.append(v)
-                nties = len(ties)
-                if nties == 1:
-                    target = ties[0]
-                else:
-                    k = nties.bit_length()
-                    i = bits(k)
-                    while i >= nties:
-                        i = bits(k)
-                    target = ties[i]
-            l = lengths[target]
-            if on_assign is not None:
-                on_assign(target, l, sampled, lengths)
-            lengths[target] = l + 1
-            lnew = l + 1
-            if lnew >= len(Q):
+                if heap and heap[0][0] <= t:
+                    _drain(heap, t, lengths, Q, tw, next_service)
+                v, l = a, lengths[a]
+                for u in b:
+                    lu = lengths[u]
+                    if lu < l:
+                        v, l = u, lu
+                if on_assign is not None:
+                    on_assign(v, l, list(dict.fromkeys([a, *b])), lengths)
+                if l == 0 and next_service is not None:
+                    heapq.heappush(heap, (t + next_service(), v))
+                a = v
+            l += 1
+            lengths[a] = l
+            if l == top:
                 Q.append(0)
-                if accumulating:
-                    area.append(0.0)
-                    last_upd.append(w0 if acc_on else 0.0)
-            if acc_on:
-                # accumulate Q_i over [last_upd[i], t] before Q_i changes
-                area[lnew] += Q[lnew] * (t - last_upd[lnew])
-                last_upd[lnew] = t
-            Q[lnew] += 1
-            if l == 0:
-                if markovian:
-                    pos[target] = len(busy)
-                    busy.append(target)
-                else:
-                    heapq.heappush(heap, (t + draw_service(rng), target))
+                tw.append(0.0)
+                top += 1
+            Q[l] += 1
+            tw[l] += t
+        if end == len(T):  # no boundary in this block: draw the next one
+            arrivals += int(np.count_nonzero(first >= 0))
+            if debug:
+                _check_counts(lengths, Q)
+            T, picks = draw_block(T[-1] if T else 0.0)
+            first = picks[0]
+            A = first.tolist()
+            B = (picks[-1] if pair else np.column_stack(picks)[:, 1:]).tolist()
+            pos = 0
+            continue
+        pos = end
+        if heap and heap[0][0] <= b_time:
+            _drain(heap, b_time, lengths, Q, tw, next_service)
+        if action == _STOP:
+            break
+        if action == _WINDOW:
+            tw[:] = [q * b_time for q in Q]
         else:
-            departures += 1
-            if markovian:
-                k = nb.bit_length()
-                i = bits(k)
-                while i >= nb:
-                    i = bits(k)
-                v = busy[i]
-            else:
-                _, v = heapq.heappop(heap)
-            l = lengths[v]
-            if acc_on:
-                area[l] += Q[l] * (t - last_upd[l])
-                last_upd[l] = t
-            lengths[v] = l - 1
-            Q[l] -= 1
-            if markovian:
-                if l == 1:
-                    i = pos[v]
-                    last = busy[-1]
-                    busy[i] = last
-                    pos[last] = i
-                    busy.pop()
-                    pos[v] = -1
-            elif l > 1:
-                heapq.heappush(heap, (t + draw_service(rng), v))
-        events += 1
-        if debug and events % DEBUG_CHECK_EVERY == 0:
-            debug_check()
+            _record_sample(occupancy, overflow, action, Q, n)
+        bi += 1
+        b_time, action = bounds[bi]
 
+    arrivals += int(np.count_nonzero(first[:end] >= 0))
+    for _, action in bounds[bi + 1 :]:  # samples within rounding past the horizon
+        _record_sample(occupancy, overflow, action, Q, n)
     if debug:
-        debug_check()
-    if accumulating:
-        if not acc_on:  # no event landed past w0; the state held throughout
-            for i in range(len(Q)):
-                last_upd[i] = w0
-        for i in range(len(Q)):
-            area[i] += Q[i] * (w1 - last_upd[i])
-
+        _check_counts(lengths, Q)
+    departures = arrivals + start_tasks - sum(lengths)
     record = TrajectoryRecord(
         sample_times=grid,
         occupancy=occupancy,
         overflow=overflow,
         n_servers=n,
-        event_count=events,
+        event_count=arrivals + departures,
         arrival_count=arrivals,
         departure_count=departures,
         final_queue_lengths=np.array(lengths, dtype=np.int64),
     )
-    return record, (area if accumulating else None)
+    area = None if area_from is None else [q * horizon - s for q, s in zip(Q, tw)]
+    return record, area
 
 
 def simulate(
@@ -404,30 +396,22 @@ def simulate(
 ) -> TrajectoryRecord:
     """Simulate JSQ(d) for `horizon` time units, sampling occupancy every
     `sample_interval` (None: counts and final lengths only, no samples).
-    Deterministic given (config, seed); recording draws nothing.
+    Deterministic given (config, seed); the run is replica 0 of
+    `steady_state` at the same seed, and recording draws nothing.
 
     `on_assign(server, queue_length_before, sampled_servers, lengths)` is a
     test hook called at each assignment with live (read-only) state; leave
     it None in production runs.
     """
     service = _as_service(service)
-    _check_inputs(graph, d, lam, allow_disconnected, allow_overload)
+    d = _check_inputs(graph, d, lam, allow_disconnected, allow_overload)
     require_finite_positive("horizon", horizon)
-    require_positive_int("depth", depth)
+    depth = require_positive_int("depth", depth)
+    seed = _require_seed(seed)
     _warn_overload(lam)
     record, _ = _simulate_core(
-        graph,
-        int(d),
-        lam,
-        horizon,
-        service,
-        random.Random(seed),
-        initial_lengths,
-        sample_interval,
-        None,
-        depth,
-        debug,
-        on_assign,
+        graph, d, lam, horizon, service, _replica_stream(seed, 0),
+        initial_lengths, sample_interval, None, depth, debug, on_assign,
     )
     return record
 
@@ -448,13 +432,15 @@ def steady_state(
     """Time-averaged occupancy over [warmup, warmup+measure] per replica,
     with across-replica mean and standard error.
 
-    Replica r runs an isolated simulation seeded with seed XOR r. The
-    default warmup is 10/(1-lambda) time units, the relaxation scale of
-    the limiting dynamics; an overloaded run must pass its own. The mean
-    queue length integrates every level, not just the reported depth.
+    Replica r runs an isolated simulation on the generator of
+    SeedSequence(seed, spawn_key=(r,)), so distinct seeds give distinct
+    replica sets. The default warmup is 10/(1-lambda) time units, the
+    relaxation scale of the limiting dynamics; an overloaded run must pass
+    its own. The mean queue length integrates every level, not just the
+    reported depth.
     """
     service = _as_service(service)
-    _check_inputs(graph, d, lam, allow_disconnected, allow_overload)
+    d = _check_inputs(graph, d, lam, allow_disconnected, allow_overload)
     if warmup is None:
         if lam >= 1:
             raise ValueError(
@@ -464,8 +450,9 @@ def steady_state(
     if not (math.isfinite(warmup) and warmup >= 0):
         raise ValueError(f"warmup must be finite and >= 0, not {warmup}")
     require_finite_positive("measure", measure)
-    require_positive_int("depth", depth)
-    require_positive_int("replicas", replicas)
+    depth = require_positive_int("depth", depth)
+    replicas = require_positive_int("replicas", replicas)
+    seed = _require_seed(seed)
     _warn_overload(lam)
     n = graph.n_servers
     horizon = warmup + measure
@@ -473,18 +460,8 @@ def steady_state(
     rep_mql = np.zeros(replicas)
     for r in range(replicas):
         _, area = _simulate_core(
-            graph,
-            int(d),
-            lam,
-            horizon,
-            service,
-            random.Random(seed ^ r),
-            None,
-            None,
-            (warmup, horizon),
-            depth,
-            False,
-            None,
+            graph, d, lam, horizon, service, _replica_stream(seed, r),
+            None, None, warmup, depth, False, None,
         )
         denom = n * measure
         rep_mql[r] = sum(area[1:]) / denom
@@ -505,7 +482,7 @@ def steady_state(
         occupancy_mean=mean_q,
         occupancy_stderr=q_se,
         config={
-            "d": int(d),
+            "d": d,
             "lambda": lam,
             "warmup": warmup,
             "measure": measure,
@@ -585,12 +562,12 @@ def coupled_simulate(
         raise ValueError(f"lambda must be < 1 in a coupled run, not {lam}")
     _check_inputs(graph, d, lam, allow_disconnected, False)
     require_finite_positive("horizon", horizon)
-    require_positive_int("depth", depth)
+    depth = require_positive_int("depth", depth)
     d = int(d)
     n = graph.n_servers
     m = graph.n_dispatchers
     adj = graph.adjacency
-    # draws inlined as in _simulate_core, equal to randrange/expovariate
+    # draws inlined, equal to randrange/expovariate draw for draw
     rng = random.Random(seed)
     bits = rng.getrandbits
     rnd = rng.random
@@ -774,7 +751,7 @@ def lyapunov_series(record: TrajectoryRecord, k: int) -> np.ndarray:
     is O(depth) per sample. Requires a simulator record (n_servers set)
     with no overflow, since truncated levels would silently drop mass.
     """
-    require_positive_int("k", k)
+    k = require_positive_int("k", k)
     if record.n_servers is None:
         raise ValueError("record lacks n_servers; V_k needs absolute counts")
     if np.any(record.overflow > 0):
@@ -793,7 +770,7 @@ def tail_moment_margin(occupancy_mean: Sequence[float], lam: float, k: int) -> f
     """((1+lam)/(1-lam)) * qbar_{k-1} - sum_{i>=k} qbar_i for steady-state
     occupancy averages (qbar_0 = 1); nonnegative when the stationary tail
     obeys the drift bound."""
-    require_positive_int("k", k)
+    k = require_positive_int("k", k)
     q = np.asarray(occupancy_mean, dtype=float)  # levels 1..K
     prefactor = (1.0 + lam) / (1.0 - lam)
     q_prev = 1.0 if k == 1 else float(q[k - 2])

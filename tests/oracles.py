@@ -8,6 +8,8 @@ if the production formulas drift.
 import itertools
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 
 def min_of_d_oracle(x, d):
@@ -34,3 +36,60 @@ def grid_distributions(support, denominator):
             prev = c
         parts.append(denominator + support - 2 - prev)
         yield np.array(parts, dtype=float) / denominator
+
+
+def jsqd_stationary(rows, n_servers, d, lam, level):
+    """Exact stationary law of JSQ(d) on a bipartite graph, truncated at `level`.
+
+    The chain lives on queue-length vectors with entries 0..level. Each
+    busy server completes a task at rate 1. Dispatcher w (of M) receives
+    tasks at rate lam*N/M, samples min(d, |rows[w]|) of its servers without
+    replacement, and sends the task to a shortest sampled queue, ties
+    uniform; a task whose chosen queue already holds `level` tasks is lost.
+    Solves pi Q = 0 with the generator built from numpy arrays.
+
+    Returns (occupancy, cut_mass): occupancy[i-1] is E[#servers with at
+    least i tasks] / N for i = 1..level, and cut_mass is the probability
+    that some queue holds `level` tasks.
+    """
+    n, size = n_servers, level + 1
+    states = np.indices((size,) * n).reshape(n, -1).T  # row k: the state with index k
+    k = len(states)
+    stride = size ** np.arange(n - 1, -1, -1)
+    index = np.arange(k)
+    src, dst, rate = [], [], []
+    for v in range(n):
+        busy = index[states[:, v] > 0]
+        src.append(busy)
+        dst.append(busy - stride[v])
+        rate.append(np.ones(len(busy)))
+    for row in rows:
+        subsets = list(itertools.combinations(row, min(d, len(row))))
+        share = lam * n / len(rows) / len(subsets)
+        for sub in subsets:
+            x = states[:, sub]
+            tied = x == x.min(axis=1, keepdims=True)
+            p = share * tied / tied.sum(axis=1, keepdims=True)
+            for j, v in enumerate(sub):
+                ok = (p[:, j] > 0) & (states[:, v] < level)
+                src.append(index[ok])
+                dst.append(index[ok] + stride[v])
+                rate.append(p[ok, j])
+    src, dst, rate = map(np.concatenate, (src, dst, rate))
+    outflow = np.bincount(src, weights=rate, minlength=k)
+    # Q^T pi = 0 with its last equation replaced by sum(pi) = 1
+    eq = np.concatenate([dst, index])
+    var = np.concatenate([src, index])
+    val = np.concatenate([rate, -outflow])
+    keep = eq != k - 1
+    a = sparse.csr_matrix(
+        (np.concatenate([val[keep], np.ones(k)]),
+         (np.concatenate([eq[keep], np.full(k, k - 1)]), np.concatenate([var[keep], index]))),
+        shape=(k, k),
+    )
+    b = np.zeros(k)
+    b[-1] = 1.0
+    pi = spsolve(a, b)
+    occupancy = np.array([pi @ (states >= i).sum(axis=1) for i in range(1, size)]) / n
+    cut_mass = float(pi[states.max(axis=1) == level].sum())
+    return occupancy, cut_mass

@@ -229,6 +229,7 @@ def test_bad_sample_interval_is_exit_1(tmp_path, capsys, command, interval):
        for v in ("0", "-1")]
     + [("reproduce erg-trajectories", "--horizon", "0")]
     + [("coupled", "--lambda", "1.2")]
+    + [(c, "--seed", "-1") for c in ("simulate", "steady")]
     # no --warmup: the default 10/(1 - lambda) does not exist at lambda >= 1
     + [(f"steady --allow-overload --lambda {lam}", "--warmup", None) for lam in ("1", "1.5")],
 )

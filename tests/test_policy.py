@@ -215,10 +215,10 @@ def test_empirical_lipschitz_reaches_steep_direction():
 def test_empirical_lipschitz_trivial_trials():
     est = empirical_lipschitz(jsqd_policy(1), 1, np.random.default_rng(5))
     assert 1.0 - 1e-9 <= est <= 2.0 + 1e-9
-    for trials in (2.5, 0, -1):
+    for trials in (2.5, 3.0, 0, -1):
         with pytest.raises(ValueError, match="trials must be a positive integer"):
             empirical_lipschitz(jsqd_policy(2), trials, np.random.default_rng(0))
-    assert empirical_lipschitz(jsqd_policy(2), 3.0, np.random.default_rng(0)) == empirical_lipschitz(
+    assert empirical_lipschitz(jsqd_policy(2), np.int64(3), np.random.default_rng(0)) == empirical_lipschitz(
         jsqd_policy(2), 3, np.random.default_rng(0)
     )
 

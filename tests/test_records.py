@@ -101,7 +101,7 @@ _INTEGER_ARGUMENTS = {
 }
 
 
-@pytest.mark.parametrize("value", [2.5, float("nan")])
+@pytest.mark.parametrize("value", [2.5, 2.0, float("nan")])
 @pytest.mark.parametrize("case", sorted(_INTEGER_ARGUMENTS))
 def test_integer_arguments_are_named(case, value):
     name, call = _INTEGER_ARGUMENTS[case]

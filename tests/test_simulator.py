@@ -1,12 +1,16 @@
+import itertools
 import math
 import random
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
+from sparselb import simulator
 from sparselb.graph import (
     BipartiteGraph,
     braess_example,
@@ -20,6 +24,7 @@ from sparselb.records import TrajectoryRecord
 from sparselb.simulator import (
     ServiceDistribution,
     _min_of_d_level,
+    _replica_stream,
     choose_shortest,
     coupled_simulate,
     lyapunov_series,
@@ -63,11 +68,11 @@ def test_mg1_pareto_mean_queue_length():
 
 
 def test_service_distribution_parameters():
-    rng = random.Random(0)
+    gen = np.random.default_rng(0)
     det = ServiceDistribution("deterministic")
-    assert all(det.draw(rng) == 1.0 for _ in range(10))
+    assert np.all(det.draw(gen, 10) == 1.0)
     par = ServiceDistribution("pareto")
-    draws = np.array([par.draw(rng) for _ in range(200_000)])
+    draws = par.draw(gen, 200_000)
     assert draws.min() >= 2.0 / 3.0  # scale parameter
     assert abs(draws.mean() - 1.0) <= 0.01
     with pytest.raises(ValueError):
@@ -108,6 +113,21 @@ def test_recording_does_not_perturb_stream(service, d):
         assert np.array_equal(rec.final_queue_lengths, runs[0].final_queue_lengths)
         assert (rec.event_count, rec.arrival_count, rec.departure_count) == (
             runs[0].event_count, runs[0].arrival_count, runs[0].departure_count)
+
+
+@pytest.mark.parametrize("service", ServiceDistribution.KINDS)
+def test_block_seams_do_not_perturb_the_run(monkeypatch, service):
+    # blocks of 7 events put a seam inside almost every segment between samples
+    monkeypatch.setattr(simulator, "BLOCK", 7)
+    g = generate_fixed_server_degree(40, 30, 3, seed=2)
+    runs = [simulate(g, 3, 0.9, 20.0, service=service, sample_interval=s, seed=5, debug=True)
+            for s in (None, 0.1, 0.37)]
+    for rec in runs:
+        assert np.array_equal(rec.final_queue_lengths, runs[0].final_queue_lengths)
+        assert (rec.event_count, rec.arrival_count, rec.departure_count) == (
+            runs[0].event_count, runs[0].arrival_count, runs[0].departure_count)
+        assert rec.arrival_count - rec.departure_count == rec.final_queue_lengths.sum()
+    assert runs[0].event_count > 100 * simulator.BLOCK
 
 
 def test_occupancy_counts_match_state_incrementally():
@@ -160,6 +180,67 @@ def test_assignment_never_beats_sampled_minimum():
     assert not failures
 
 
+# A row of five servers and a row of two: d = 3 samples three of five, and
+# all of a shorter row. Both layouts: positions read through the CSR view,
+# and a complete graph's positions taken as the servers themselves.
+_SAMPLING_GRAPHS = {
+    "rows": BipartiteGraph(5, 2, [[0, 1, 2, 3, 4], [1, 3]]),
+    "complete": complete_bipartite(5, 1),
+}
+_SAMPLING_DRAWS = 20_000
+_CHI2_P_MIN = 1e-3
+
+
+@pytest.fixture(scope="module", params=sorted(_SAMPLING_GRAPHS))
+def assignments(request):
+    """(graph, the first _SAMPLING_DRAWS assignments of an empty-start d = 3
+    run as (sampled servers in sample order, their queue lengths, target,
+    target's queue length))."""
+    g = _SAMPLING_GRAPHS[request.param]
+    seen = []
+
+    def hook(target, pre_len, sampled, lengths):
+        if len(seen) < _SAMPLING_DRAWS:
+            seen.append((tuple(sampled), tuple(lengths[v] for v in sampled), target, pre_len))
+
+    simulate(g, 3, 0.5, 10_000.0, sample_interval=None, seed=31, on_assign=hook)
+    assert len(seen) == _SAMPLING_DRAWS
+    return g, seen
+
+
+def _uniform_chi2_p(counts):
+    counts = np.asarray(list(counts), dtype=float)
+    return chi2.sf(((counts - counts.mean()) ** 2 / counts.mean()).sum(), len(counts) - 1)
+
+
+def test_kernel_never_picks_longer_than_sampled_minimum(assignments):
+    g, seen = assignments
+    rows = [set(row) for row in g.adjacency]
+    for sampled, lens, target, pre_len in seen:
+        assert len(set(sampled)) == len(sampled)
+        assert any(set(sampled) <= row and len(sampled) == min(3, len(row)) for row in rows)
+        assert target in sampled and pre_len == min(lens)
+
+
+def test_kernel_breaks_ties_uniformly(assignments):
+    # rank of the target among the tied servers, per number of ties
+    ranks = {2: Counter(), 3: Counter()}
+    for sampled, lens, target, _ in assignments[1]:
+        ties = sorted(v for v, l in zip(sampled, lens) if l == min(lens))
+        if len(ties) > 1:
+            ranks[len(ties)][ties.index(target)] += 1
+    for k, counts in ranks.items():
+        assert sum(counts.values()) >= 1000
+        assert _uniform_chi2_p(counts[r] for r in range(k)) >= _CHI2_P_MIN
+
+
+def test_kernel_samples_uniform_arrangements_of_a_row(assignments):
+    # three of the five-server row: each of its 5*4*3 ordered samples alike
+    counts = Counter(sampled for sampled, _, _, _ in assignments[1] if len(sampled) == 3)
+    assert set(counts) == set(itertools.permutations(range(5), 3))
+    assert _uniform_chi2_p(counts.values()) >= _CHI2_P_MIN
+
+
 def test_full_sampling_realizes_ordinary_jsq():
     # d >= every neighborhood on the complete graph: the assigned server's
     # queue was a global minimum at assignment time
@@ -208,6 +289,29 @@ def test_disconnected_needs_override():
         simulate(g, 1, 0.5, 1.0)
     rec = simulate(g, 1, 0.5, 5.0, allow_disconnected=True, seed=1)
     assert rec.event_count > 0
+
+
+def test_distinct_seeds_give_distinct_replica_sets():
+    g = complete_bipartite(50, 50)
+    sets = [steady_state(g, 2, 0.8, warmup=5, measure=20, replicas=8, seed=s).replica_mean_qlen
+            for s in range(8)]
+    assert len({x for replicas in sets for x in replicas}) == 64
+
+
+def test_replica_zero_is_not_the_graph_stream():
+    # graph generators draw from default_rng(seed); simulate(seed) must not
+    for seed in range(4):
+        ours = _replica_stream(seed, 0).integers(0, 2**62, 4)
+        assert not np.array_equal(ours, np.random.default_rng(seed).integers(0, 2**62, 4))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_bad_seed_is_named(seed):
+    g = complete_bipartite(4, 4)
+    for run in (lambda: simulate(g, 2, 0.5, 1.0, seed=seed),
+                lambda: steady_state(g, 2, 0.5, warmup=1.0, measure=1.0, seed=seed)):
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, not {seed}$"):
+            run()
 
 
 def test_steady_state_replica_stream_isolation():
@@ -312,6 +416,37 @@ def test_min_of_d_level_equals_reference_inversion(cells, pad, d, u):
 def test_min_of_d_level_rejects_counts_without_mass():
     with pytest.raises(ValueError):
         _min_of_d_level([0, 0], 2, 2, 0.5)
+
+
+_GRID = 1.0 / 512  # binary: the windows below fall on sample times exactly
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    g=_small_graphs(),
+    d=st.integers(1, 3),
+    lam=st.floats(0.1, 0.9),
+    warmup=st.integers(0, 40).map(lambda k: k / 8),
+    measure=st.integers(1, 80).map(lambda k: k / 8),
+    service=st.sampled_from(ServiceDistribution.KINDS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_window_area_equals_integrated_path(g, d, lam, warmup, measure, service, seed):
+    # steady_state(replicas=1) and simulate share one stream, so a finely
+    # recorded path of the same run integrates to the window areas; each
+    # event moves one level by one, so it shifts a left Riemann sum by at
+    # most one grid step
+    s = steady_state(g, d, lam, warmup=warmup, measure=measure, replicas=1, service=service,
+                     seed=seed, depth=64, allow_disconnected=True)
+    rec = simulate(g, d, lam, warmup + measure, service=service, sample_interval=_GRID,
+                   seed=seed, depth=64, allow_disconnected=True)
+    assert not rec.overflow.any()
+    window = rec.occupancy[round(warmup / _GRID) : round((warmup + measure) / _GRID)]
+    riemann = window.sum(axis=0) * _GRID * g.n_servers
+    area = s.replica_occupancy[0] * g.n_servers * measure
+    bound = rec.event_count * _GRID + 1e-9
+    assert np.all(np.abs(area - riemann) <= bound)
+    assert abs(s.mean_qlen * g.n_servers * measure - riemann.sum()) <= bound
 
 
 def test_coupled_task_conservation():

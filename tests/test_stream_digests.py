@@ -1,10 +1,13 @@
 """Pinned random streams of the simulator kernels.
 
-Each case hashes everything a seeded run returns. The digests were
-recorded before the kernels inlined their `randrange`/`expovariate`
-calls; a match proves the inline draws consume the Mersenne Twister
-stream exactly as those calls did, so existing seeds reproduce the same
-paths. A mismatch means the stream changed, which re-rolls every seeded
+Each case hashes everything a seeded run returns. `simulate` and
+`steady_state` draw their input in numpy blocks of `simulator.BLOCK`
+events from the generator of SeedSequence(seed, spawn_key=(replica,));
+their digests were recorded when that kernel replaced the Mersenne
+Twister one, and the long cases span several blocks, so a change at the
+seam between blocks shows too. `coupled_simulate` keeps its own
+`random.Random(seed)` stream; its digests predate the block kernel.
+A mismatch means the stream changed, which re-rolls every seeded
 statistical gate.
 """
 
@@ -19,7 +22,7 @@ from sparselb.graph import (
     generate_fixed_server_degree,
     perfect_matching,
 )
-from sparselb.simulator import coupled_simulate, simulate, steady_state
+from sparselb.simulator import BLOCK, coupled_simulate, simulate, steady_state
 
 # 2.7 servers per dispatcher on average; rows of 1-3 servers exercise the
 # d >= nrow and d=2, nrow=2 branches
@@ -53,43 +56,59 @@ def _record_digest(rec) -> str:
 
 
 SIMULATE = {
-    ("complete", 1, "exponential"): "a9f347b01c421029",
-    ("complete", 1, "deterministic"): "8a8e34bc1fbce215",
-    ("complete", 1, "pareto"): "76701c69343ec673",
-    ("complete", 2, "exponential"): "b245442362c057c8",
-    ("complete", 2, "deterministic"): "3c431912bfecf8d1",
-    ("complete", 2, "pareto"): "e4b19e3d128d50eb",
-    ("complete", 3, "exponential"): "77549642c6c9c2f5",
-    ("complete", 3, "deterministic"): "5e3c6fa957eb2be0",
-    ("complete", 3, "pareto"): "00c17f26cd5ffbb4",
-    ("sparse", 1, "exponential"): "3fefa904b8790c5c",
-    ("sparse", 1, "deterministic"): "5bedf1b5aa7ca87a",
-    ("sparse", 1, "pareto"): "09905d3a4510fd82",
-    ("sparse", 2, "exponential"): "1c608622cae522e7",
-    ("sparse", 2, "deterministic"): "67ad7823b4c75c53",
-    ("sparse", 2, "pareto"): "e20f7310b9c388d0",
-    ("sparse", 3, "exponential"): "2dd781fb529661a6",
-    ("sparse", 3, "deterministic"): "1b90ff111ef4a8c3",
-    ("sparse", 3, "pareto"): "2049e13fb4a1224b",
+    ("complete", 1, "exponential"): "889bb9c9a13149ea",
+    ("complete", 1, "deterministic"): "ab135da3a3bffcf7",
+    ("complete", 1, "pareto"): "69c70c951c432ac3",
+    ("complete", 2, "exponential"): "e794055ae95d9cb4",
+    ("complete", 2, "deterministic"): "f35a53a6b8363996",
+    ("complete", 2, "pareto"): "d3f135ddc38fbccf",
+    ("complete", 3, "exponential"): "75c6653a62ed4b33",
+    ("complete", 3, "deterministic"): "9d8292bdcd6da8b4",
+    ("complete", 3, "pareto"): "c9311465c27f0924",
+    ("sparse", 1, "exponential"): "b57ccb0c89b86e3e",
+    ("sparse", 1, "deterministic"): "95668a3cdbd6a48a",
+    ("sparse", 1, "pareto"): "09f22fe9994962a7",
+    ("sparse", 2, "exponential"): "5ddd257583e4b15a",
+    ("sparse", 2, "deterministic"): "3565b15a139b469d",
+    ("sparse", 2, "pareto"): "fd66df04cb7c04e3",
+    ("sparse", 3, "exponential"): "7696d58b001dc114",
+    ("sparse", 3, "deterministic"): "3e441b91abddc40c",
+    ("sparse", 3, "pareto"): "f4e8a17b21d2077b",
 }
+
+
+def _simulate_run(name, d, service, horizon):
+    g = GRAPHS[name]
+    init = [(v * 7) % 4 for v in range(g.n_servers)]  # starts busy: service draws at t=0
+    return simulate(g, d, 0.9, horizon, service=service, initial_lengths=init,
+                    sample_interval=0.5, seed=17, depth=6, debug=True)
 
 
 @pytest.mark.parametrize("case", sorted(SIMULATE), ids=lambda c: "-".join(map(str, c)))
 def test_simulate_stream(case):
-    name, d, service = case
-    g = GRAPHS[name]
-    init = [(v * 7) % 4 for v in range(g.n_servers)]  # starts busy: service draws at t=0
-    rec = simulate(g, d, 0.9, 25.0, service=service, initial_lengths=init,
-                   sample_interval=0.5, seed=17, depth=6, debug=True)
-    assert _record_digest(rec) == SIMULATE[case]
+    assert _record_digest(_simulate_run(*case, horizon=25.0)) == SIMULATE[case]
+
+
+# horizon 250: more than two blocks of arrivals, so at least two seams
+SIMULATE_LONG = {
+    ("sparse", 2, "exponential"): "8a72f8d364ad7f93",
+    ("sparse", 3, "pareto"): "8e0ed0b469cea54a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_LONG), ids=lambda c: "-".join(map(str, c)))
+def test_simulate_stream_across_blocks(case):
+    rec = _simulate_run(*case, horizon=250.0)
+    assert rec.arrival_count > 2 * BLOCK
+    assert _record_digest(rec) == SIMULATE_LONG[case]
 
 
 STEADY = {
-    ("complete", 2, "exponential"): "8e96d5e4e60a6f99",
-    ("sparse", 2, "exponential"): "955a366fdaa33b96",
-    ("sparse", 3, "exponential"): "107ee2d2b1f77d38",
-    ("sparse", 2, "deterministic"): "cb9eced5791a1f59",
-    ("sparse", 3, "pareto"): "fa0d687d6999dbac",
+    ("complete", 2, "exponential"): "e7b796d790f652cb",
+    ("sparse", 2, "exponential"): "d93af390cd73dd8b",
+    ("sparse", 3, "exponential"): "e9d9ea5d37fb151b",
+    ("sparse", 2, "deterministic"): "4656c6daaf6e5970",
+    ("sparse", 3, "pareto"): "820e91fc32d958ee",
 }
 
 
