@@ -86,12 +86,13 @@ def test_steady_mm1(tmp_path):
     run("gen", "--kind", "complete", "--n", "1", "--m", "1", "--out", str(g))
     out = tmp_path / "steady.csv"
     assert run("steady", "--graph", str(g), "--d", "1", "--lambda", "0.5",
-               "--warmup", "20", "--measure", "2000", "--replicas", "2",
+               "--warmup", "20", "--measure", "50000", "--replicas", "4",
                "--out", str(out)) == 0
     meta = {
         k.strip("# "): v.strip()
         for k, v in (ln.split(":", 1) for ln in out.read_text().splitlines() if ln.startswith("#") and ":" in ln)
     }
+    # standard error sqrt(24 / 200000) = 0.011, as in test_mm1_mean_queue_length
     assert abs(float(meta["mean_qlen"]) - 1.0) <= 0.05
 
 
