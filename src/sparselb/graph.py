@@ -2,6 +2,8 @@
 
 A graph connects N servers (left side) to M dispatchers (right side); an
 edge (v, w) means server v can process tasks arriving at dispatcher w.
+A graph is its two CSR directions, dispatcher-major and server-major, as
+read-only numpy arrays; Python row lists are a view built on first use.
 Graphs are immutable after construction and safe to share across workers.
 
 Dispatchers with no compatible server are rejected: a task type that no
@@ -14,16 +16,12 @@ from __future__ import annotations
 import io
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 GENERATION_RETRIES = 100
-# The fixed-degree generator works in blocks of about this many entries, so
-# that no array it makes outgrows the memory freed graph lists leave for reuse.
-_BLOCK_ENTRIES = 1 << 14
 
 
 class GraphFormatError(ValueError):
@@ -40,7 +38,7 @@ def floyd_sample(n: int, k: int, randbelow: Callable[[int], int]) -> list[int]:
     `randbelow(m)` must return a uniform integer in [0, m). The returned
     list holds k distinct indices; its order is not uniform over
     arrangements, only the underlying set is uniform.
-    `generate_fixed_server_degree` runs these steps for a block of servers at once.
+    `generate_fixed_server_degree` runs these steps for all servers at once.
     """
     if k > n:
         raise ValueError(f"cannot sample {k} items from {n}")
@@ -60,50 +58,78 @@ def _check_sizes(n_servers: int, n_dispatchers: int) -> None:
         raise ValueError("need at least one server and one dispatcher")
 
 
-def _transpose(rows: Sequence[Sequence[int]], size: int, labels: Sequence) -> list[list]:
-    """The other direction of `rows`: entry j lists labels[i] for every row i
-    holding j, by ascending i. Labels from an int pool (`np.arange(k,
-    dtype=object)`) are shared: an edge costs a list slot, not a new int."""
-    out: list[list] = [[] for _ in range(size)]
-    for label, row in zip(labels, rows):
-        for j in row:
-            out[j].append(label)
-    return out
+def _flip(indptr: np.ndarray, indices: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The other direction of a CSR whose indices lie in range(size): one
+    sort of the int64 keys index * rows + row, with rows ascending in each
+    new row."""
+    rows = len(indptr) - 1
+    keys = indices.astype(np.int64) * rows
+    keys += np.repeat(np.arange(rows, dtype=np.int64), np.diff(indptr))
+    keys.sort()
+    out = np.searchsorted(keys, np.arange(size + 1, dtype=np.int64) * rows)
+    keys %= rows
+    return out, keys.astype(np.int32)
+
+
+def _row_lists(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
+    flat = indices.tolist()
+    return [flat[a:b] for a, b in itertools.pairwise(indptr.tolist())]
+
+
+def _one_component(indptr, indices, server_indptr, dispatchers) -> bool:
+    """True iff the graph of these two CSR directions is connected: no
+    server is isolated (no dispatcher is), and the servers are one class
+    under "shares a dispatcher". Each round hooks every class root onto the
+    least root one dispatcher away, then jumps pointers until each server
+    points at its root. A class not hooked in a round has a neighbour that
+    was, so it is hooked in the next: the unfinished classes halve every two
+    rounds, O(log N) rounds of O(E) numpy work whatever the diameter."""
+    if not np.diff(server_indptr).all():
+        return False
+    root = np.arange(len(server_indptr) - 1)
+    while True:
+        least = np.minimum.reduceat(root[indices], indptr[:-1])  # per dispatcher
+        hook = np.minimum.reduceat(least[dispatchers], server_indptr[:-1])  # per server
+        if (hook == root).all():
+            return not root.any()
+        np.minimum.at(root, root.copy(), hook)
+        up = root[root]
+        while (up != root).any():
+            root, up = up, up[up]
 
 
 class BipartiteGraph:
     """Immutable bipartite compatibility graph.
 
-    `adjacency[w]` is the sorted sequence of servers compatible with
-    dispatcher w; `reverse_adjacency[v]` the sorted sequence of dispatchers
-    server v can serve. Rows may be `range` objects (complete graphs keep
-    them implicit so K_{10^4,10^4} costs O(N+M) memory, not O(NM)).
+    `csr()` is the dispatcher-major CSR (row w lists the servers compatible
+    with dispatcher w) and `reverse_csr()` the server-major one (row v lists
+    the dispatchers server v can serve), each row sorted. `adjacency` and
+    `reverse_adjacency` are the same rows as Python lists, built on first
+    access and cached. Complete graphs store only the two indptr arrays and
+    `range` rows, so K_{10^4,10^4} costs O(N+M) memory until a CSR is
+    asked for.
 
     The public constructor always validates the dispatcher rows (nonempty,
-    in range, no duplicate edge), sorts them and derives the server rows.
-    The generators, `complete_bipartite` and `read_graph` use the private
-    `_from_rows` instead; its callers guarantee sorted, in-range rows in
-    both directions, each the transpose of the other.
+    in range, no duplicate edge) and sorts them. The generators,
+    `complete_bipartite` and `read_graph` use the private `_from_csr`
+    instead; its callers guarantee a CSR with sorted, in-range rows in the
+    direction they pass, and the other direction is derived from it.
     """
 
     __slots__ = (
         "n_servers",
         "n_dispatchers",
-        "adjacency",
-        "reverse_adjacency",
         "n_edges",
         "meta",
-        "_connected",
         "_csr",
+        "_reverse_csr",
+        "_rows",
+        "_reverse_rows",
+        "_connected",
     )
 
     def __init__(
-        self,
-        n_servers: int,
-        n_dispatchers: int,
-        adjacency: Sequence[Sequence[int]],
-        *,
-        meta: Optional[dict] = None,
+        self, n_servers: int, n_dispatchers: int, adjacency: Sequence[Sequence[int]], *, meta: Optional[dict] = None
     ):
         rows = []
         for w, row in enumerate(adjacency):
@@ -116,99 +142,100 @@ class BipartiteGraph:
                 if i and v == srow[i - 1]:
                     raise ValueError(f"duplicate edge ({v}, {w})")
             rows.append(srow)
-        reverse = _transpose(rows, n_servers, range(n_dispatchers))
-        self._set(n_servers, n_dispatchers, rows, reverse, meta)
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(np.array([len(row) for row in rows], dtype=np.int64), out=indptr[1:])
+        indices = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int32, count=indptr[-1])
+        self._set(n_servers, n_dispatchers, meta, csr=(indptr, indices))
 
     @classmethod
-    def _from_rows(cls, n_servers, n_dispatchers, adjacency, reverse_adjacency, meta):
-        """The private constructor: a graph from rows in both directions,
-        trusted as the class docstring says; only the sizes and row count are checked."""
+    def _from_csr(cls, n_servers, n_dispatchers, meta, csr=None, reverse_csr=None):
+        """The private constructor: a graph from its CSR in one direction,
+        trusted as the class docstring says, or from none for K_{N,M}."""
         self = cls.__new__(cls)
-        self._set(n_servers, n_dispatchers, adjacency, reverse_adjacency, meta)
+        self._set(n_servers, n_dispatchers, meta, csr, reverse_csr)
         return self
 
-    def _set(self, n_servers, n_dispatchers, adjacency, reverse_adjacency, meta):
+    def _set(self, n_servers, n_dispatchers, meta, csr=None, reverse_csr=None):
         """The one place a graph's fields are set."""
         _check_sizes(n_servers, n_dispatchers)
-        if len(adjacency) != n_dispatchers:
-            raise ValueError("adjacency must have one row per dispatcher")
+        self._rows = self._reverse_rows = None
+        if csr is None and reverse_csr is None:  # complete: no indices until a CSR is asked for
+            total = n_servers * n_dispatchers
+            csr = (np.arange(0, total + 1, n_servers, dtype=np.int64), None)
+            reverse_csr = (np.arange(0, total + 1, n_dispatchers, dtype=np.int64), None)
+            self._rows = [range(n_servers)] * n_dispatchers
+            self._reverse_rows = [range(n_dispatchers)] * n_servers
+        elif reverse_csr is None:
+            if len(csr[0]) != n_dispatchers + 1:
+                raise ValueError("adjacency must have one row per dispatcher")
+            reverse_csr = _flip(*csr, n_servers)
+        elif csr is None:
+            csr = _flip(*reverse_csr, n_dispatchers)
+        for array in (*csr, *reverse_csr):
+            if array is not None:
+                array.flags.writeable = False
         self.n_servers = n_servers
         self.n_dispatchers = n_dispatchers
-        self.adjacency = adjacency
-        self.reverse_adjacency = reverse_adjacency
-        self.n_edges = sum(map(len, adjacency))
+        self.n_edges = int(csr[0][-1])
         self.meta = dict(meta) if meta else {}
+        self._csr = csr
+        self._reverse_csr = reverse_csr
         self._connected: Optional[bool] = None
-        self._csr: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def is_complete(self) -> bool:
         return self.n_edges == self.n_servers * self.n_dispatchers
 
+    @property
+    def adjacency(self) -> list:
+        """Each dispatcher's sorted servers, a list view of `csr()`."""
+        if self._rows is None:
+            self._rows = _row_lists(*self._csr)
+        return self._rows
+
+    @property
+    def reverse_adjacency(self) -> list:
+        """Each server's sorted dispatchers, a list view of `reverse_csr()`."""
+        if self._reverse_rows is None:
+            self._reverse_rows = _row_lists(*self._reverse_csr)
+        return self._reverse_rows
+
     def server_degree(self, v: int) -> int:
-        return len(self.reverse_adjacency[v])
+        return int(self._reverse_csr[0][v + 1] - self._reverse_csr[0][v])
 
     def dispatcher_degree(self, w: int) -> int:
-        return len(self.adjacency[w])
+        return int(self._csr[0][w + 1] - self._csr[0][w])
 
     def dispatcher_degrees(self) -> np.ndarray:
-        return np.array([len(row) for row in self.adjacency], dtype=np.int64)
+        return np.diff(self._csr[0])
 
     @property
     def is_connected(self) -> bool:
-        """True iff the bipartite graph is connected (BFS, cached)."""
+        """True iff the bipartite graph is connected (cached)."""
         if self._connected is None:
-            self._connected = self._bfs_connected()
+            self._connected = self.is_complete or _one_component(*self.csr(), *self.reverse_csr())
         return self._connected
 
-    def _bfs_connected(self) -> bool:
-        if self.is_complete:
-            return True
-        n, m = self.n_servers, self.n_dispatchers
-        seen_s = [False] * n
-        seen_d = [False] * m
-        queue: deque = deque()
-        queue.append(("d", 0))
-        seen_d[0] = True
-        count = 1
-        while queue:
-            side, i = queue.popleft()
-            if side == "d":
-                for v in self.adjacency[i]:
-                    if not seen_s[v]:
-                        seen_s[v] = True
-                        count += 1
-                        queue.append(("s", v))
-            else:
-                for w in self.reverse_adjacency[i]:
-                    if not seen_d[w]:
-                        seen_d[w] = True
-                        count += 1
-                        queue.append(("d", w))
-        return count == n + m
-
     def edges(self):
-        """Yield (server, dispatcher) pairs in ascending lexicographic order."""
-        for v in range(self.n_servers):
-            for w in self.reverse_adjacency[v]:
-                yield (v, w)
+        """Iterate (server, dispatcher) pairs in ascending lexicographic order."""
+        indptr, dispatchers = self.reverse_csr()
+        servers = np.repeat(np.arange(self.n_servers), np.diff(indptr))
+        return zip(servers.tolist(), dispatchers.tolist())
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dispatcher-major CSR view: (int64 indptr, int32 server_indices),
-        read-only and built once on first use.
-
-        Row w spans indices[indptr[w]:indptr[w+1]]. Materializes the edge
-        list, so avoid on huge complete graphs.
-        """
-        if self._csr is None:
-            indptr = np.zeros(self.n_dispatchers + 1, dtype=np.int64)
-            np.cumsum(self.dispatcher_degrees(), out=indptr[1:])
-            indices = np.fromiter(
-                itertools.chain.from_iterable(self.adjacency), dtype=np.int32, count=self.n_edges
-            )
-            indptr.flags.writeable = indices.flags.writeable = False
-            self._csr = (indptr, indices)
+        """Dispatcher-major CSR: (int64 indptr, int32 server_indices),
+        read-only. Row w spans indices[indptr[w]:indptr[w+1]]. A complete
+        graph builds its indices on first use, all N*M of them, so avoid
+        this on huge complete graphs."""
+        if self._csr[1] is None:
+            self._csr = _dense(self._csr[0], self.n_servers)
         return self._csr
+
+    def reverse_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Server-major CSR: (int64 indptr, int32 dispatcher_indices), as `csr`."""
+        if self._reverse_csr[1] is None:
+            self._reverse_csr = _dense(self._reverse_csr[0], self.n_dispatchers)
+        return self._reverse_csr
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BipartiteGraph):
@@ -216,14 +243,19 @@ class BipartiteGraph:
         return (
             self.n_servers == other.n_servers
             and self.n_dispatchers == other.n_dispatchers
-            and all(list(a) == list(b) for a, b in zip(self.adjacency, other.adjacency))
+            and self.n_edges == other.n_edges
+            and (self.is_complete or all(map(np.array_equal, self.csr(), other.csr())))
         )
 
     def __repr__(self) -> str:
-        return (
-            f"BipartiteGraph(N={self.n_servers}, M={self.n_dispatchers}, "
-            f"E={self.n_edges})"
-        )
+        return f"BipartiteGraph(N={self.n_servers}, M={self.n_dispatchers}, E={self.n_edges})"
+
+
+def _dense(indptr: np.ndarray, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """A complete graph's CSR, read-only: every row is range(cols)."""
+    indices = np.tile(np.arange(cols, dtype=np.int32), len(indptr) - 1)
+    indices.flags.writeable = False
+    return indptr, indices
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +264,7 @@ class BipartiteGraph:
 
 def complete_bipartite(n_servers: int, n_dispatchers: int) -> BipartiteGraph:
     """K_{N,M}: every server compatible with every dispatcher."""
-    n, m = n_servers, n_dispatchers
-    return BipartiteGraph._from_rows(n, m, [range(n)] * m, [range(m)] * n, {"generator": "complete"})
+    return BipartiteGraph._from_csr(n_servers, n_dispatchers, {"generator": "complete"})
 
 
 def perfect_matching(n: int) -> BipartiteGraph:
@@ -272,30 +303,24 @@ def generate_fixed_server_degree(
     Each server runs Floyd's method (`floyd_sample`): its k-th draw is
     uniform on [0, M-c+k] and is replaced by M-c+k if the server already
     holds it. The bounds never depend on earlier draws, so one
-    `rng.integers` call over a (servers, c) block consumes the stream
-    exactly as the block's scalar draws in server order do.
+    `rng.integers` call over an (N, c) array consumes the stream exactly as
+    the scalar draws in server order do.
     """
     _check_sizes(n_servers, n_dispatchers)
     if not 1 <= c <= n_dispatchers:
         raise ValueError(f"server degree c={c} must be in [1, {n_dispatchers}]")
     rng = np.random.default_rng(seed)
     top = np.arange(n_dispatchers - c, n_dispatchers, dtype=np.int32)  # M-c+k
-    block = max(1, _BLOCK_ENTRIES // c)
-    pool = np.arange(max(n_servers, n_dispatchers), dtype=object)  # shared by both directions
     for attempt in range(GENERATION_RETRIES):
-        covered = np.zeros(n_dispatchers, dtype=bool)
-        rows: list[list[int]] = []
-        for v0 in range(0, n_servers, block):
-            picks = rng.integers(0, top + 1, size=(min(block, n_servers - v0), c), dtype=np.int32)
-            for k in range(1, c):
-                picks[(picks[:, :k] == picks[:, k, None]).any(axis=1), k] = top[k]
-            covered[picks] = True
-            picks.sort(axis=1)
-            rows += pool[picks].tolist()
-        if covered.all():
+        picks = rng.integers(0, top + 1, size=(n_servers, c), dtype=np.int32)
+        for k in range(1, c):
+            picks[(picks[:, :k] == picks[:, k, None]).any(axis=1), k] = top[k]
+        if np.bincount(picks.ravel(), minlength=n_dispatchers).all():  # no isolated dispatcher
             meta = {"generator": "fixed-degree", "c": c, "seed": seed, "retries": attempt}
-            adjacency = _transpose(rows, n_dispatchers, pool)
-            return BipartiteGraph._from_rows(n_servers, n_dispatchers, adjacency, rows, meta)
+            picks.sort(axis=1)
+            indptr = np.arange(0, n_servers * c + 1, c, dtype=np.int64)
+            server_csr = (indptr, picks.ravel())
+            return BipartiteGraph._from_csr(n_servers, n_dispatchers, meta, reverse_csr=server_csr)
     raise GraphGenerationError(
         f"fixed-degree generation left an isolated dispatcher in all "
         f"{GENERATION_RETRIES} attempts (N={n_servers}, M={n_dispatchers}, c={c}); "
@@ -303,12 +328,7 @@ def generate_fixed_server_degree(
     )
 
 
-def generate_inhomogeneous(
-    n_servers: int,
-    n_dispatchers: int,
-    p,
-    seed: int,
-) -> BipartiteGraph:
+def generate_inhomogeneous(n_servers: int, n_dispatchers: int, p, seed: int) -> BipartiteGraph:
     """Edge (v, w) present independently with probability p[w].
 
     `p` may be a scalar or a length-M vector with entries in (0, 1].
@@ -320,33 +340,17 @@ def generate_inhomogeneous(
     if np.any((p <= 0) | (p > 1)):
         raise ValueError("edge probabilities must lie in (0, 1]")
     rng = np.random.default_rng(seed)
-    pool = np.arange(max(n_servers, n_dispatchers), dtype=object)  # shared by both directions
-    rows: list[list[int]] = []
-    retries = 0
-    for w in range(n_dispatchers):
-        row = np.flatnonzero(rng.random(n_servers) < p[w])
-        attempt = 0
-        while row.size == 0:
-            attempt += 1
-            if attempt > GENERATION_RETRIES:
-                raise GraphGenerationError(
-                    f"dispatcher {w} stayed isolated after {GENERATION_RETRIES} "
-                    f"resamples (p={p[w]:g}, N={n_servers})"
-                )
-            row = np.flatnonzero(rng.random(n_servers) < p[w])
-        retries += attempt
-        rows.append(pool[row].tolist())
+    csr, retries = _resampled_rows(
+        n_dispatchers,
+        lambda w, again: np.flatnonzero(rng.random(n_servers) < p[w]),
+        lambda w: f"dispatcher {w} stayed isolated after {GENERATION_RETRIES} "
+        f"resamples (p={p[w]:g}, N={n_servers})",
+    )
     meta = {"generator": "inhomogeneous", "seed": seed, "retries": retries}
-    reverse = _transpose(rows, n_servers, pool)
-    return BipartiteGraph._from_rows(n_servers, n_dispatchers, rows, reverse, meta)
+    return BipartiteGraph._from_csr(n_servers, n_dispatchers, meta, csr=csr)
 
 
-def generate_geometric(
-    n_servers: int,
-    n_dispatchers: int,
-    radius: float,
-    seed: int,
-) -> BipartiteGraph:
+def generate_geometric(n_servers: int, n_dispatchers: int, radius: float, seed: int) -> BipartiteGraph:
     """Servers and dispatchers placed uniformly on the unit square; edge iff
     their Euclidean distance is at most `radius`.
 
@@ -361,28 +365,19 @@ def generate_geometric(
     sxy = rng.random((n_servers, 2))
     dxy = rng.random((n_dispatchers, 2))
     r2 = radius * radius
-    pool = np.arange(max(n_servers, n_dispatchers), dtype=object)  # shared by both directions
-    rows: list[list[int]] = []
-    retries = 0
 
-    def neighbors(point) -> np.ndarray:
-        diff = sxy - point
+    def neighbors(w: int, again: bool) -> np.ndarray:
+        if again:
+            dxy[w] = rng.random(2)
+        diff = sxy - dxy[w]
         return np.flatnonzero(diff[:, 0] ** 2 + diff[:, 1] ** 2 <= r2)
 
-    for w in range(n_dispatchers):
-        row = neighbors(dxy[w])
-        attempt = 0
-        while row.size == 0:
-            attempt += 1
-            if attempt > GENERATION_RETRIES:
-                raise GraphGenerationError(
-                    f"dispatcher {w} found no server within radius {radius:g} "
-                    f"after {GENERATION_RETRIES} placements"
-                )
-            dxy[w] = rng.random(2)
-            row = neighbors(dxy[w])
-        retries += attempt
-        rows.append(pool[row].tolist())
+    csr, retries = _resampled_rows(
+        n_dispatchers,
+        neighbors,
+        lambda w: f"dispatcher {w} found no server within radius {radius:g} "
+        f"after {GENERATION_RETRIES} placements",
+    )
     meta = {
         "generator": "geometric",
         "radius": radius,
@@ -391,8 +386,29 @@ def generate_geometric(
         "server_xy": sxy,
         "dispatcher_xy": dxy,
     }
-    reverse = _transpose(rows, n_servers, pool)
-    return BipartiteGraph._from_rows(n_servers, n_dispatchers, rows, reverse, meta)
+    return BipartiteGraph._from_csr(n_servers, n_dispatchers, meta, csr=csr)
+
+
+def _resampled_rows(
+    n_dispatchers: int, row: Callable[[int, bool], np.ndarray], failure: Callable[[int], str]
+) -> tuple[tuple[np.ndarray, np.ndarray], int]:
+    """(dispatcher-major CSR, redraws) of the sorted rows row(w, False),
+    each drawn again as row(w, True) while empty. Raises
+    GraphGenerationError(failure(w)) if a row is still empty after
+    GENERATION_RETRIES redraws."""
+    rows, retries = [], 0
+    for w in range(n_dispatchers):
+        for attempt in range(GENERATION_RETRIES + 1):
+            found = row(w, attempt > 0)
+            if found.size:
+                break
+        else:
+            raise GraphGenerationError(failure(w))
+        retries += attempt
+        rows.append(found)
+    indptr = np.zeros(n_dispatchers + 1, dtype=np.int64)
+    np.cumsum([found.size for found in rows], out=indptr[1:])
+    return (indptr, np.concatenate(rows).astype(np.int32)), retries
 
 
 def radius_for_mean_degree(n_servers: int, mean_degree: float) -> float:
@@ -484,12 +500,15 @@ def log_squared_degree_family() -> GraphFamily:
 
 
 def write_graph(graph: BipartiteGraph, path) -> None:
-    """Write in canonical BPG v1 form (edges ascending lexicographic)."""
+    """Write in canonical BPG v1 form (edges ascending lexicographic), one
+    string join per server row of `reverse_csr()`."""
+    indptr, dispatchers = graph.reverse_csr()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("BPG v1\n")
         fh.write(f"{graph.n_servers} {graph.n_dispatchers} {graph.n_edges}\n")
-        for v, w in graph.edges():
-            fh.write(f"{v} {w}\n")
+        for v, (a, b) in enumerate(itertools.pairwise(indptr.tolist())):
+            if a < b:
+                fh.write(f"{v} " + f"\n{v} ".join(map(str, dispatchers[a:b].tolist())) + "\n")
 
 
 def read_graph(path) -> BipartiteGraph:
@@ -500,11 +519,7 @@ def read_graph(path) -> BipartiteGraph:
     where one applies, the line."""
     with open(path, "rb") as fh:
         n, m, indptr, indices = _parse_bpg(fh.read(), path)
-    pool = np.arange(max(n, m), dtype=object)
-    bounds = indptr.tolist()
-    rows = [pool[indices[a:b]].tolist() for a, b in zip(bounds, bounds[1:])]
-    del indices  # before the dispatcher rows are built
-    return BipartiteGraph._from_rows(n, m, _transpose(rows, m, pool), rows, {"generator": "file"})
+    return BipartiteGraph._from_csr(n, m, {"generator": "file"}, reverse_csr=(indptr, indices))
 
 
 # the bytes an edge line may hold: digits and ASCII whitespace (bytes.split())
@@ -547,15 +562,13 @@ def _parse_bpg(data: bytes, path) -> tuple[int, int, np.ndarray, np.ndarray]:
         edges = _edge_lines(body, n, m, error)
         keys = np.array(sorted(v * m + w for v, w in edges), dtype=np.int64)
     del body
-    servers, dispatchers = np.divmod(keys, m)
-    if servers.size != e:
-        raise error(f"edge count mismatch: header says {e}, found {servers.size}")
+    if keys.size != e:
+        raise error(f"edge count mismatch: header says {e}, found {keys.size}")
+    dispatchers = (keys % m).astype(np.int32)
     degrees = np.bincount(dispatchers, minlength=m)
     if not degrees.all():
         raise error(f"dispatcher {int(np.argmin(degrees))} has no compatible server")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(servers, minlength=n), out=indptr[1:])
-    return n, m, indptr, dispatchers
+    return n, m, np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * m), dispatchers
 
 
 def _text(raw: bytes) -> str:

@@ -22,11 +22,10 @@ threshold interpretation to the caller.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, pairwise
 from typing import Optional, Sequence
 
 import numpy as np
@@ -251,9 +250,10 @@ def bad_dispatcher_count(graph: BipartiteGraph, subset: Sequence[int], epsilon: 
     n = graph.n_servers
     size = len(members)
     bad = 0
-    for row in graph.adjacency:
-        deg = len(row)
-        inter = sum(1 for v in row if v in members)
+    indptr, servers = graph.csr()
+    for a, b in pairwise(indptr.tolist()):  # a row at a time: the graph keeps no row lists
+        deg = b - a
+        inter = sum(1 for v in servers[a:b].tolist() if v in members)
         if abs(inter * n - size * deg) >= epsilon * (deg * n):
             bad += 1
     return bad
@@ -275,13 +275,10 @@ class _SubsetScorer:
         self.indptr, self.indices = graph.csr()
         self.degs = graph.dispatcher_degrees()
         self.thresholds = epsilon * (self.degs * self.n)
-        server_degs = np.fromiter(map(len, graph.reverse_adjacency), dtype=np.int64, count=self.n)
+        server_indptr, dispatchers = graph.reverse_csr()
+        server_degs = np.diff(server_indptr)
         self.rev = np.full((self.n, int(server_degs.max())), self.m, dtype=np.int32)
-        self.rev[np.arange(self.rev.shape[1]) < server_degs[:, None]] = np.fromiter(
-            itertools.chain.from_iterable(graph.reverse_adjacency),
-            dtype=np.int32,
-            count=graph.n_edges,
-        )
+        self.rev[np.arange(self.rev.shape[1]) < server_degs[:, None]] = dispatchers
 
     def counts(self, member: np.ndarray) -> np.ndarray:
         sel = member[self.indices].astype(np.int64)

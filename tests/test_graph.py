@@ -1,4 +1,5 @@
 import math
+from collections import deque
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,8 @@ from sparselb.graph import (
     read_graph,
     write_graph,
 )
+from sparselb.properties import bad_dispatcher_count, sparsity_deficiency
+from sparselb.simulator import simulate, steady_state
 
 
 def test_complete_bipartite_small():
@@ -553,29 +556,120 @@ def test_io_bulk_reader_matches_line_reader(data):
         assert outcome() == bulk  # every body through the line reader
 
 
-def test_array_built_rows_share_index_objects(tmp_path):
-    # one int object per index value, whatever row it sits in
-    g = generate_fixed_server_degree(600, 500, 5, seed=1)
-    path = tmp_path / "g.bpg"
-    write_graph(g, path)
-    for graph in (
-        g,
-        read_graph(path),
-        generate_inhomogeneous(600, 500, 0.01, seed=1),
-        generate_geometric(600, 500, 0.08, seed=1),
-    ):
-        for rows in (graph.adjacency, graph.reverse_adjacency):
-            values = [x for row in rows for x in row]
-            assert len({id(x) for x in values}) == len(set(values))
-
-
 def test_csr_is_cached_and_read_only():
     g = generate_fixed_server_degree(30, 20, 5, seed=3)
-    indptr, indices = g.csr()
-    assert g.csr()[1] is indices
-    assert not indptr.flags.writeable and not indices.flags.writeable
-    assert indptr.tolist() == [0, *np.cumsum([len(row) for row in g.adjacency]).tolist()]
-    assert indices.tolist() == [v for row in g.adjacency for v in row]
+    for csr, rows in ((g.csr, g.adjacency), (g.reverse_csr, g.reverse_adjacency)):
+        indptr, indices = csr()
+        assert csr()[1] is indices
+        assert not indptr.flags.writeable and not indices.flags.writeable
+        assert indptr.tolist() == [0, *np.cumsum([len(row) for row in rows]).tolist()]
+        assert indices.tolist() == [v for row in rows for v in row]
+
+
+def test_row_lists_are_cached_views(tmp_path):
+    write_graph(generate_fixed_server_degree(60, 50, 6, seed=1), tmp_path / "g.bpg")
+    for g in (generate_inhomogeneous(40, 30, 0.1, seed=2), read_graph(tmp_path / "g.bpg")):
+        assert g.adjacency is g.adjacency and g.reverse_adjacency is g.reverse_adjacency
+        assert all(type(row) is list for row in g.adjacency + g.reverse_adjacency)
+    g = complete_bipartite(10**4, 10**4)
+    assert g.adjacency[0] == range(10**4) and g.reverse_adjacency[-1] == range(10**4)
+
+
+def test_array_consumers_on_a_read_graph_build_no_row_lists(tmp_path):
+    write_graph(generate_fixed_server_degree(60, 50, 6, seed=1), tmp_path / "g.bpg")
+    g = read_graph(tmp_path / "g.bpg")
+    with mock.patch.object(graph_module, "_row_lists", side_effect=AssertionError("row lists built")):
+        assert g.is_connected
+        steady_state(g, 2, 0.8, warmup=5, measure=20, replicas=2, seed=3)
+        steady_state(g, 3, 0.8, warmup=5, measure=20, replicas=1, seed=3)
+        simulate(g, 3, 0.8, 10.0, service="pareto", seed=4)
+        report = sparsity_deficiency(g, 0.1, budget=16, seed=2)
+        bad_dispatcher_count(g, report.witness_subset, 0.1)
+        write_graph(g, tmp_path / "h.bpg")
+
+
+def _write_per_edge(graph, path):
+    """The BPG writer with one write per edge, from the row lists."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("BPG v1\n")
+        fh.write(f"{graph.n_servers} {graph.n_dispatchers} {graph.n_edges}\n")
+        for v, row in enumerate(graph.reverse_adjacency):
+            for w in row:
+                fh.write(f"{v} {w}\n")
+
+
+def test_write_graph_matches_per_edge_writer(tmp_path):
+    graphs = [
+        complete_bipartite(7, 5),
+        perfect_matching(6),
+        braess_example(),
+        BipartiteGraph(5, 2, [[3], [1, 3]]),  # servers 0, 2 and 4 isolated
+        generate_fixed_server_degree(300, 200, 4, seed=1),
+        generate_inhomogeneous(120, 80, 0.02, seed=2),
+        generate_geometric(150, 100, 0.1, seed=3),
+    ]
+    for k, g in enumerate(graphs):
+        write_graph(g, tmp_path / f"{k}.bpg")
+        _write_per_edge(g, tmp_path / f"{k}.ref")
+        assert (tmp_path / f"{k}.bpg").read_bytes() == (tmp_path / f"{k}.ref").read_bytes()
+        assert read_graph(tmp_path / f"{k}.bpg") == g
+
+
+def _bfs_connected(g) -> bool:
+    """Breadth-first search over the row lists from dispatcher 0."""
+    seen_d, seen_s = {0}, set()
+    queue = deque([0])
+    while queue:
+        for v in g.adjacency[queue.popleft()]:
+            if v not in seen_s:
+                seen_s.add(v)
+                for w in g.reverse_adjacency[v]:
+                    if w not in seen_d:
+                        seen_d.add(w)
+                        queue.append(w)
+    return len(seen_s) == g.n_servers and len(seen_d) == g.n_dispatchers
+
+
+@st.composite
+def _small_graph(draw):
+    """Up to 14 servers and dispatchers with rows of 1-3 servers: isolated
+    servers and several components are common."""
+    n, m = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    rows = [sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))) for _ in range(m)]
+    return BipartiteGraph(n, m, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=_small_graph())
+def test_connectivity_matches_plain_bfs(g):
+    assert g.is_connected == _bfs_connected(g)
+
+
+def _two_chains(k: int, joined: bool) -> BipartiteGraph:
+    """Even and odd servers, each chained by its own dispatchers; the last
+    dispatcher holds server 0, and server 2k-1 too if `joined`."""
+    rows = [[v, v + 2] for v in range(2 * k - 2)]
+    rows.append([0, 2 * k - 1] if joined else [0])
+    return BipartiteGraph(2 * k, len(rows), rows)
+
+
+def _random_path(n: int, seed: int, cut: bool = False) -> BipartiteGraph:
+    """A path through all n servers in a random order, one dispatcher per
+    step; `cut` drops the middle dispatcher."""
+    order = np.random.default_rng(seed).permutation(n).tolist()
+    rows = [sorted(order[i : i + 2]) for i in range(n - 1) if not (cut and i == n // 2)]
+    return BipartiteGraph(n, len(rows), rows)
+
+
+def test_connectivity_explicit_cases():
+    assert perfect_matching(1).is_connected
+    assert not any(perfect_matching(n).is_connected for n in (2, 3, 50))
+    for k in (2, 3, 40):
+        assert _two_chains(k, joined=True).is_connected
+        assert not _two_chains(k, joined=False).is_connected
+    path = _random_path(4000, seed=1)
+    assert path.is_connected and _bfs_connected(path)
+    assert not _random_path(4000, seed=1, cut=True).is_connected
 
 
 def test_connectivity_flag_matches_bfs():

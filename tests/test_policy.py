@@ -163,9 +163,9 @@ def test_sample_assignment_degenerate():
 def test_sample_assignment_statistics():
     # P(join empty queue) = 1 - 0.5^2 = 0.75 for x = (1/2, 1/2), d = 2
     rng = random.Random(123)
-    policy = jsqd_policy(2)
+    p = jsqd_policy(2).probabilities([0.5, 0.5])  # a pure function of the state: computed once
     draws = 200_000
-    hits = sum(invert_cdf(policy.probabilities([0.5, 0.5]), rng.random()) == 0 for _ in range(draws))
+    hits = sum(invert_cdf(p, rng.random()) == 0 for _ in range(draws))
     assert abs(hits / draws - 0.75) <= 0.004
 
 
