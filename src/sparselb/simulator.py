@@ -22,6 +22,7 @@ pathwise occupancy inequality; see coupled_simulate.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import operator
 import random
@@ -497,26 +498,44 @@ def steady_state(
 # coupled two-system run
 
 
-def _min_of_d_level(counts: Sequence[int], total: int, d: int, u: float) -> int:
-    """Length of the shortest of d uniform draws from `total` servers,
-    counts[i] of them at length i: `policy.invert_cdf` at u over the masses
-    (tail_i/total)^d - (tail_{i+1}/total)^d, fused into one loop with the
-    same float operations (non-positive masses skipped, last positive cell
-    as the fallback)."""
-    tail, prev_pow, cum, last = total, 1.0, 0.0, -1  # prev_pow = (tail_0/total)^d
-    for i, c in enumerate(counts):
-        tail -= c
-        new_pow = (tail / total) ** d
-        mass = prev_pow - new_pow
-        prev_pow = new_pow
-        if mass > 0.0:
-            last = i
-            cum += mass
-            if u < cum:
-                return i
-    if last < 0:
-        raise ValueError("cannot invert a CDF with no positive cell")
-    return last
+def _rank_tables(sizes: Sequence[int], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest-of-sample rank tables, one slice per size.
+
+    The lowest rank in a sample of d' = min(d, s) of s ranked servers,
+    drawn without replacement, exceeds p with probability
+    R_s(p) = C(s-1-p, d') / C(s, d'). Slice k, table[bounds[k]:bounds[k+1]],
+    holds -R_s(p) for s = sizes[k] and p = 0..s-d'-1: ascending, each the
+    correctly rounded quotient of the two exact integers. One +inf closes
+    the table, so a bisection may probe one past any slice.
+    """
+    parts = []
+    for s in sizes:
+        k = min(d, s)
+        total = math.comb(s, k)
+        parts.append([-(math.comb(s - 1 - p, k) / total) for p in range(s - k)])
+    bounds = np.zeros(len(parts) + 1, dtype=np.int64)
+    np.cumsum([len(part) for part in parts], out=bounds[1:])
+    table = np.fromiter(itertools.chain(*parts, [math.inf]), dtype=float, count=bounds[-1] + 1)
+    return table, bounds
+
+
+def _min_rank(table: np.ndarray, start, count, u: np.ndarray) -> np.ndarray:
+    """Each u[i]'s shortest-of-sample rank: the smallest p with
+    R_s(p) < 1 - u[i], which is the number of entries at most u[i] - 1 in
+    its size's slice [start, start + count) of a `_rank_tables` table.
+    Integer start and count give every u one slice (one searchsorted);
+    arrays give each its own, searched by one branchless bisection."""
+    key = u - 1.0  # exactly -(1 - u)
+    if np.ndim(start) == 0:
+        return np.searchsorted(table[start : start + count], key, side="right")
+    pos, left = start, count
+    while left.any():
+        half = left >> 1
+        mid = pos + half
+        go = (table[mid] <= key) & (left > 0)
+        pos = np.where(go, mid + 1, pos)
+        left = np.where(go, left - half - 1, half)
+    return pos - start
 
 
 def coupled_simulate(
@@ -532,22 +551,30 @@ def coupled_simulate(
     """Run the constrained system and a fully flexible twin on shared
     randomness and verify their pathwise occupancy inequality.
 
-    Both systems start empty and see one Poisson(lambda*N) arrival stream
-    and one Poisson(N) potential-departure stream. A potential departure
-    draws an ordered slot j: each system independently removes a task from
-    its j-th server in queue-length-sorted order, if busy (idle slots are
-    no-ops; this uniformizes the unit-rate servers exactly). An arrival
-    draws a dispatcher w and a single uniform variate u. The constrained
-    system counts its neighborhood's servers per length in one pass over
-    w's row, the twin uses its level counts, and each inverts its min-of-d
-    CDF at the same u with `_min_of_d_level`. This comonotone coupling
-    keeps the chosen queue lengths equal as often as the CDFs allow; when
-    they differ the mismatch count delta increases by one. The constrained
-    system then places the task on a uniform server among all of its
-    servers at its chosen length i_g, not only among those in w's row.
-    The twin's servers are exchangeable, so it keeps only its occupancy
-    counts: its task raises one count at its chosen length (the uniform
-    server it would pick is drawn and discarded).
+    Both systems start empty and follow one uniformized event stream of
+    rate (lambda+1)*N, drawn in numpy blocks of BLOCK events from the
+    generator of SeedSequence(seed, spawn_key=(0,)): each event is an
+    arrival with probability lambda/(1+lambda), and otherwise a potential
+    departure at a uniform server.
+
+    An arrival draws a dispatcher w and one uniform u. Each system ranks
+    its candidates by queue length, ties in uniform order, and maps u to
+    the rank p of the shortest of d' = min(d, s) candidates sampled
+    without replacement: the smallest p with C(s-1-p, d')/C(s, d') < 1-u,
+    with s = |row w| for the constrained system and s = N for the twin.
+    The constrained system takes i_g, the length at rank p in w's row, and
+    sends the task to a uniform server of the row at length i_g, so it is
+    JSQ(d) on the graph. The twin's servers are exchangeable, so it keeps
+    only its occupancy counts: its task raises the count at its chosen
+    length i_k. Both lengths are quantiles of their laws at the same u (a
+    comonotone coupling); each arrival with i_g != i_k adds one to the
+    mismatch count delta.
+
+    A potential departure at server v takes a slot j uniform within v's
+    block of equal lengths in the constrained system's descending length
+    order, and the twin serves its server at the same slot j (idle
+    servers are no-ops). The constrained system keeps only its queue
+    lengths and Q_g; the twin keeps Q_k.
 
     After every event the inequality
 
@@ -560,161 +587,172 @@ def coupled_simulate(
     """
     if lam >= 1:
         raise ValueError(f"lambda must be < 1 in a coupled run, not {lam}")
-    _check_inputs(graph, d, lam, allow_disconnected, False)
+    d = _check_inputs(graph, d, lam, allow_disconnected, False)
     require_finite_positive("horizon", horizon)
     depth = require_positive_int("depth", depth)
-    d = int(d)
-    n = graph.n_servers
-    m = graph.n_dispatchers
-    adj = graph.adjacency
-    # draws inlined, equal to randrange/expovariate draw for draw
-    rng = random.Random(seed)
-    bits = rng.getrandbits
-    rnd = rng.random
-    log = math.log
-    m_bits = m.bit_length()
-    n_bits = n.bit_length()
-    d_k = d if d < n else n
+    seed = _require_seed(seed)
+    grid = sample_grid(horizon, sample_interval)
+    gen = _replica_stream(seed, 0)
+    n, m = graph.n_servers, graph.n_dispatchers
+    rows = graph.adjacency  # a complete graph's rows are one shared range(n)
+    if graph.is_complete:
+        reads = [lambda lengths: lengths] * m
+    else:  # itemgetter of one index returns the value, not a 1-tuple
+        reads = [operator.itemgetter(*row) if len(row) > 1 else lambda lengths, v=row[0]: (lengths[v],)
+                 for row in rows]
 
-    # Constrained system: queue lengths and one server list per length.
-    # Servers are ranked by length, then by list position (a fixed,
-    # deterministically evolving order; the occupancy law does not depend
-    # on the within-level choice). Flexible twin: its level counts x_k.
-    # Q_g, Q_k: servers with >= i tasks. levels, x_k, Q_g and Q_k are
-    # padded to one length, so every level index is valid in all four.
+    # rank-table slices: one per dispatcher, then the twin's
+    degs = graph.dispatcher_degrees()
+    sizes, size_of = np.unique(np.append(degs, n), return_inverse=True)
+    table, cuts = _rank_tables(sizes.tolist(), d)
+    start, count = cuts[size_of], np.diff(cuts)[size_of]
+    twin = int(start[-1]), int(count[-1])
+    rate = (lam + 1.0) * n
+    p_arrival = lam / (1.0 + lam)
+
+    def draw_block(t0: float):
+        """Per event: its time; its dispatcher, or ~server for a potential
+        departure; a uniform pick; and for arrivals, the constrained rank
+        and N minus the twin's rank."""
+        times = t0 + np.cumsum(gen.standard_exponential(BLOCK)) / rate
+        arriving = np.flatnonzero(gen.random(BLOCK) < p_arrival)
+        w = gen.integers(0, m, len(arriving))
+        u = gen.random(len(arriving))
+        who = ~gen.integers(0, n, BLOCK)
+        who[arriving] = w
+        pick = gen.random(BLOCK)
+        rank_g = np.zeros(BLOCK, dtype=np.int64)
+        rank_g[arriving] = _min_rank(table, start[w], count[w], u)
+        above_k = np.zeros(BLOCK, dtype=np.int64)
+        above_k[arriving] = n - _min_rank(table, *twin, u)
+        return times.tolist(), who, pick.tolist(), rank_g.tolist(), above_k.tolist()
+
+    # Q_g, Q_k: servers with >= i tasks, padded to one length with
+    # Q[top] = 0 past the longest queue of either system.
     lengths = [0] * n
-    levels: list[list[int]] = [list(range(n))]
-    x_k = [n]
-    Q_g = [n]
-    Q_k = [n]
+    Q_g = [n, 0]
+    Q_k = [n, 0]
+    top = 1
 
-    # D = sum_i |Q_i(K) - Q_i(G)|, updated at the touched level only
+    # D = sum_i |Q_i(K) - Q_i(G)|, updated at the touched levels only
     D = delta = margin_min = 0
 
-    grid = sample_grid(horizon, sample_interval)
-    sample_at = grid.tolist() + [math.inf]
     g_occ = np.zeros((len(grid), depth))
     k_occ = np.zeros((len(grid), depth))
     g_over = np.zeros(len(grid), dtype=np.int64)
     k_over = np.zeros(len(grid), dtype=np.int64)
     delta_series = np.zeros(len(grid), dtype=np.int64)
     margin_series = np.zeros(len(grid), dtype=np.int64)
-    next_sample = 0
+    bounds = [(g, s) for s, g in enumerate(grid.tolist())] + [(horizon, _STOP)]
+    bounds.sort(key=lambda b: b[0])  # stable: a sample at the horizon precedes the stop
 
     def record_sample(idx: int):
-        for Q, occ, over in ((Q_g, g_occ, g_over), (Q_k, k_occ, k_over)):
-            _occupancy_row(occ[idx], Q, n)
-            over[idx] = Q[depth + 1] if len(Q) > depth + 1 else 0
+        _record_sample(g_occ, g_over, idx, Q_g, n)
+        _record_sample(k_occ, k_over, idx, Q_k, n)
         delta_series[idx] = delta
         margin_series[idx] = margin_min
 
-    arrival_rate = lam * n
-    dep_rate = float(n)
-    t = 0.0
-    next_arrival = -log(1.0 - rnd()) / arrival_rate
-    next_dep = -log(1.0 - rnd()) / dep_rate
-    events = arrivals = 0
-
+    T = A = P = R = K = []  # the first pass through the loop draws a block
+    who = np.empty(0, dtype=np.int64)
+    pos = bi = events = arrivals = 0
+    b_time, action = bounds[0]
     while True:
-        if next_arrival <= next_dep:
-            t_next, is_arrival = next_arrival, True
-        else:
-            t_next, is_arrival = next_dep, False
-        while sample_at[next_sample] < t_next:
-            record_sample(next_sample)
-            next_sample += 1
-        if t_next > horizon:
-            break
-        t = t_next
-        if is_arrival:
-            arrivals += 1
-            next_arrival = t - log(1.0 - rnd()) / arrival_rate
-            w = bits(m_bits)
-            while w >= m:
-                w = bits(m_bits)
-            row = adj[w]
-            u = rnd()
-
-            # constrained system: min-of-d over the dispatcher's neighborhood
-            nrow = len(row)
-            counts_g = [0] * len(x_k)
-            for v in row:
-                counts_g[lengths[v]] += 1
-            i_g = _min_of_d_level(counts_g, nrow, d if d < nrow else nrow, u)
-
-            # flexible twin: min-of-d over the global distribution
-            i_k = _min_of_d_level(x_k, n, d_k, u)
-
-            if i_g != i_k:
+        end = bisect_right(T, b_time, pos)
+        for t, a, pick, rank, above in zip(T[pos:end], A[pos:end], P[pos:end], R[pos:end], K[pos:end]):
+            if a < 0:  # potential departure at server ~a, at the same slot in the twin
+                a = ~a
+                l = lengths[a]
+                below = Q_g[l + 1]
+                slot = below + int(pick * (Q_g[l] - below))  # descending order
+                h = l  # the twin's level at that slot: l, or walked up from 0
+                if not Q_k[l] > slot >= Q_k[l + 1]:
+                    h = 0
+                    while Q_k[h + 1] > slot:
+                        h += 1
+                if h == l:  # both leave level l: D is unchanged
+                    if l:
+                        lengths[a] = l - 1
+                        Q_g[l] -= 1
+                        Q_k[l] -= 1
+                    continue
+                if l:
+                    lengths[a] = l - 1
+                    x = Q_k[l] - Q_g[l]
+                    D += abs(x + 1) - abs(x)
+                    Q_g[l] -= 1
+                if h:
+                    x = Q_k[h] - Q_g[h]
+                    D += abs(x - 1) - abs(x)
+                    Q_k[h] -= 1
+            else:  # arrival at dispatcher a
+                # constrained: the length i at `rank` in the row, then a
+                # uniform row server at that length
+                vals = reads[a](lengths)
+                i = 0
+                c = vals.count(0)
+                while rank >= c:
+                    rank -= c
+                    i += 1
+                    c = vals.count(i)
+                    if not c:  # skip a gap in one step: an overloaded row's queues grow apart
+                        i = min(filter(i.__lt__, vals))
+                        c = vals.count(i)
+                p = vals.index(i)
+                if c > 1:
+                    for _ in range(int(pick * c)):
+                        p = vals.index(i, p + 1)
+                lengths[rows[a][p]] = i + 1
+                h = i  # the twin's length at its rank, N - above: i, or walked up from 0
+                if not Q_k[i] >= above > Q_k[i + 1]:
+                    h = 0
+                    while Q_k[h + 1] >= above:
+                        h += 1
+                i += 1
+                h += 1
+                if i == top or h == top:
+                    Q_g.append(0)
+                    Q_k.append(0)
+                    top += 1
+                if i == h:  # both join level i: D is unchanged
+                    Q_g[i] += 1
+                    Q_k[i] += 1
+                    continue
                 delta += 1
+                x = Q_k[i] - Q_g[i]
+                D += abs(x - 1) - abs(x)
+                Q_g[i] += 1
+                x = Q_k[h] - Q_g[h]
+                D += abs(x + 1) - abs(x)
+                Q_k[h] += 1
+            # D and delta change only here, so margin_min is exact
+            margin = 2 * delta - D
+            if margin < margin_min:
+                margin_min = margin
+                if margin < 0:
+                    raise InvariantViolation(
+                        f"coupling inequality violated at t={t:.6f}: "
+                        f"sum|Q_i(K)-Q_i(G)|={D} > 2*delta={2 * delta}"
+                    )
+        if end == len(T):  # no boundary in this block: draw the next one
+            events += len(T)
+            arrivals += int(np.count_nonzero(who >= 0))
+            t0 = T[-1] if T else 0.0
+            T = A = P = R = K = []  # free the spent block first
+            T, who, P, R, K = draw_block(t0)
+            A = who.tolist()
+            pos = 0
+            continue
+        pos = end
+        if action == _STOP:
+            break
+        record_sample(action)
+        bi += 1
+        b_time, action = bounds[bi]
 
-            # step (b): a uniform server at the chosen length, per system;
-            # the twin's pick is drawn only to keep the stream
-            src = levels[i_g]
-            nc = len(src)
-            k = nc.bit_length()
-            p = bits(k)
-            while p >= nc:
-                p = bits(k)
-            nc = x_k[i_k]
-            k = nc.bit_length()
-            r = bits(k)
-            while r >= nc:
-                r = bits(k)
-            step = 1
-            hi_g, hi_k = i_g + 1, i_k + 1
-            if max(hi_g, hi_k) == len(x_k):
-                levels.append([])
-                x_k.append(0)
-                Q_g.append(0)
-                Q_k.append(0)
-        else:
-            next_dep = t - log(1.0 - rnd()) / dep_rate
-            j = bits(n_bits)
-            while j >= n:
-                j = bits(n_bits)
-            # the j-th server in queue-length order, in each system
-            p = j
-            for hi_g, src in enumerate(levels):
-                if p < len(src):
-                    break
-                p -= len(src)
-            hi_k = 0
-            while j >= x_k[hi_k]:
-                j -= x_k[hi_k]
-                hi_k += 1
-            step = -1
-        # each system moves one task between levels hi - 1 and hi (none from
-        # an idle slot, hi = 0), so Q and D change at level hi only
-        if hi_g:
-            v = src[p]
-            src[p] = src[-1]
-            src.pop()
-            l = lengths[v] + step
-            lengths[v] = l
-            levels[l].append(v)
-            D -= abs(Q_k[hi_g] - Q_g[hi_g])
-            Q_g[hi_g] += step
-            D += abs(Q_k[hi_g] - Q_g[hi_g])
-        if hi_k:
-            x_k[hi_k - 1] -= step
-            x_k[hi_k] += step
-            D -= abs(Q_k[hi_k] - Q_g[hi_k])
-            Q_k[hi_k] += step
-            D += abs(Q_k[hi_k] - Q_g[hi_k])
-        events += 1
-        margin = 2 * delta - D
-        if margin < margin_min:
-            margin_min = margin
-        if margin < 0:
-            raise InvariantViolation(
-                f"coupling inequality violated at t={t:.6f}: "
-                f"sum|Q_i(K)-Q_i(G)|={D} > 2*delta={2 * delta}"
-            )
-
-    while next_sample < len(grid):
-        record_sample(next_sample)
-        next_sample += 1
+    events += end
+    arrivals += int(np.count_nonzero(who[:end] >= 0))
+    for _, action in bounds[bi + 1 :]:  # samples within rounding past the horizon
+        record_sample(action)
 
     def as_record(occ, over, Q):
         return TrajectoryRecord(

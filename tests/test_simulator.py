@@ -1,12 +1,13 @@
 import itertools
 import math
 import random
+import tracemalloc
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -19,11 +20,11 @@ from sparselb.graph import (
     perfect_matching,
 )
 from sparselb.meanfield import fixed_point
-from sparselb.policy import invert_cdf
 from sparselb.records import TrajectoryRecord
 from sparselb.simulator import (
     ServiceDistribution,
-    _min_of_d_level,
+    _min_rank,
+    _rank_tables,
     _replica_stream,
     choose_shortest,
     coupled_simulate,
@@ -311,7 +312,8 @@ def test_replica_zero_is_not_the_graph_stream():
 def test_bad_seed_is_named(seed):
     g = complete_bipartite(4, 4)
     for run in (lambda: simulate(g, 2, 0.5, 1.0, seed=seed),
-                lambda: steady_state(g, 2, 0.5, warmup=1.0, measure=1.0, seed=seed)):
+                lambda: steady_state(g, 2, 0.5, warmup=1.0, measure=1.0, seed=seed),
+                lambda: coupled_simulate(g, 2, 0.5, 1.0, seed=seed)):
         with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, not {seed}$"):
             run()
 
@@ -387,37 +389,51 @@ def test_coupling_margin_nonnegative_on_small_graphs(g, d, lam, horizon, seed):
     assert np.all(np.diff(coupled.delta_series) >= 0)
 
 
-def _reference_min_of_d_masses(counts, total, d):
-    """Lazy min-of-d masses (tail_i/total)^d - (tail_{i+1}/total)^d, as the
-    coupled kernel fed them to invert_cdf before its fused walk."""
-    tail, prev_pow = total, 1.0
-    for c in counts:
-        tail -= c
-        new_pow = (tail / total) ** d
-        yield prev_pow - new_pow
-        prev_pow = new_pow
+def _reference_min_rank(s, d, u):
+    """The smallest p with C(s-1-p, d)/C(s, d) < 1 - u, from exact binomials
+    and one rounded quotient each."""
+    return next(p for p in range(s - d + 1) if math.comb(s - 1 - p, d) / math.comb(s, d) < 1 - u)
 
 
-@settings(max_examples=400, deadline=None)
-@given(
-    cells=st.lists(st.integers(0, 4), min_size=1, max_size=8).filter(any),
-    pad=st.integers(0, 3),
-    d=st.integers(1, 40),  # often >= total, the whole row
-    u=st.floats(0.0, 1.0, exclude_max=True),
-)
-@example(cells=[1, 1, 1], pad=2, d=3, u=math.nextafter(1.0, 0.0))  # masses sum to u: fallback
-@example(cells=[5, 5, 1000, 1], pad=0, d=187, u=math.nextafter(1.0, 0.0))  # last mass underflows
-@example(cells=[0, 0, 5], pad=0, d=7, u=0.0)
-def test_min_of_d_level_equals_reference_inversion(cells, pad, d, u):
-    counts = cells + [0] * pad
-    total = sum(counts)
-    want = invert_cdf(_reference_min_of_d_masses(counts, total, d), u)
-    assert _min_of_d_level(counts, total, d, u) == want
+# a decimal grid, a binary one (it meets the table's exact quotients), and
+# the two ends of the uniform draw
+_U = np.unique(np.concatenate([
+    np.linspace(0.0, 1.0, 1001)[:-1], np.arange(256) / 256, [math.nextafter(1.0, 0.0)],
+]))
 
 
-def test_min_of_d_level_rejects_counts_without_mass():
-    with pytest.raises(ValueError):
-        _min_of_d_level([0, 0], 2, 2, 0.5)
+def test_min_rank_matches_exact_binomials():
+    sizes = list(range(1, 9))
+    for d in range(1, 9):
+        table, bounds = _rank_tables(sizes, d)
+        want = {s: [_reference_min_rank(s, min(d, s), u) for u in _U.tolist()] for s in sizes}
+        for k, s in enumerate(sizes):  # one slice for every u: searchsorted
+            got = _min_rank(table, int(bounds[k]), int(bounds[k + 1] - bounds[k]), _U)
+            assert got.tolist() == want[s], (s, d)
+        # every size at once, each u in its own slice: the bisection
+        k = np.repeat(np.arange(len(sizes)), len(_U))
+        got = _min_rank(table, bounds[k], bounds[k + 1] - bounds[k], np.tile(_U, len(sizes)))
+        assert got.tolist() == [r for s in sizes for r in want[s]], d
+
+
+def test_coupled_constrained_tasks_stay_in_their_rows():
+    # the one dispatcher reaches server 0 only, so at most 1 of 10 is ever busy
+    coupled = coupled_simulate(BipartiteGraph(10, 1, [[0]]), 2, 0.5, 20.0, seed=3,
+                               allow_disconnected=True)
+    assert coupled.g_record.occupancy[:, 0].max() <= 0.1
+
+
+def test_coupled_complete_graph_memory_stays_linear():
+    # rows of K_{N,M} are one shared range; an index tuple per dispatcher
+    # would take about 144 MB here
+    g = complete_bipartite(2000, 2000)
+    tracemalloc.start()
+    try:
+        coupled_simulate(g, 2, 0.8, 0.01, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 _GRID = 1.0 / 512  # binary: the windows below fall on sample times exactly

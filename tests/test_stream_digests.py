@@ -1,14 +1,15 @@
 """Pinned random streams of the simulator kernels.
 
-Each case hashes everything a seeded run returns. `simulate` and
-`steady_state` draw their input in numpy blocks of `simulator.BLOCK`
-events from the generator of SeedSequence(seed, spawn_key=(replica,));
-their digests were recorded when that kernel replaced the Mersenne
-Twister one, and the long cases span several blocks, so a change at the
-seam between blocks shows too. `coupled_simulate` keeps its own
-`random.Random(seed)` stream; its digests predate the block kernel.
-A mismatch means the stream changed, which re-rolls every seeded
-statistical gate.
+Each case hashes everything a seeded run returns. All three kernels
+draw their input in numpy blocks of `simulator.BLOCK` events from the
+generator of SeedSequence(seed, spawn_key=(replica,)), `coupled_simulate`
+from replica 0's. The `simulate` and `steady_state` digests were recorded
+when that kernel replaced the Mersenne Twister one, and the long cases
+span several blocks, so a change at the seam between blocks shows too.
+The coupled digests were recorded when the coupled run moved onto the
+block-drawn stream and became JSQ(d) on the graph (row placement,
+without-replacement ranks). A mismatch means the stream changed, which
+re-rolls every seeded statistical gate.
 """
 
 import hashlib
@@ -123,16 +124,16 @@ def test_steady_state_stream(case):
 
 
 COUPLED = {
-    ("braess", 2): "17686d12dd274da7",
-    ("complete", 2): "d8b089c5d4549644",
-    ("matching", 2): "3946d26a20c4dbf4",
-    ("sparse", 1): "9450eb55b556358a",
-    ("sparse", 2): "8650789798d9f918",
-    ("sparse", 3): "3cd3b7270ca8b86e",
+    ("braess", 2): "a22ce9791ce142c6",
+    ("complete", 2): "d0c78c1abd66e9ac",
+    ("matching", 2): "dc4581dda25c8b38",
+    ("sparse", 1): "e04c8845a2e5a2eb",
+    ("sparse", 2): "0034bfb7788a9f22",
+    ("sparse", 3): "d652664cf220d787",
 }
 # depth 2 clips both systems' occupancy, so the overflow columns are nonzero
 COUPLED_DEPTH2 = {
-    ("sparse", 2): "9793c2d5e3abea7e",
+    ("sparse", 2): "6f89f8a51f81f925",
 }
 
 
