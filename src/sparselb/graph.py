@@ -3,7 +3,8 @@
 A graph connects N servers (left side) to M dispatchers (right side); an
 edge (v, w) means server v can process tasks arriving at dispatcher w.
 A graph is its two CSR directions, dispatcher-major and server-major, as
-read-only numpy arrays; Python row lists are a view built on first use.
+read-only numpy arrays: a constructor is given one, and the other is sorted
+from it on first use. Python row lists are a view built on first use.
 Graphs are immutable after construction and safe to share across workers.
 
 Dispatchers with no compatible server are rejected: a task type that no
@@ -38,7 +39,8 @@ def floyd_sample(n: int, k: int, randbelow: Callable[[int], int]) -> list[int]:
     `randbelow(m)` must return a uniform integer in [0, m). The returned
     list holds k distinct indices; its order is not uniform over
     arrangements, only the underlying set is uniform.
-    `generate_fixed_server_degree` runs these steps for all servers at once.
+    `generate_fixed_server_degree` runs these steps for all servers at once
+    (`_floyd_replace`).
     """
     if k > n:
         raise ValueError(f"cannot sample {k} items from {n}")
@@ -113,7 +115,9 @@ class BipartiteGraph:
     in range, no duplicate edge) and sorts them. The generators,
     `complete_bipartite` and `read_graph` use the private `_from_csr`
     instead; its callers guarantee a CSR with sorted, in-range rows in the
-    direction they pass, and the other direction is derived from it.
+    direction they pass. The other direction is derived from it on first
+    use, so a graph that is only written, or only simulated, never sorts
+    its edges twice.
     """
 
     __slots__ = (
@@ -156,7 +160,8 @@ class BipartiteGraph:
         return self
 
     def _set(self, n_servers, n_dispatchers, meta, csr=None, reverse_csr=None):
-        """The one place a graph's fields are set."""
+        """The one place a graph's fields are set. A direction left None is
+        derived from the other by `csr()` or `reverse_csr()`."""
         _check_sizes(n_servers, n_dispatchers)
         self._rows = self._reverse_rows = None
         if csr is None and reverse_csr is None:  # complete: no indices until a CSR is asked for
@@ -165,18 +170,14 @@ class BipartiteGraph:
             reverse_csr = (np.arange(0, total + 1, n_dispatchers, dtype=np.int64), None)
             self._rows = [range(n_servers)] * n_dispatchers
             self._reverse_rows = [range(n_dispatchers)] * n_servers
-        elif reverse_csr is None:
-            if len(csr[0]) != n_dispatchers + 1:
-                raise ValueError("adjacency must have one row per dispatcher")
-            reverse_csr = _flip(*csr, n_servers)
-        elif csr is None:
-            csr = _flip(*reverse_csr, n_dispatchers)
-        for array in (*csr, *reverse_csr):
+        elif csr is not None and len(csr[0]) != n_dispatchers + 1:
+            raise ValueError("adjacency must have one row per dispatcher")
+        for array in (*(csr or ()), *(reverse_csr or ())):
             if array is not None:
                 array.flags.writeable = False
         self.n_servers = n_servers
         self.n_dispatchers = n_dispatchers
-        self.n_edges = int(csr[0][-1])
+        self.n_edges = int((csr or reverse_csr)[0][-1])
         self.meta = dict(meta) if meta else {}
         self._csr = csr
         self._reverse_csr = reverse_csr
@@ -190,24 +191,29 @@ class BipartiteGraph:
     def adjacency(self) -> list:
         """Each dispatcher's sorted servers, a list view of `csr()`."""
         if self._rows is None:
-            self._rows = _row_lists(*self._csr)
+            self._rows = _row_lists(*self.csr())
         return self._rows
 
     @property
     def reverse_adjacency(self) -> list:
         """Each server's sorted dispatchers, a list view of `reverse_csr()`."""
         if self._reverse_rows is None:
-            self._reverse_rows = _row_lists(*self._reverse_csr)
+            self._reverse_rows = _row_lists(*self.reverse_csr())
         return self._reverse_rows
 
+    # `(self._csr or self.csr())[0]` is the indptr without building a
+    # complete graph's implicit indices
+
     def server_degree(self, v: int) -> int:
-        return int(self._reverse_csr[0][v + 1] - self._reverse_csr[0][v])
+        indptr = (self._reverse_csr or self.reverse_csr())[0]
+        return int(indptr[v + 1] - indptr[v])
 
     def dispatcher_degree(self, w: int) -> int:
-        return int(self._csr[0][w + 1] - self._csr[0][w])
+        indptr = (self._csr or self.csr())[0]
+        return int(indptr[w + 1] - indptr[w])
 
     def dispatcher_degrees(self) -> np.ndarray:
-        return np.diff(self._csr[0])
+        return np.diff((self._csr or self.csr())[0])
 
     @property
     def is_connected(self) -> bool:
@@ -227,13 +233,17 @@ class BipartiteGraph:
         read-only. Row w spans indices[indptr[w]:indptr[w+1]]. A complete
         graph builds its indices on first use, all N*M of them, so avoid
         this on huge complete graphs."""
-        if self._csr[1] is None:
+        if self._csr is None:
+            self._csr = _read_only(_flip(*self._reverse_csr, self.n_dispatchers))
+        elif self._csr[1] is None:
             self._csr = _dense(self._csr[0], self.n_servers)
         return self._csr
 
     def reverse_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Server-major CSR: (int64 indptr, int32 dispatcher_indices), as `csr`."""
-        if self._reverse_csr[1] is None:
+        if self._reverse_csr is None:
+            self._reverse_csr = _read_only(_flip(*self._csr, self.n_servers))
+        elif self._reverse_csr[1] is None:
             self._reverse_csr = _dense(self._reverse_csr[0], self.n_dispatchers)
         return self._reverse_csr
 
@@ -253,9 +263,13 @@ class BipartiteGraph:
 
 def _dense(indptr: np.ndarray, cols: int) -> tuple[np.ndarray, np.ndarray]:
     """A complete graph's CSR, read-only: every row is range(cols)."""
-    indices = np.tile(np.arange(cols, dtype=np.int32), len(indptr) - 1)
-    indices.flags.writeable = False
-    return indptr, indices
+    return _read_only((indptr, np.tile(np.arange(cols, dtype=np.int32), len(indptr) - 1)))
+
+
+def _read_only(csr: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    for array in csr:
+        array.flags.writeable = False
+    return csr
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +318,8 @@ def generate_fixed_server_degree(
     uniform on [0, M-c+k] and is replaced by M-c+k if the server already
     holds it. The bounds never depend on earlier draws, so one
     `rng.integers` call over an (N, c) array consumes the stream exactly as
-    the scalar draws in server order do.
+    the scalar draws in server order do, and `_floyd_replace` then finds
+    the replaced draws for all servers at once.
     """
     _check_sizes(n_servers, n_dispatchers)
     if not 1 <= c <= n_dispatchers:
@@ -313,8 +328,7 @@ def generate_fixed_server_degree(
     top = np.arange(n_dispatchers - c, n_dispatchers, dtype=np.int32)  # M-c+k
     for attempt in range(GENERATION_RETRIES):
         picks = rng.integers(0, top + 1, size=(n_servers, c), dtype=np.int32)
-        for k in range(1, c):
-            picks[(picks[:, :k] == picks[:, k, None]).any(axis=1), k] = top[k]
+        _floyd_replace(picks, top)
         if np.bincount(picks.ravel(), minlength=n_dispatchers).all():  # no isolated dispatcher
             meta = {"generator": "fixed-degree", "c": c, "seed": seed, "retries": attempt}
             picks.sort(axis=1)
@@ -328,26 +342,91 @@ def generate_fixed_server_degree(
     )
 
 
+# The bulk generators work on about this many entries at a time, so their
+# scratch arrays stay near 256 KiB of int64 or float64 whatever the graph.
+_CHUNK = 2**15
+
+
+def _floyd_replace(picks: np.ndarray, top: np.ndarray) -> None:
+    """Apply Floyd's replacements in place to rows of draws, picks[:, k]
+    uniform on [0, top[k]] with top[k] = top[0] + k.
+
+    A row's set after draws 0..k-1 is its draws so far plus top[j] for each
+    replaced j < k, so draw k is replaced iff it repeats an earlier draw of
+    its row, found by sorting the row's keys draw*c + k, or equals top[j]
+    for a replaced j < k. The second needs top[0] <= draw < top[k]; those
+    few draws are resolved column by column, so chains of replacements
+    settle in order.
+    """
+    n, c = picks.shape
+    replaced = np.zeros((n, c), dtype=bool)
+    cols = np.arange(c, dtype=np.int64)
+    step = max(1, _CHUNK // c)
+    for a in range(0, n, step):
+        keys = picks[a : a + step].astype(np.int64)
+        keys *= c
+        keys += cols
+        keys.sort(axis=1)
+        draws = keys // c
+        rows, at = np.nonzero(draws[:, 1:] == draws[:, :-1])
+        replaced[rows + a, keys[rows, at + 1] % c] = True
+    # transposed, so the hits come column by column
+    ks, rows = np.nonzero((picks.T >= top[0]) & (picks.T < top[:, None]))
+    cuts = np.flatnonzero(np.diff(ks)) + 1
+    for k, r in zip(np.split(ks, cuts), np.split(rows, cuts)):
+        if r.size:
+            replaced[r, k[0]] |= replaced[r, picks[r, k[0]] - top[0]]
+    np.copyto(picks, top, where=replaced)
+
+
 def generate_inhomogeneous(n_servers: int, n_dispatchers: int, p, seed: int) -> BipartiteGraph:
     """Edge (v, w) present independently with probability p[w].
 
     `p` may be a scalar or a length-M vector with entries in (0, 1].
     An isolated dispatcher has only its own row resampled (rows are
     independent, so this preserves the conditional law).
+
+    Dispatcher w's row is {v : u[v] < p[w]} for the first uniform N-vector
+    u of the stream, after those of dispatchers 0..w-1, that gives a
+    nonempty row. The vectors come in blocks of one `rng.random((B, N))`
+    call, the same stream as B `rng.random(N)` calls, and vector i of a
+    block serves the block's i-th dispatcher until one row comes out
+    isolated. The next vector redraws that row, which shifts the later
+    vectors on by one dispatcher; the block's minima say which vector
+    serves which dispatcher, since u gives w a row iff min(u) < p[w].
     """
     _check_sizes(n_servers, n_dispatchers)
+    scalar_p = np.ndim(p) == 0
     p = np.broadcast_to(np.asarray(p, dtype=float), (n_dispatchers,))
     if np.any((p <= 0) | (p > 1)):
         raise ValueError("edge probabilities must lie in (0, 1]")
     rng = np.random.default_rng(seed)
-    csr, retries = _resampled_rows(
-        n_dispatchers,
-        lambda w, again: np.flatnonzero(rng.random(n_servers) < p[w]),
-        lambda w: f"dispatcher {w} stayed isolated after {GENERATION_RETRIES} "
-        f"resamples (p={p[w]:g}, N={n_servers})",
-    )
+    counts, chunks = [], []
+    w = retries = redraws = 0  # the next dispatcher; the vectors it has refused
+    while w < n_dispatchers:
+        # never more vectors than dispatchers left, so every vector is used
+        u = rng.random((max(1, min(_CHUNK // n_servers, n_dispatchers - w)), n_servers))
+        lengths, servers = _row_entries(u < (p[w] if scalar_p else p[w : w + len(u), None]))
+        if lengths.all():  # vector i served dispatcher w + i
+            w, redraws = w + len(u), 0
+        else:
+            owner_p = np.zeros(len(u))  # p of the dispatcher each vector serves; 0 if refused
+            for i, least in enumerate(u.min(axis=1).tolist()):
+                if least < p[w]:
+                    owner_p[i], w, redraws = p[w], w + 1, 0
+                    continue
+                retries, redraws = retries + 1, redraws + 1
+                if redraws > GENERATION_RETRIES:
+                    raise GraphGenerationError(
+                        f"dispatcher {w} stayed isolated after {GENERATION_RETRIES} "
+                        f"resamples (p={p[w]:g}, N={n_servers})"
+                    )
+            lengths, servers = _row_entries(u < owner_p[:, None])
+            lengths = lengths[owner_p > 0]
+        counts.append(lengths)
+        chunks.append(servers)
     meta = {"generator": "inhomogeneous", "seed": seed, "retries": retries}
-    return BipartiteGraph._from_csr(n_servers, n_dispatchers, meta, csr=csr)
+    return BipartiteGraph._from_csr(n_servers, n_dispatchers, meta, csr=_stacked(counts, chunks))
 
 
 def generate_geometric(n_servers: int, n_dispatchers: int, radius: float, seed: int) -> BipartiteGraph:
@@ -357,6 +436,11 @@ def generate_geometric(n_servers: int, n_dispatchers: int, radius: float, seed: 
     Positions are kept in graph.meta ("server_xy", "dispatcher_xy"). An
     isolated dispatcher is moved to a fresh uniform position up to
     GENERATION_RETRIES times.
+
+    All positions are drawn up front and only an isolated dispatcher draws
+    again, in index order, so the rows are computed for blocks of
+    dispatchers at once, with the same float64 test per pair as one
+    dispatcher at a time.
     """
     _check_sizes(n_servers, n_dispatchers)
     if radius <= 0:
@@ -364,20 +448,38 @@ def generate_geometric(n_servers: int, n_dispatchers: int, radius: float, seed: 
     rng = np.random.default_rng(seed)
     sxy = rng.random((n_servers, 2))
     dxy = rng.random((n_dispatchers, 2))
+    sx, sy = sxy.T.copy()
     r2 = radius * radius
 
-    def neighbors(w: int, again: bool) -> np.ndarray:
-        if again:
-            dxy[w] = rng.random(2)
-        diff = sxy - dxy[w]
-        return np.flatnonzero(diff[:, 0] ** 2 + diff[:, 1] ** 2 <= r2)
+    def near(xy: np.ndarray) -> np.ndarray:
+        """(len(xy), N) bool: server v within the radius of position xy[i],
+        (sx[v] - x)**2 + (sy[v] - y)**2 <= r**2 in float64, in place."""
+        dx = sx - xy[:, 0, None]
+        dx *= dx
+        dy = sy - xy[:, 1, None]
+        dy *= dy
+        dx += dy
+        return dx <= r2
 
-    csr, retries = _resampled_rows(
-        n_dispatchers,
-        neighbors,
-        lambda w: f"dispatcher {w} found no server within radius {radius:g} "
-        f"after {GENERATION_RETRIES} placements",
-    )
+    counts, chunks, retries = [], [], 0
+    step = max(1, _CHUNK // n_servers)
+    for a in range(0, n_dispatchers, step):
+        rows = near(dxy[a : a + step])
+        for k in np.flatnonzero(~rows.any(axis=1)):
+            for attempt in range(1, GENERATION_RETRIES + 1):
+                dxy[a + k] = rng.random(2)
+                rows[k] = near(dxy[a + k, None])[0]
+                if rows[k].any():
+                    break
+            else:
+                raise GraphGenerationError(
+                    f"dispatcher {a + k} found no server within radius {radius:g} "
+                    f"after {GENERATION_RETRIES} placements"
+                )
+            retries += attempt
+        lengths, servers = _row_entries(rows)
+        counts.append(lengths)
+        chunks.append(servers)
     meta = {
         "generator": "geometric",
         "radius": radius,
@@ -386,29 +488,26 @@ def generate_geometric(n_servers: int, n_dispatchers: int, radius: float, seed: 
         "server_xy": sxy,
         "dispatcher_xy": dxy,
     }
-    return BipartiteGraph._from_csr(n_servers, n_dispatchers, meta, csr=csr)
+    return BipartiteGraph._from_csr(n_servers, n_dispatchers, meta, csr=_stacked(counts, chunks))
 
 
-def _resampled_rows(
-    n_dispatchers: int, row: Callable[[int, bool], np.ndarray], failure: Callable[[int], str]
-) -> tuple[tuple[np.ndarray, np.ndarray], int]:
-    """(dispatcher-major CSR, redraws) of the sorted rows row(w, False),
-    each drawn again as row(w, True) while empty. Raises
-    GraphGenerationError(failure(w)) if a row is still empty after
-    GENERATION_RETRIES redraws."""
-    rows, retries = [], 0
-    for w in range(n_dispatchers):
-        for attempt in range(GENERATION_RETRIES + 1):
-            found = row(w, attempt > 0)
-            if found.size:
-                break
-        else:
-            raise GraphGenerationError(failure(w))
-        retries += attempt
-        rows.append(found)
-    indptr = np.zeros(n_dispatchers + 1, dtype=np.int64)
-    np.cumsum([found.size for found in rows], out=indptr[1:])
-    return (indptr, np.concatenate(rows).astype(np.int32)), retries
+def _row_entries(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row lengths, concatenated int32 column indices) of a block of
+    boolean rows."""
+    flat = np.flatnonzero(rows)
+    starts = np.arange(0, rows.size + 1, rows.shape[1])
+    lengths = np.diff(np.searchsorted(flat, starts))
+    flat -= np.repeat(starts[:-1], lengths)
+    return lengths, flat.astype(np.int32)
+
+
+def _stacked(counts: list, chunks: list) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR whose rows are the blocks' rows in order: per-block row
+    lengths and per-block concatenated indices."""
+    lengths = np.concatenate(counts)
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr, np.concatenate(chunks)
 
 
 def radius_for_mean_degree(n_servers: int, mean_degree: float) -> float:
@@ -501,14 +600,17 @@ def log_squared_degree_family() -> GraphFamily:
 
 def write_graph(graph: BipartiteGraph, path) -> None:
     """Write in canonical BPG v1 form (edges ascending lexicographic), one
-    string join per server row of `reverse_csr()`."""
+    string join per server row of `reverse_csr()`. Each dispatcher index is
+    formatted once, into a table that the rows look up: every dispatcher
+    has an edge, so the table is no larger than the edge list."""
     indptr, dispatchers = graph.reverse_csr()
+    table = [str(w) for w in range(graph.n_dispatchers)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("BPG v1\n")
         fh.write(f"{graph.n_servers} {graph.n_dispatchers} {graph.n_edges}\n")
         for v, (a, b) in enumerate(itertools.pairwise(indptr.tolist())):
             if a < b:
-                fh.write(f"{v} " + f"\n{v} ".join(map(str, dispatchers[a:b].tolist())) + "\n")
+                fh.write(f"{v} " + f"\n{v} ".join(map(table.__getitem__, dispatchers[a:b].tolist())) + "\n")
 
 
 def read_graph(path) -> BipartiteGraph:

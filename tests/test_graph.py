@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import deque
 from unittest import mock
 
@@ -173,20 +174,136 @@ def _reference_fixed_degree(n, m, c, seed):
     ],
 )
 def test_fixed_degree_matches_scalar_reference(n, m, c, seed, retries):
+    expected = _assert_matches_reference(n, m, c, seed)
     if retries is None:
-        with pytest.raises(GraphGenerationError) as expected:
-            _reference_fixed_degree(n, m, c, seed)
+        assert expected is None
+    else:
+        assert expected.meta["retries"] == retries
+        assert expected.n_edges == n * c
+
+
+def _assert_matches_reference(*args, reference=_reference_fixed_degree, generator=generate_fixed_server_degree):
+    """Assert that `generator(*args)` builds the scalar reference's graph
+    and meta, or raises its error; return the reference graph, or None when
+    both raise."""
+    try:
+        expected = reference(*args)
+    except GraphGenerationError as error:
         with pytest.raises(GraphGenerationError) as raised:
-            generate_fixed_server_degree(n, m, c, seed)
-        assert str(raised.value) == str(expected.value)
-        return
-    expected = _reference_fixed_degree(n, m, c, seed)
-    assert expected.meta["retries"] == retries
-    g = generate_fixed_server_degree(n, m, c, seed)
+            generator(*args)
+        assert str(raised.value) == str(error)
+        return None
+    g = generator(*args)
     assert g.adjacency == expected.adjacency
     assert g.reverse_adjacency == expected.reverse_adjacency
-    assert g.meta == expected.meta
-    assert g.n_edges == expected.n_edges == n * c
+    assert _same_meta(g, expected)
+    assert g.n_edges == expected.n_edges
+    return expected
+
+
+def _same_meta(a, b) -> bool:
+    """Equal meta, array entries compared by value."""
+    return a.meta.keys() == b.meta.keys() and all(np.array_equal(a.meta[k], b.meta[k]) for k in a.meta)
+
+
+@st.composite
+def _fixed_degree_case(draw):
+    """(n, m, c, seed) with m <= 12; c = m and c = m - 1, where a server's
+    draws often chain through replaced ones, are drawn often."""
+    m = draw(st.integers(1, 12))
+    c = draw(st.one_of(st.sampled_from([m, max(1, m - 1)]), st.integers(1, m)))
+    return draw(st.integers(1, 12)), m, c, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_fixed_degree_case())
+def test_fixed_degree_matches_scalar_reference_on_random_cases(case):
+    _assert_matches_reference(*case)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 13])
+def test_fixed_degree_matches_scalar_reference_across_chunk_seams(chunk):
+    with mock.patch.object(graph_module, "_CHUNK", chunk):
+        for n, m, c, seed in ((30, 12, 12, 0), (30, 12, 11, 1), (25, 40, 3, 2), (17, 9, 5, 3)):
+            _assert_matches_reference(n, m, c, seed)
+
+
+def _reference_inhomogeneous(n, m, p, seed):
+    """The inhomogeneous generator written one `rng.random(n)` row at a
+    time, as it was before it drew rows in blocks."""
+    p = np.broadcast_to(np.asarray(p, dtype=float), (m,))
+    rng = np.random.default_rng(seed)
+    rows, retries = [], 0
+    for w in range(m):
+        for attempt in range(GENERATION_RETRIES + 1):
+            row = np.flatnonzero(rng.random(n) < p[w]).tolist()
+            if row:
+                break
+        else:
+            raise GraphGenerationError(
+                f"dispatcher {w} stayed isolated after {GENERATION_RETRIES} resamples (p={p[w]:g}, N={n})"
+            )
+        retries += attempt
+        rows.append(row)
+    return BipartiteGraph(n, m, rows, meta={"generator": "inhomogeneous", "seed": seed, "retries": retries})
+
+
+def _reference_geometric(n, m, radius, seed):
+    """The geometric generator written one dispatcher at a time, as it was
+    before it computed rows in blocks."""
+    rng = np.random.default_rng(seed)
+    sxy = rng.random((n, 2))
+    dxy = rng.random((m, 2))
+    rows, retries = [], 0
+    for w in range(m):
+        for attempt in range(GENERATION_RETRIES + 1):
+            if attempt:
+                dxy[w] = rng.random(2)
+            diff = sxy - dxy[w]
+            row = np.flatnonzero(diff[:, 0] ** 2 + diff[:, 1] ** 2 <= radius * radius).tolist()
+            if row:
+                break
+        else:
+            raise GraphGenerationError(
+                f"dispatcher {w} found no server within radius {radius:g} "
+                f"after {GENERATION_RETRIES} placements"
+            )
+        retries += attempt
+        rows.append(row)
+    meta = {"generator": "geometric", "radius": radius, "seed": seed, "retries": retries,
+            "server_xy": sxy, "dispatcher_xy": dxy}
+    return BipartiteGraph(n, m, rows, meta=meta)
+
+
+_chunks = st.sampled_from([1, 2, 7, graph_module._CHUNK])
+_seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def _inhomogeneous_case(draw):
+    """(n, m, p, seed): a few servers and low edge probabilities among the
+    rest, so that rows are often isolated and drawn again, and some
+    dispatcher often stays isolated."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    probability = st.floats(0.005, 1.0)
+    p = draw(st.one_of(probability, st.lists(probability, min_size=m, max_size=m)))
+    return n, m, p, draw(_seeds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_inhomogeneous_case(), chunk=_chunks)
+def test_inhomogeneous_matches_row_reference(case, chunk):
+    with mock.patch.object(graph_module, "_CHUNK", chunk):
+        _assert_matches_reference(*case, reference=_reference_inhomogeneous, generator=generate_inhomogeneous)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 8), m=st.integers(1, 12), radius=st.floats(0.02, 1.5), seed=_seeds, chunk=_chunks
+)
+def test_geometric_matches_row_reference(n, m, radius, seed, chunk):
+    with mock.patch.object(graph_module, "_CHUNK", chunk):
+        _assert_matches_reference(n, m, radius, seed, reference=_reference_geometric, generator=generate_geometric)
 
 
 def test_fixed_degree_dispatcher_degree_statistics():
@@ -557,13 +674,23 @@ def test_io_bulk_reader_matches_line_reader(data):
 
 
 def test_csr_is_cached_and_read_only():
-    g = generate_fixed_server_degree(30, 20, 5, seed=3)
-    for csr, rows in ((g.csr, g.adjacency), (g.reverse_csr, g.reverse_adjacency)):
-        indptr, indices = csr()
-        assert csr()[1] is indices
-        assert not indptr.flags.writeable and not indices.flags.writeable
-        assert indptr.tolist() == [0, *np.cumsum([len(row) for row in rows]).tolist()]
-        assert indices.tolist() == [v for row in rows for v in row]
+    # each generator supplies one direction; the other is sorted on first use
+    for g in (generate_fixed_server_degree(30, 20, 5, seed=3), generate_inhomogeneous(30, 20, 0.3, seed=3)):
+        for csr, rows in ((g.csr, g.adjacency), (g.reverse_csr, g.reverse_adjacency)):
+            indptr, indices = csr()
+            assert csr()[1] is indices
+            assert not indptr.flags.writeable and not indices.flags.writeable
+            assert indptr.tolist() == [0, *np.cumsum([len(row) for row in rows]).tolist()]
+            assert indices.tolist() == [v for row in rows for v in row]
+
+
+def test_generated_and_written_graph_sorts_no_edge_keys(tmp_path):
+    # the writer reads the server-major CSR that the fixed-degree generator supplies
+    g = generate_fixed_server_degree(300, 200, 4, seed=1)
+    with mock.patch.object(graph_module, "_flip", side_effect=AssertionError("edge keys sorted")):
+        write_graph(g, tmp_path / "g.bpg")
+        assert g.server_degree(7) == 4
+    assert read_graph(tmp_path / "g.bpg") == g
 
 
 def test_row_lists_are_cached_views(tmp_path):
@@ -607,6 +734,8 @@ def test_write_graph_matches_per_edge_writer(tmp_path):
         generate_fixed_server_degree(300, 200, 4, seed=1),
         generate_inhomogeneous(120, 80, 0.02, seed=2),
         generate_geometric(150, 100, 0.1, seed=3),
+        BipartiteGraph(4, 100_003, [[w % 4] for w in range(100_003)]),  # six-digit dispatchers
+        BipartiteGraph(6, 5000, [[1] if w % 3 else [1, 4] for w in range(5000)]),  # M >> N, servers isolated
     ]
     for k, g in enumerate(graphs):
         write_graph(g, tmp_path / f"{k}.bpg")
@@ -678,3 +807,33 @@ def test_connectivity_flag_matches_bfs():
     # two disjoint stars: dispatchers {0} -> {0,1}, {1} -> {2}
     g2 = BipartiteGraph(3, 2, [[0, 1], [2]])
     assert not g2.is_connected
+
+
+def _traced_peak(run) -> int:
+    """The peak bytes traced by tracemalloc while `run()` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Traced peaks of the bulk graph paths at N = 4000, measured before they were
+# rebuilt from blocks (numpy 2.4.6): each may grow by at most 1 MB.
+BULK_PEAKS = {
+    "fixed-degree": (lambda: generate_fixed_server_degree(4000, 4000, 69, 0), 5_620_000),
+    "errg-log2": (lambda: FAMILIES["errg-log2"].build(4000, 0), 6_520_000),
+    "geometric-log2": (lambda: FAMILIES["geometric-log2"].build(4000, 0), 6_320_000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BULK_PEAKS))
+def test_generator_peak_memory(name):
+    build, before = BULK_PEAKS[name]
+    assert _traced_peak(build) <= before + 10**6
+
+
+def test_write_graph_peak_memory(tmp_path):
+    g = generate_fixed_server_degree(4000, 4000, 69, 0)
+    assert _traced_peak(lambda: write_graph(g, tmp_path / "g.bpg")) <= 180_000 + 10**6

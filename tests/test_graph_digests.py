@@ -1,11 +1,13 @@
-"""Pinned graphs of every named family.
+"""Pinned graphs of every named family, and of inhomogeneous graphs with
+a vector of edge probabilities.
 
 Each case hashes both CSR directions of `FAMILIES[name].build(n, seed)`
 and its `meta`, or the type name of the error the build raises. The
-digests were recorded before the graph became numpy arrays, so a build
-that keeps every draw and every edge keeps every digest. A mismatch
-means a generator's graph or stream changed, which re-rolls every seeded
-gate built on it.
+family digests were recorded before the graph became numpy arrays, and
+the vector-p digests before the generators drew their rows in blocks, so
+a build that keeps every draw and every edge keeps every digest. A
+mismatch means a generator's graph or stream changed, which re-rolls
+every seeded gate built on it.
 """
 
 import hashlib
@@ -13,16 +15,21 @@ import hashlib
 import numpy as np
 import pytest
 
-from sparselb.graph import FAMILIES
+from sparselb.graph import FAMILIES, GraphGenerationError, generate_inhomogeneous
 
 SIZES = (1, 2, 3, 8, 40, 250, 600)
 SEEDS = (0, 1, 2)
 
 
 def graph_digest(name: str, n: int, seed: int) -> str:
+    return built_digest(lambda: FAMILIES[name].build(n, seed))
+
+
+def built_digest(build) -> str:
+    """The digest of the graph `build()` returns, or of the error it raises."""
     h = hashlib.sha256()
     try:
-        g = FAMILIES[name].build(n, seed)
+        g = build()
     except Exception as exc:  # the failure is part of the pinned behaviour
         h.update(type(exc).__name__.encode())
         return h.hexdigest()
@@ -161,3 +168,42 @@ DIGESTS = {
 def test_family_graphs_are_pinned(name):
     got = {(n, seed): graph_digest(name, n, seed) for n in SIZES for seed in SEEDS}
     assert got == DIGESTS[name]
+
+
+# Inhomogeneous graphs with one edge probability per dispatcher: certify's
+# ramp at its 30 x 20 shape, and a ramp down to p = 0.01 over 12 servers,
+# where most low-p rows come out isolated and are drawn again (each seed
+# needs dozens of redraws).
+VECTOR_P = {
+    "certify-ramp": (30, 20, np.linspace(0.06, 0.5, 20)),
+    "ramp-to-0.01": (12, 60, np.linspace(0.4, 0.01, 60)),
+}
+
+VECTOR_P_DIGESTS = {
+    "certify-ramp": {
+        0: "cedf21e7794bb8907e9b8f0aa87b676be69082997b7e0337f69d44dcf0a3fa56",
+        1: "ac30043537f604a52fe44daffd5e52a7434bb68f767ed9c8167510fd30d8e515",
+        2: "525b904f8805136d170c3af506633b3414dbe533e24929b6d26f7ee0247b9b4f",
+    },
+    "ramp-to-0.01": {
+        0: "bbc1c483ec4b77bb1ac102e3d862696e6e9c3ba883ce170192d4fdd10973bb57",
+        1: "a6a0ce5c738b56d369ef0242ccf4041f9f271986986b577102ca35772014ee9e",
+        2: "b5c9fbeb8b7cdfae419984ad5df00b7df2b76d278c924c54de7e87e096fc7314",
+    },
+}
+
+
+@pytest.mark.parametrize("label", sorted(VECTOR_P))
+def test_vector_p_graphs_are_pinned(label):
+    n, m, p = VECTOR_P[label]
+    got = {seed: built_digest(lambda: generate_inhomogeneous(n, m, p, seed)) for seed in SEEDS}
+    assert got == VECTOR_P_DIGESTS[label]
+
+
+def test_vector_p_isolated_dispatcher_is_named():
+    # dispatcher 10 of 30, at p = 0.001 over 2 servers, stays isolated
+    p = np.full(30, 0.5)
+    p[10] = 0.001
+    message = r"^dispatcher 10 stayed isolated after 100 resamples \(p=0\.001, N=2\)$"
+    with pytest.raises(GraphGenerationError, match=message):
+        generate_inhomogeneous(2, 30, p, seed=0)
