@@ -14,7 +14,7 @@ p[i] = q_i^d - q_{i+1}^d, the law of the minimum of d i.i.d. draws from x.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -61,26 +61,6 @@ def distribution_from_occupancy(q) -> np.ndarray:
     """Differences x_i = q_i - q_{i+1} with implicit zero tail; q[0] must be 1."""
     arr = np.asarray(q, dtype=float)
     return np.diff(np.concatenate((arr, [0.0]))) * -1.0
-
-
-def invert_cdf(p: Iterable[float], u: float) -> int:
-    """Smallest index i with cum(p)[i] > u; lands only on positive cells.
-
-    Falls back to the last positive cell when u exceeds the accumulated
-    total (float shortfall below 1). Raises ValueError when no cell is
-    positive.
-    """
-    cum = 0.0
-    last_pos = -1
-    for i, pi in enumerate(p):
-        if pi > 0.0:
-            last_pos = i
-            cum += pi
-            if u < cum:
-                return i
-    if last_pos < 0:
-        raise ValueError("cannot invert a CDF with no positive cell")
-    return last_pos
 
 
 class AssignmentPolicy:

@@ -17,6 +17,11 @@ blocks of BLOCK events, and the Python loop only applies the state update.
 The coupled run drives a constrained system and a fully flexible twin
 with shared arrival and potential-departure streams to expose their
 pathwise occupancy inequality; see coupled_simulate.
+
+Both kernels run on one event walk, _walk: it owns the event clock, the block
+refills, the sample/window/stop boundaries and the event and arrival
+counts. A kernel supplies only its own block draw and its per-event state
+update.
 """
 
 from __future__ import annotations
@@ -90,8 +95,10 @@ def _as_service(service) -> ServiceDistribution:
     return ServiceDistribution(str(service))
 
 
-def _check_inputs(graph: BipartiteGraph, d: int, lam: float, allow_disconnected: bool, allow_overload: bool) -> int:
-    """Validate the shared run arguments; returns d as an int."""
+def _check_inputs(
+    graph: BipartiteGraph, d: int, lam: float, depth: int, seed: int, allow_disconnected: bool, allow_overload: bool
+) -> tuple[int, int, int]:
+    """Validate the shared run arguments; returns (d, depth, seed) as ints."""
     d = require_positive_int("d", d)
     require_finite_positive("lambda", lam)
     if lam >= 1 and not allow_overload:
@@ -100,17 +107,14 @@ def _check_inputs(graph: BipartiteGraph, d: int, lam: float, allow_disconnected:
         raise ValueError(
             "graph is disconnected; pass allow_disconnected=True to simulate anyway"
         )
-    return d
-
-
-def _require_seed(seed) -> int:
+    depth = require_positive_int("depth", depth)
     try:
         value = operator.index(seed)
     except TypeError:
         value = -1
     if value < 0:
         raise ValueError(f"seed must be a non-negative integer, not {seed}")
-    return value
+    return d, depth, value
 
 
 def _replica_stream(seed: int, replica: int) -> np.random.Generator:
@@ -207,6 +211,61 @@ def _drain(heap: list, until: float, lengths: list[int], Q: list[int], tw: list[
             heapq.heappush(heap, (t + next_service(), v))
 
 
+def _walk(gen: np.random.Generator, lam: float, n: int, markovian: bool, horizon: float,
+          grid: np.ndarray, area_from: Optional[float], draw, counts: list[int]):
+    """The event clock of one run, cut into segments at its boundaries.
+
+    Markovian runs are uniformized: events come at rate (lambda+1)*N, each
+    an arrival with probability lambda/(1+lambda). Otherwise events come at
+    rate lambda*N and every one is an arrival. Each block of BLOCK events
+    draws its times and arrival positions here, then `draw(arriving)` - the
+    kernel's own block draw, given the sorted arrival positions - returns
+    the kernel's further per-event columns as lists.
+
+    The boundaries are the sample times of `grid`, the window start
+    `area_from` and the horizon, in time order (a sample at the horizon
+    precedes the stop). Yields (block, lo, hi, action, b_time) per segment:
+    the segment is events lo..hi-1 of block, the list of the times and the
+    kernel's columns. Action is None when the segment ends its block, and
+    otherwise names the boundary at b_time that ends it: a sample index,
+    _WINDOW or _STOP. Samples within rounding past the horizon follow the
+    stop, at b_time = horizon and with no events. Once the walk ends,
+    counts holds [events, arrivals] up to the horizon.
+    """
+    rate = (lam + 1.0) * n if markovian else lam * n
+    p_arrival = lam / (1.0 + lam)
+    bounds = [(g, s) for s, g in enumerate(grid.tolist())]
+    if area_from is not None:
+        bounds.append((area_from, _WINDOW))
+    bounds.append((horizon, _STOP))
+    bounds = iter(sorted(bounds, key=lambda b: b[0]))  # stable: a sample at the horizon precedes the stop
+    b_time, action = next(bounds)
+    t0 = 0.0
+    events = arrivals = 0
+    while True:
+        times = t0 + np.cumsum(gen.standard_exponential(BLOCK)) / rate
+        arriving = np.flatnonzero(gen.random(BLOCK) < p_arrival) if markovian else np.arange(BLOCK)
+        columns = draw(arriving)  # before the times' list, which would raise the peak
+        T = times.tolist()
+        block = [T, *columns]
+        pos = 0
+        while (end := bisect_right(T, b_time, pos)) < len(T):  # a boundary inside this block
+            yield block, pos, end, action, b_time
+            if action == _STOP:
+                counts[:] = events + end, arrivals + int(np.searchsorted(arriving, end))
+                for _, action in bounds:  # samples within rounding past the horizon
+                    yield block, end, end, action, b_time
+                return
+            pos = end
+            b_time, action = next(bounds)
+        yield block, pos, end, None, b_time
+        events += end
+        arrivals += len(arriving)
+        t0 = T[-1]
+        for column in block:  # the kernel still holds the spent block: free it before the draw
+            column.clear()
+
+
 def _simulate_core(
     graph: BipartiteGraph,
     d: int,
@@ -226,12 +285,10 @@ def _simulate_core(
     the per-level time integrals of Q_i over [area_from, horizon] when
     `area_from` is given.
 
-    A block holds BLOCK events: their times, their kinds (Markovian runs),
-    each arrival's dispatcher and ordered server sample, and each potential
-    departure's server. The boundaries - sample times, the window start and
-    the horizon - cut the blocks into segments, and the loop over a segment
-    reads the block as Python lists and only updates the state. Departures
-    are stored as ~server (negative), arrivals as their first sample.
+    Beyond the clock that `_walk` draws, a block holds each arrival's
+    dispatcher and ordered server sample and each potential departure's
+    server; the loop over a segment only updates the state. Departures are
+    stored as ~server (negative), arrivals as their first sample.
     """
     n, m = graph.n_servers, graph.n_dispatchers
     markovian = service.is_markovian
@@ -241,8 +298,6 @@ def _simulate_core(
     # the rest, and the general branch also drains the heap and calls the hook
     pair = markovian and cols <= 2 and on_assign is None
     csr = None if graph.is_complete else graph.csr()  # complete rows: position = server
-    rate = (lam + 1.0) * n if markovian else lam * n
-    p_arrival = lam / (1.0 + lam)
 
     lengths = [0] * n
     if initial_lengths is not None:
@@ -268,23 +323,17 @@ def _simulate_core(
                 yield from service.draw(gen, BLOCK).tolist()
 
         next_service = service_times().__next__
-        heap = [(next_service(), v) for v, l in enumerate(lengths) if l > 0]
+        for v, l in enumerate(lengths):  # a loop: a comprehension would make next_service a cell
+            if l:
+                heap.append((next_service(), v))
         heapq.heapify(heap)
 
     grid = sample_grid(horizon, sample_interval) if sample_interval is not None else np.empty(0)
     occupancy = np.zeros((len(grid), depth))
     overflow = np.zeros(len(grid), dtype=np.int64)
-    bounds = [(g, s) for s, g in enumerate(grid.tolist())]
-    if area_from is not None:
-        bounds.append((area_from, _WINDOW))
-    bounds.append((horizon, _STOP))
-    bounds.sort(key=lambda b: b[0])  # stable: a sample at the horizon precedes the stop
 
-    def draw_block(t0: float):
-        times = t0 + np.cumsum(gen.standard_exponential(BLOCK)) / rate
-        if markovian:
-            arriving = np.flatnonzero(gen.random(BLOCK) < p_arrival)
-        w = gen.integers(0, m, len(arriving) if markovian else BLOCK)
+    def draw_block(arriving: np.ndarray, pair=pair):  # a default: a closure read would make pair a cell
+        w = gen.integers(0, m, len(arriving))
         picks = _ordered_sample(gen, degs[w], cols)
         if csr is not None:
             base = csr[0][w]
@@ -294,17 +343,12 @@ def _simulate_core(
             for col, p in zip(spread, picks):
                 col[arriving] = p
             picks = spread
-        return times.tolist(), picks
+        return picks[0].tolist(), (picks[-1] if pair else np.column_stack(picks)[:, 1:]).tolist()
 
-    T: list[float] = []
-    A: list[int] = []
-    B: list = []
-    first = np.empty(0, dtype=np.int64)
-    pos = bi = arrivals = 0
-    b_time, action = bounds[0]
-    while True:
-        end = bisect_right(T, b_time, pos)
-        for t, a, b in zip(T[pos:end], A[pos:end], B[pos:end]):
+    counts = [0, 0]
+    walk = _walk(gen, lam, n, markovian, horizon, grid, area_from, draw_block, counts)
+    for (T, A, B), lo, hi, action, b_time in walk:
+        for t, a, b in zip(T[lo:hi], A[lo:hi], B[lo:hi]):
             if a < 0:  # potential departure at server ~a
                 a = ~a
                 l = lengths[a]
@@ -338,33 +382,20 @@ def _simulate_core(
                 top += 1
             Q[l] += 1
             tw[l] += t
-        if end == len(T):  # no boundary in this block: draw the next one
-            arrivals += int(np.count_nonzero(first >= 0))
+        if action is None:  # the block's end
             if debug:
                 _check_counts(lengths, Q)
-            T, picks = draw_block(T[-1] if T else 0.0)
-            first = picks[0]
-            A = first.tolist()
-            B = (picks[-1] if pair else np.column_stack(picks)[:, 1:]).tolist()
-            pos = 0
             continue
-        pos = end
         if heap and heap[0][0] <= b_time:
             _drain(heap, b_time, lengths, Q, tw, next_service)
-        if action == _STOP:
-            break
         if action == _WINDOW:
             tw[:] = [q * b_time for q in Q]
-        else:
+        elif action >= 0:
             _record_sample(occupancy, overflow, action, Q, n)
-        bi += 1
-        b_time, action = bounds[bi]
 
-    arrivals += int(np.count_nonzero(first[:end] >= 0))
-    for _, action in bounds[bi + 1 :]:  # samples within rounding past the horizon
-        _record_sample(occupancy, overflow, action, Q, n)
     if debug:
         _check_counts(lengths, Q)
+    arrivals = counts[1]
     departures = arrivals + start_tasks - sum(lengths)
     record = TrajectoryRecord(
         sample_times=grid,
@@ -405,10 +436,8 @@ def simulate(
     it None in production runs.
     """
     service = _as_service(service)
-    d = _check_inputs(graph, d, lam, allow_disconnected, allow_overload)
+    d, depth, seed = _check_inputs(graph, d, lam, depth, seed, allow_disconnected, allow_overload)
     require_finite_positive("horizon", horizon)
-    depth = require_positive_int("depth", depth)
-    seed = _require_seed(seed)
     _warn_overload(lam)
     record, _ = _simulate_core(
         graph, d, lam, horizon, service, _replica_stream(seed, 0),
@@ -441,7 +470,7 @@ def steady_state(
     reported depth.
     """
     service = _as_service(service)
-    d = _check_inputs(graph, d, lam, allow_disconnected, allow_overload)
+    d, depth, seed = _check_inputs(graph, d, lam, depth, seed, allow_disconnected, allow_overload)
     if warmup is None:
         if lam >= 1:
             raise ValueError(
@@ -451,9 +480,7 @@ def steady_state(
     if not (math.isfinite(warmup) and warmup >= 0):
         raise ValueError(f"warmup must be finite and >= 0, not {warmup}")
     require_finite_positive("measure", measure)
-    depth = require_positive_int("depth", depth)
     replicas = require_positive_int("replicas", replicas)
-    seed = _require_seed(seed)
     _warn_overload(lam)
     n = graph.n_servers
     horizon = warmup + measure
@@ -587,10 +614,8 @@ def coupled_simulate(
     """
     if lam >= 1:
         raise ValueError(f"lambda must be < 1 in a coupled run, not {lam}")
-    d = _check_inputs(graph, d, lam, allow_disconnected, False)
+    d, depth, seed = _check_inputs(graph, d, lam, depth, seed, allow_disconnected, False)
     require_finite_positive("horizon", horizon)
-    depth = require_positive_int("depth", depth)
-    seed = _require_seed(seed)
     grid = sample_grid(horizon, sample_interval)
     gen = _replica_stream(seed, 0)
     n, m = graph.n_servers, graph.n_dispatchers
@@ -607,15 +632,11 @@ def coupled_simulate(
     table, cuts = _rank_tables(sizes.tolist(), d)
     start, count = cuts[size_of], np.diff(cuts)[size_of]
     twin = int(start[-1]), int(count[-1])
-    rate = (lam + 1.0) * n
-    p_arrival = lam / (1.0 + lam)
 
-    def draw_block(t0: float):
-        """Per event: its time; its dispatcher, or ~server for a potential
-        departure; a uniform pick; and for arrivals, the constrained rank
-        and N minus the twin's rank."""
-        times = t0 + np.cumsum(gen.standard_exponential(BLOCK)) / rate
-        arriving = np.flatnonzero(gen.random(BLOCK) < p_arrival)
+    def draw_block(arriving: np.ndarray):
+        """Per event: its dispatcher, or ~server for a potential departure;
+        a uniform pick; and for arrivals, the constrained rank and N minus
+        the twin's rank."""
         w = gen.integers(0, m, len(arriving))
         u = gen.random(len(arriving))
         who = ~gen.integers(0, n, BLOCK)
@@ -625,7 +646,7 @@ def coupled_simulate(
         rank_g[arriving] = _min_rank(table, start[w], count[w], u)
         above_k = np.zeros(BLOCK, dtype=np.int64)
         above_k[arriving] = n - _min_rank(table, *twin, u)
-        return times.tolist(), who, pick.tolist(), rank_g.tolist(), above_k.tolist()
+        return who.tolist(), pick.tolist(), rank_g.tolist(), above_k.tolist()
 
     # Q_g, Q_k: servers with >= i tasks, padded to one length with
     # Q[top] = 0 past the longest queue of either system.
@@ -643,22 +664,11 @@ def coupled_simulate(
     k_over = np.zeros(len(grid), dtype=np.int64)
     delta_series = np.zeros(len(grid), dtype=np.int64)
     margin_series = np.zeros(len(grid), dtype=np.int64)
-    bounds = [(g, s) for s, g in enumerate(grid.tolist())] + [(horizon, _STOP)]
-    bounds.sort(key=lambda b: b[0])  # stable: a sample at the horizon precedes the stop
 
-    def record_sample(idx: int):
-        _record_sample(g_occ, g_over, idx, Q_g, n)
-        _record_sample(k_occ, k_over, idx, Q_k, n)
-        delta_series[idx] = delta
-        margin_series[idx] = margin_min
-
-    T = A = P = R = K = []  # the first pass through the loop draws a block
-    who = np.empty(0, dtype=np.int64)
-    pos = bi = events = arrivals = 0
-    b_time, action = bounds[0]
-    while True:
-        end = bisect_right(T, b_time, pos)
-        for t, a, pick, rank, above in zip(T[pos:end], A[pos:end], P[pos:end], R[pos:end], K[pos:end]):
+    counts = [0, 0]
+    walk = _walk(gen, lam, n, True, horizon, grid, None, draw_block, counts)
+    for (T, A, P, R, K), lo, hi, action, _ in walk:
+        for t, a, pick, rank, above in zip(T[lo:hi], A[lo:hi], P[lo:hi], R[lo:hi], K[lo:hi]):
             if a < 0:  # potential departure at server ~a, at the same slot in the twin
                 a = ~a
                 l = lengths[a]
@@ -733,41 +743,19 @@ def coupled_simulate(
                         f"coupling inequality violated at t={t:.6f}: "
                         f"sum|Q_i(K)-Q_i(G)|={D} > 2*delta={2 * delta}"
                     )
-        if end == len(T):  # no boundary in this block: draw the next one
-            events += len(T)
-            arrivals += int(np.count_nonzero(who >= 0))
-            t0 = T[-1] if T else 0.0
-            T = A = P = R = K = []  # free the spent block first
-            T, who, P, R, K = draw_block(t0)
-            A = who.tolist()
-            pos = 0
-            continue
-        pos = end
-        if action == _STOP:
-            break
-        record_sample(action)
-        bi += 1
-        b_time, action = bounds[bi]
+        if action is not None and action >= 0:
+            _record_sample(g_occ, g_over, action, Q_g, n)
+            _record_sample(k_occ, k_over, action, Q_k, n)
+            delta_series[action] = delta
+            margin_series[action] = margin_min
 
-    events += end
-    arrivals += int(np.count_nonzero(who[:end] >= 0))
-    for _, action in bounds[bi + 1 :]:  # samples within rounding past the horizon
-        record_sample(action)
-
-    def as_record(occ, over, Q):
-        return TrajectoryRecord(
-            sample_times=grid,
-            occupancy=occ,
-            overflow=over,
-            n_servers=n,
-            event_count=events,
-            arrival_count=arrivals,
-            departure_count=arrivals - sum(Q[1:]),
-        )
-
+    events, arrivals = counts
+    shared = dict(sample_times=grid, n_servers=n, event_count=events, arrival_count=arrivals)
     return CoupledRecord(
-        g_record=as_record(g_occ, g_over, Q_g),
-        k_record=as_record(k_occ, k_over, Q_k),
+        g_record=TrajectoryRecord(occupancy=g_occ, overflow=g_over, departure_count=arrivals - sum(Q_g[1:]),
+                                  **shared),
+        k_record=TrajectoryRecord(occupancy=k_occ, overflow=k_over, departure_count=arrivals - sum(Q_k[1:]),
+                                  **shared),
         delta_series=delta_series,
         margin_series=margin_series,
         mismatch_count=delta,

@@ -1,5 +1,4 @@
 import math
-import random
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from sparselb.policy import (
     AssignmentPolicy,
     _probe_pairs,
     empirical_lipschitz,
-    invert_cdf,
     jsqd_policy,
     occupancy_from_distribution,
     distribution_from_occupancy,
@@ -153,49 +151,14 @@ def test_unvalidated_block_is_checked_row_by_row():
 
 
 def test_sample_assignment_degenerate():
-    rng = random.Random(0)
     policy = jsqd_policy(2)
-    assert all(invert_cdf(policy.probabilities([1.0, 0.0]), rng.random()) == 0 for _ in range(50))
-    x = [0.0, 0.0, 0.0, 1.0]
-    assert all(invert_cdf(policy.probabilities(x), rng.random()) == 3 for _ in range(50))
+    assert policy.probabilities([1.0, 0.0]).tolist() == [1.0, 0.0]
+    assert policy.probabilities([0.0, 0.0, 0.0, 1.0]).tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
 def test_sample_assignment_statistics():
-    # P(join empty queue) = 1 - 0.5^2 = 0.75 for x = (1/2, 1/2), d = 2
-    rng = random.Random(123)
-    p = jsqd_policy(2).probabilities([0.5, 0.5])  # a pure function of the state: computed once
-    draws = 200_000
-    hits = sum(invert_cdf(p, rng.random()) == 0 for _ in range(draws))
-    assert abs(hits / draws - 0.75) <= 0.004
-
-
-def test_invert_cdf_skips_zero_cells():
-    p = [0.0, 0.6, 0.0, 0.4]
-    assert invert_cdf(p, 0.0) == 1
-    assert invert_cdf(p, 0.59) == 1
-    assert invert_cdf(p, 0.61) == 3
-    assert invert_cdf(p, 0.999999999) == 3
-    assert invert_cdf(p, 1.5) == 3  # float shortfall fallback
-
-
-def test_invert_cdf_rejects_vector_without_positive_cell():
-    with pytest.raises(ValueError):
-        invert_cdf([0.0, 0.0], 0.5)
-    with pytest.raises(ValueError):
-        invert_cdf([], 0.3)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    cells=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=30).filter(
-        lambda cells: any(c > 0.0 for c in cells)
-    ),
-    u=st.floats(0.0, 1.0, exclude_max=True),
-)
-def test_invert_cdf_never_lands_on_empty_cell(cells, u):
-    # raw cells may sum above or below 1; normalized ones are a probability vector
-    for p in (np.asarray(cells), np.asarray(cells) / sum(cells)):
-        assert p[invert_cdf(p, u)] > 0.0
+    # P(join empty queue) = 1 - 0.5^2 = 0.75 for x = (1/2, 1/2), d = 2, exact in binary
+    assert jsqd_policy(2).probabilities([0.5, 0.5]).tolist() == [0.75, 0.25]
 
 
 def test_empirical_lipschitz_within_declared_bounds():

@@ -133,6 +133,32 @@ def test_block_seams_do_not_perturb_the_run(monkeypatch, service):
     assert runs[0].event_count > 100 * simulator.BLOCK
 
 
+def test_coupled_block_seams_and_recording_do_not_perturb_the_run(monkeypatch):
+    # blocks of 7 events put a seam inside almost every segment; sampling at
+    # 0.1, 0.37 or only at 0 and the horizon must not move the run
+    monkeypatch.setattr(simulator, "BLOCK", 7)
+    g = generate_fixed_server_degree(40, 30, 3, seed=2)
+    runs = [coupled_simulate(g, 2, 0.9, 20.0, sample_interval=s, seed=5) for s in (0.1, 0.37, 20.0)]
+    assert len(runs[2].g_record.sample_times) == 2
+    for rec in runs:
+        assert (rec.event_count, rec.arrival_count, rec.mismatch_count, rec.margin_min) == (
+            runs[0].event_count, runs[0].arrival_count, runs[0].mismatch_count, runs[0].margin_min)
+    assert runs[0].mismatch_count > 0
+    assert runs[0].event_count > 100 * simulator.BLOCK
+
+
+@pytest.mark.parametrize("kernel, names", [
+    (simulator._simulate_core, ("lengths", "Q", "tw", "top", "heap", "pair", "next_service")),
+    (coupled_simulate, ("lengths", "Q_g", "Q_k", "top", "D", "delta", "margin_min")),
+])
+def test_event_loop_state_is_no_closure_cell(kernel, names):
+    # a local that a nested function or comprehension reads becomes a closure
+    # cell, which turns every per-event read or write into LOAD_DEREF/STORE_DEREF
+    code = kernel.__code__
+    assert set(names) <= set(code.co_varnames) | set(code.co_cellvars)
+    assert not set(names) & set(code.co_cellvars)
+
+
 def test_occupancy_counts_match_state_incrementally():
     # debug mode recomputes Q from the raw queue lengths as the run goes
     simulate(generate_fixed_server_degree(60, 60, 8, seed=1), 2, 0.9, 100.0, seed=5, debug=True)
@@ -477,6 +503,28 @@ def test_coupled_task_conservation():
         left = round(rec.n_servers * rec.occupancy[-1].sum())
         assert left > 0
         assert rec.departure_count == rec.arrival_count - left
+
+
+@pytest.mark.parametrize("service", ServiceDistribution.KINDS)
+def test_sample_past_the_horizon_holds_the_final_state(service):
+    # 7 * 0.1 rounds to 0.7000000000000001: the last sample lies just past
+    # the horizon and records the state at it
+    rec = simulate(complete_bipartite(50, 50), 2, 0.9, 0.7, service=service, seed=4)
+    assert rec.sample_times[-1] > 0.7 and len(rec.sample_times) == 8
+    final = rec.final_queue_lengths
+    assert final.sum() > 0
+    levels = [np.count_nonzero(final >= i) / 50 for i in range(1, rec.depth + 1)]
+    assert rec.occupancy[-1].tolist() == levels
+
+
+def test_coupled_sample_past_the_horizon_holds_the_final_state():
+    coupled = coupled_simulate(generate_fixed_server_degree(40, 30, 3, seed=2), 2, 0.9, 0.7, seed=4)
+    for rec in (coupled.g_record, coupled.k_record):
+        assert rec.sample_times[-1] > 0.7 and len(rec.sample_times) == 8
+        assert not rec.overflow.any()
+        left = round(rec.n_servers * rec.occupancy[-1].sum())
+        assert left > 0
+        assert left == rec.arrival_count - rec.departure_count
 
 
 def test_coupled_rejects_bad_lambda():
