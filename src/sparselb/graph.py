@@ -14,7 +14,6 @@ a bounded number of times before giving up on an isolated dispatcher.
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -626,6 +625,7 @@ def read_graph(path) -> BipartiteGraph:
 
 # the bytes an edge line may hold: digits and ASCII whitespace (bytes.split())
 _BODY_BYTES = b"0123456789 \t\n\r\x0b\x0c"
+_BODY_CHUNK = 2**18  # bytes of a body that the bulk reader's line check reads at a time
 
 
 def _parse_bpg(data: bytes, path) -> tuple[int, int, np.ndarray, np.ndarray]:
@@ -636,13 +636,12 @@ def _parse_bpg(data: bytes, path) -> tuple[int, int, np.ndarray, np.ndarray]:
         where = path if line is None else f"{path}, line {line}"
         return GraphFormatError(f"{where}: {message}")
 
-    # a line ends at LF, CRLF or a lone CR, as text mode reads it
-    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    header, _, data = data.partition(b"\n")
+    if b"\r" in data:  # a line ends at LF, CRLF or a lone CR, as text mode reads it
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    header, dims_line, body = (data.split(b"\n", 2) + [b"", b""])[:3]  # a missing line reads as empty
+    del data
     if header != b"BPG v1":
         raise error(f"bad header {_shown(header, 'bytes')!r}; expected 'BPG v1'", 1)
-    dims_line, _, body = data.partition(b"\n")
-    del data
     dims = dims_line.split()
     if len(dims) != 3:
         raise error("second line must be '<N> <M> <E>'", 2)
@@ -723,17 +722,37 @@ def _edge_lines(body: bytes, n: int, m: int, error) -> set[tuple[int, int]]:
 
 
 def _bulk_keys(body: bytes, n: int, m: int) -> Optional[np.ndarray]:
-    """The sorted keys v*M + w of a well-formed BPG body, read by numpy's C
-    parser; None for a body that `_edge_lines` might reject, or that is blank."""
-    if body.translate(None, _BODY_BYTES) or not body.strip():
+    """The sorted keys v*M + w of a well-formed BPG body, parsed by numpy's C
+    parser; None for a body that `_edge_lines` might reject, or that is blank.
+    `np.fromstring` ignores line ends and reads an index beyond int64 as
+    INT64_MAX: the lines are checked before it, the range after it."""
+    if body.translate(None, _BODY_BYTES) or not body.strip() or not _two_per_line(body):
         return None
-    try:
-        pairs = np.loadtxt(io.BytesIO(body), dtype=np.int64, ndmin=2, comments=None)
-    except ValueError:  # a line without two indices, or an index beyond int64
+    flat = np.fromstring(body, dtype=np.int64, sep=" ")
+    if (flat[0::2] >= n).any() or (flat[1::2] >= m).any():
         return None
-    if pairs.shape[1] != 2 or (pairs[:, 0] >= n).any() or (pairs[:, 1] >= m).any():
-        return None
-    keys = pairs[:, 0] * m + pairs[:, 1]
-    del pairs
-    keys.sort()
+    keys = flat[0::2] * m + flat[1::2]
+    del flat
+    if not (keys[1:] > keys[:-1]).all():  # not in canonical order, as `write_graph` writes it
+        keys.sort()
     return None if (keys[1:] == keys[:-1]).any() else keys
+
+
+def _two_per_line(body: bytes) -> bool:
+    """Whether every non-blank line of an LF body of ASCII digits and whitespace
+    holds exactly two tokens; reads `_BODY_CHUNK` bytes at a time."""
+    raw = np.frombuffer(body, dtype=np.uint8)
+    carry, before = 0, False  # tokens on the open line; whether the byte before the chunk is a digit
+    for i in range(0, raw.size, _BODY_CHUNK):
+        chunk = raw[i : i + _BODY_CHUNK]
+        digit = chunk > 32  # the only bytes above the space are digits
+        mark = chunk == 10  # line ends and token starts, in byte order
+        mark[1:] |= digit[1:] > digit[:-1]
+        mark[0] |= digit[0] > before
+        marked = chunk[np.flatnonzero(mark)]
+        ends = np.flatnonzero(marked == 10)
+        if ((np.diff(ends, prepend=-1 - carry) - 1) & ~2).any():  # a line of other than 0 or 2 tokens
+            return False
+        carry = marked.size - 1 - ends[-1] if ends.size else carry + marked.size
+        before = digit[-1]
+    return not carry & ~2

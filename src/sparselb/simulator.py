@@ -130,13 +130,6 @@ def _warn_overload(lam: float) -> None:
         warnings.warn(f"running overloaded (lambda={lam}); queues will grow without bound")
 
 
-def _occupancy_row(row: np.ndarray, level: Sequence[float], scale: float) -> None:
-    """row[i-1] = level[i] / scale for i = 1..min(len(row), len(level) - 1);
-    cells past the last level keep their value."""
-    for i in range(1, min(len(row), len(level) - 1) + 1):
-        row[i - 1] = level[i] / scale
-
-
 def choose_shortest(sampled: Sequence[int], lengths: Sequence[int], rng: random.Random) -> int:
     """Shortest queue among the sampled servers, ties uniform among the
     tied samples by one rng.randrange(len(ties)) draw (none when the
@@ -182,9 +175,11 @@ def _ordered_sample(gen: np.random.Generator, degs: np.ndarray, cols: int) -> li
     return picks
 
 
-def _record_sample(occupancy: np.ndarray, overflow: np.ndarray, idx: int, Q: list[int], n: int) -> None:
+def _record_sample(occupancy: np.ndarray, overflow: np.ndarray, idx: int, Q: list[int]) -> None:
+    """Row idx of an int64 count matrix: Q_1..Q_depth in one slice, and the
+    overflow Q_{depth+1}. The run divides the matrix by N once it ends."""
     depth = occupancy.shape[1]
-    _occupancy_row(occupancy[idx], Q, n)
+    occupancy[idx, : len(Q) - 1] = Q[1 : depth + 1]
     overflow[idx] = Q[depth + 1] if len(Q) > depth + 1 else 0
 
 
@@ -329,7 +324,7 @@ def _simulate_core(
         heapq.heapify(heap)
 
     grid = sample_grid(horizon, sample_interval) if sample_interval is not None else np.empty(0)
-    occupancy = np.zeros((len(grid), depth))
+    occupancy = np.zeros((len(grid), depth), dtype=np.int64)  # counts until the run ends
     overflow = np.zeros(len(grid), dtype=np.int64)
 
     def draw_block(arriving: np.ndarray, pair=pair):  # a default: a closure read would make pair a cell
@@ -345,9 +340,23 @@ def _simulate_core(
             picks = spread
         return picks[0].tolist(), (picks[-1] if pair else np.column_stack(picks)[:, 1:]).tolist()
 
+    # a pair run with a window and no samples warms up on queue lengths alone
+    warm = pair and area_from is not None and not len(grid)
     counts = [0, 0]
     walk = _walk(gen, lam, n, markovian, horizon, grid, area_from, draw_block, counts)
     for (T, A, B), lo, hi, action, b_time in walk:
+        if warm:
+            for a, b in zip(A[lo:hi], B[lo:hi]):
+                if a >= 0:  # an arrival joins the shorter sample, a on a tie
+                    if lengths[b] < lengths[a]:
+                        a = b
+                    lengths[a] += 1
+                elif lengths[~a]:  # a potential departure at busy server ~a
+                    lengths[~a] -= 1
+            if action == _WINDOW:
+                Q, warm = _level_counts(lengths), False
+                top, tw = len(Q), [q * b_time for q in Q]
+            continue
         for t, a, b in zip(T[lo:hi], A[lo:hi], B[lo:hi]):
             if a < 0:  # potential departure at server ~a
                 a = ~a
@@ -391,7 +400,7 @@ def _simulate_core(
         if action == _WINDOW:
             tw[:] = [q * b_time for q in Q]
         elif action >= 0:
-            _record_sample(occupancy, overflow, action, Q, n)
+            _record_sample(occupancy, overflow, action, Q)
 
     if debug:
         _check_counts(lengths, Q)
@@ -399,7 +408,7 @@ def _simulate_core(
     departures = arrivals + start_tasks - sum(lengths)
     record = TrajectoryRecord(
         sample_times=grid,
-        occupancy=occupancy,
+        occupancy=occupancy / n,
         overflow=overflow,
         n_servers=n,
         event_count=arrivals + departures,
@@ -467,7 +476,9 @@ def steady_state(
     replica sets. The default warmup is 10/(1-lambda) time units, the
     relaxation scale of the limiting dynamics; an overloaded run must pass
     its own. The mean queue length integrates every level, not just the
-    reported depth.
+    reported depth. With exponential service and at most two sampled
+    servers, the warmup keeps queue lengths only: the level counts and
+    window integrals are built from them when the window opens.
     """
     service = _as_service(service)
     d, depth, seed = _check_inputs(graph, d, lam, depth, seed, allow_disconnected, allow_overload)
@@ -491,9 +502,9 @@ def steady_state(
             graph, d, lam, horizon, service, _replica_stream(seed, r),
             None, None, warmup, depth, False, None,
         )
-        denom = n * measure
-        rep_mql[r] = sum(area[1:]) / denom
-        _occupancy_row(rep_occ[r], area, denom)
+        rep_mql[r] = sum(area[1:]) / (n * measure)
+        rep_occ[r] = (area + [0.0] * depth)[1 : depth + 1]
+    rep_occ /= n * measure
     mean_q = rep_occ.mean(axis=0)
     mql = float(rep_mql.mean())
     if replicas > 1:
@@ -658,8 +669,8 @@ def coupled_simulate(
     # D = sum_i |Q_i(K) - Q_i(G)|, updated at the touched levels only
     D = delta = margin_min = 0
 
-    g_occ = np.zeros((len(grid), depth))
-    k_occ = np.zeros((len(grid), depth))
+    g_occ = np.zeros((len(grid), depth), dtype=np.int64)  # counts until the run ends
+    k_occ = np.zeros((len(grid), depth), dtype=np.int64)
     g_over = np.zeros(len(grid), dtype=np.int64)
     k_over = np.zeros(len(grid), dtype=np.int64)
     delta_series = np.zeros(len(grid), dtype=np.int64)
@@ -744,17 +755,17 @@ def coupled_simulate(
                         f"sum|Q_i(K)-Q_i(G)|={D} > 2*delta={2 * delta}"
                     )
         if action is not None and action >= 0:
-            _record_sample(g_occ, g_over, action, Q_g, n)
-            _record_sample(k_occ, k_over, action, Q_k, n)
+            _record_sample(g_occ, g_over, action, Q_g)
+            _record_sample(k_occ, k_over, action, Q_k)
             delta_series[action] = delta
             margin_series[action] = margin_min
 
     events, arrivals = counts
     shared = dict(sample_times=grid, n_servers=n, event_count=events, arrival_count=arrivals)
     return CoupledRecord(
-        g_record=TrajectoryRecord(occupancy=g_occ, overflow=g_over, departure_count=arrivals - sum(Q_g[1:]),
+        g_record=TrajectoryRecord(occupancy=g_occ / n, overflow=g_over, departure_count=arrivals - sum(Q_g[1:]),
                                   **shared),
-        k_record=TrajectoryRecord(occupancy=k_occ, overflow=k_over, departure_count=arrivals - sum(Q_k[1:]),
+        k_record=TrajectoryRecord(occupancy=k_occ / n, overflow=k_over, departure_count=arrivals - sum(Q_k[1:]),
                                   **shared),
         delta_series=delta_series,
         margin_series=margin_series,

@@ -539,6 +539,10 @@ def test_io_accepts_any_order(tmp_path):
         b"BPG v1\n2 1 2\n0 0\n\xff 0\n",  # not UTF-8 on line 4
         b"BPG\xff v1\n2 1 2\n0 0\n1 0\n",  # not UTF-8 in the header
         "BPG v1\n2 1 2\n0\x1c0\n1 0\n",  # str.split() separator, not ASCII whitespace
+        "BPG v1\n2 1 1\n0\n0\n",  # an edge split over two lines
+        "BPG v1\n2 1 2\n0 0\n1 0 0\n",  # three tokens on a line
+        "BPG v1\n2 1 2\n0 0\n1 0 0",  # three tokens on a last line with no line ending
+        "BPG v1\n2 1 2\n0 0\n18446744073709551617 0\n",  # 20 digits: 2^64 + 1 would wrap to 1
     ],
 )
 def test_io_rejects_malformed(tmp_path, content):
@@ -547,8 +551,36 @@ def test_io_rejects_malformed(tmp_path, content):
         path.write_bytes(content)
     else:
         path.write_text(content)
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError) as raised:
         read_graph(path)
+    with mock.patch.object(graph_module, "_bulk_keys", return_value=None):
+        with pytest.raises(GraphFormatError) as by_lines:
+            read_graph(path)
+    assert str(raised.value) == str(by_lines.value)  # the line reader's message
+
+
+def test_io_reads_leading_zeros_as_decimal(tmp_path):
+    path = tmp_path / "g.bpg"
+    path.write_text("BPG v1\n11 8 8\n" + "".join(f"0 {w}\n" for w in range(7)) + "010 7\n")
+    with mock.patch.object(graph_module, "_edge_lines", side_effect=AssertionError("line reader")):
+        g = read_graph(path)
+    assert g.reverse_adjacency[10] == [7] and g.adjacency[7] == [10]
+
+
+@pytest.mark.parametrize("variant", ["canonical", "tabs-blank-lines-crlf"])
+def test_io_valid_file_takes_the_bulk_path(tmp_path, variant):
+    # over 2^18 bytes: the line check meets at least one seam
+    g = generate_fixed_server_degree(3000, 3000, 10, seed=7)
+    assert g.n_edges >= 10_000
+    path = tmp_path / "g.bpg"
+    write_graph(g, path)
+    if variant != "canonical":
+        lines = path.read_text().splitlines()
+        body = "".join("\t" + line.replace(" ", " \t") + "  \r\n" + ("\r\n" if k % 3 else "")
+                       for k, line in enumerate(lines[2:]))
+        path.write_bytes(("\r\n".join(lines[:2]) + "\r\n\r\n" + body).encode("ascii"))
+    with mock.patch.object(graph_module, "_edge_lines", side_effect=AssertionError("line reader")):
+        assert read_graph(path) == g
 
 
 @pytest.mark.parametrize(
@@ -668,9 +700,14 @@ def test_io_bulk_reader_matches_line_reader(data):
             return str(exc)
         return n, m, indptr.tolist(), indices.tolist()
 
-    bulk = outcome()
     with mock.patch.object(graph_module, "_bulk_keys", return_value=None):
-        assert outcome() == bulk  # every body through the line reader
+        by_lines = outcome()  # every body through the line reader
+    # 1, 2 and 7 bytes put a token or a line end on every seam of the line check
+    for chunk in (graph_module._BODY_CHUNK, 1, 2, 7):
+        with mock.patch.object(graph_module, "_BODY_CHUNK", chunk), \
+                mock.patch.object(graph_module, "_edge_lines", wraps=graph_module._edge_lines) as slow:
+            assert outcome() == by_lines
+        assert not (slow.called and isinstance(by_lines, tuple))  # a valid body never falls back
 
 
 def test_csr_is_cached_and_read_only():

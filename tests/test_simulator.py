@@ -148,7 +148,7 @@ def test_coupled_block_seams_and_recording_do_not_perturb_the_run(monkeypatch):
 
 
 @pytest.mark.parametrize("kernel, names", [
-    (simulator._simulate_core, ("lengths", "Q", "tw", "top", "heap", "pair", "next_service")),
+    (simulator._simulate_core, ("lengths", "Q", "tw", "top", "heap", "pair", "next_service", "warm")),
     (coupled_simulate, ("lengths", "Q_g", "Q_k", "top", "D", "delta", "margin_min")),
 ])
 def test_event_loop_state_is_no_closure_cell(kernel, names):

@@ -123,6 +123,29 @@ def test_steady_state_stream(case):
     assert got == STEADY[case]
 
 
+# warmup 250 spans more than two blocks of events (at least 9,000 at rate
+# lambda*N, 19,000 at (lambda+1)*N), so the window opens inside a block
+# after at least two seams; the exponential cases at d <= 2 run their
+# warmup on queue lengths alone
+STEADY_LONG = {
+    ("sparse", 1, "exponential"): "5226670a9d5ce246",
+    ("sparse", 2, "exponential"): "2659342e80a7c947",
+    ("sparse", 2, "deterministic"): "f17640b9d760571f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEADY_LONG), ids=lambda c: "-".join(map(str, c)))
+def test_steady_state_stream_warmup_across_blocks(case):
+    name, d, service = case
+    g = GRAPHS[name]
+    warmup = 250.0
+    assert 0.9 * g.n_servers * warmup > 2 * BLOCK
+    s = steady_state(g, d, 0.9, warmup=warmup, measure=40.0, replicas=2, service=service, seed=31, depth=8)
+    got = _digest(s.replica_mean_qlen, s.replica_occupancy, s.mean_qlen, s.mean_qlen_stderr,
+                  s.occupancy_mean, s.occupancy_stderr)
+    assert got == STEADY_LONG[case]
+
+
 COUPLED = {
     ("braess", 2): "a22ce9791ce142c6",
     ("complete", 2): "d0c78c1abd66e9ac",
