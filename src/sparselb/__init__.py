@@ -33,7 +33,6 @@ from .policy import (
     AssignmentPolicy,
     empirical_lipschitz,
     jsqd_policy,
-    policy_from_name,
 )
 from .properties import (
     SparsityReport,

@@ -2,9 +2,12 @@
 
 Subcommands wrap the library modules: graph generation and certification,
 simulation, steady-state estimation, coupled runs, mean-field integration,
-trajectory comparison, and canned experiment recipes. Every output CSV
-starts with a '#'-metadata block echoing the configuration and seed, so a
-result file is reproducible from its own header.
+trajectory comparison, and canned experiment recipes. The parser declares
+each run: every output CSV starts with a '#'-metadata block that `_metadata`
+derives from the parsed flags (the command, then each flag the command
+reads, in parser order, as flag text, with the value a run resolved for a
+flag left None), so a result file is reproducible from its own header. A
+recipe declares the flags it reads in `RECIPES`; any other is refused.
 
 Exit codes: 0 success, 1 usage or bad parameters, 2 runtime invariant
 violation (coupling margin, policy normalization), 3 I/O or file format.
@@ -21,7 +24,6 @@ from typing import Optional, Sequence
 from . import graph as graphs
 from . import meanfield, properties, simulator
 from .graph import GraphFormatError, GraphGenerationError, GraphSpec
-from .policy import policy_from_name
 from .records import (
     TrajectoryFormatError,
     check_compatible_metadata,
@@ -42,6 +44,9 @@ class CliUsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # no prefix matching: `--seed 9` is not `--seeds 9`
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse would sys.exit(2); we own exit codes
         raise CliUsageError(message)
 
@@ -72,14 +77,27 @@ def _nonempty(values: list, text: str) -> list:
     return values
 
 
-def _sim_metadata(args, command: str, extra: Optional[dict] = None) -> dict:
-    meta = {"command": command}
-    for key in ("lam", "d", "depth", "seed", "horizon", "service", "sample_interval"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            name = "lambda" if key == "lam" else key
-            meta[name] = getattr(args, key)
-    if extra:
-        meta.update(extra)
+_NAMES = {"lam": "lambda"}  # argparse dest -> its name in headers and config files
+# parsed values that are no flag of the run (--out only says where it goes)
+_NOT_FLAGS = {"command", "recipe", "func", "config", "out"}
+
+
+def _flag_kwargs(args, **resolved) -> dict:
+    """The run's flags in parser order, with `resolved` replacing values;
+    simulate, steady and coupled pass them on as the keyword arguments of
+    their library call, so each of their dests is named after a parameter."""
+    return {k: v for k, v in {**vars(args), **resolved}.items() if k not in _NOT_FLAGS}
+
+
+def _metadata(args, **resolved) -> dict:
+    """The '#' header of a CSV run: the command, then every flag the command
+    reads in parser order, as flag text (`_flag_text`). A flag left unset
+    (None, or a switch left off) is skipped unless `resolved` gives the
+    value the run used for it."""
+    meta = {"command": " ".join(filter(None, (args.command, getattr(args, "recipe", None))))}
+    for key, value in _flag_kwargs(args, **resolved).items():
+        if value is not None and value is not False:
+            meta[_NAMES.get(key, key)] = _flag_text(value)
     return meta
 
 
@@ -123,36 +141,16 @@ def cmd_check(args) -> int:
             (eps, rep.deficiency, rep.mode, rep.subsets_probed, len(rep.witness_subset),
              uniform, argmax, opt, gsz)
         )
-    meta = {
-        "command": "check",
-        "graph": args.graph,
-        "d": args.d,
-        "mode": args.mode,
-        "budget": args.budget,
-        "seed": args.seed,
-    }
     header = ["epsilon", "deficiency", "mode", "subsets_probed", "witness_size",
               "uniform_metric", "argmax_server", "optimal_load", "gamma_support_size"]
-    write_table(args.out, meta, header, rows)
+    write_table(args.out, _metadata(args), header, rows)
     print(f"wrote {args.out}: uniform_metric={uniform:.6f}" + (f" optimal_load={opt}" if opt else ""))
     return 0
 
 
 def cmd_simulate(args) -> int:
-    g = graphs.read_graph(args.graph)
-    record = simulator.simulate(
-        g,
-        args.d,
-        args.lam,
-        args.horizon,
-        service=args.service,
-        sample_interval=args.sample_interval,
-        seed=args.seed,
-        depth=args.depth,
-        allow_disconnected=args.allow_disconnected,
-        allow_overload=args.allow_overload,
-    )
-    write_trajectory_csv(record, args.out, _sim_metadata(args, "simulate", {"graph": args.graph}))
+    record = simulator.simulate(**_flag_kwargs(args, graph=graphs.read_graph(args.graph)))
+    write_trajectory_csv(record, args.out, _metadata(args))
     print(
         f"wrote {args.out}: events={record.event_count} arrivals={record.arrival_count} "
         f"departures={record.departure_count}"
@@ -161,40 +159,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_steady(args) -> int:
-    g = graphs.read_graph(args.graph)
-    summary = simulator.steady_state(
-        g,
-        args.d,
-        args.lam,
-        warmup=args.warmup,
-        measure=args.measure,
-        replicas=args.replicas,
-        service=args.service,
-        seed=args.seed,
-        depth=args.depth,
-        allow_disconnected=args.allow_disconnected,
-        allow_overload=args.allow_overload,
-    )
-    meta = _sim_metadata(args, "steady", {"graph": args.graph})
-    meta.update({"warmup": summary.config["warmup"], "measure": args.measure, "replicas": args.replicas})
-    write_steady_csv(summary, args.out, meta)
+    summary = simulator.steady_state(**_flag_kwargs(args, graph=graphs.read_graph(args.graph)))
+    write_steady_csv(summary, args.out, _metadata(args, warmup=summary.config["warmup"]))
     print(f"wrote {args.out}: mean_qlen={summary.mean_qlen:.6f} +- {summary.mean_qlen_stderr:.6f}")
     return 0
 
 
 def cmd_coupled(args) -> int:
-    g = graphs.read_graph(args.graph)
-    coupled = simulator.coupled_simulate(
-        g,
-        args.d,
-        args.lam,
-        args.horizon,
-        seed=args.seed,
-        sample_interval=args.sample_interval,
-        depth=args.depth,
-        allow_disconnected=args.allow_disconnected,
-    )
-    write_coupled_csv(coupled, args.out, _sim_metadata(args, "coupled", {"graph": args.graph}))
+    coupled = simulator.coupled_simulate(**_flag_kwargs(args, graph=graphs.read_graph(args.graph)))
+    write_coupled_csv(coupled, args.out, _metadata(args))
     frac = coupled.mismatch_count / max(1, coupled.arrival_count)
     print(
         f"wrote {args.out}: events={coupled.event_count} delta={coupled.mismatch_count} "
@@ -209,20 +182,16 @@ def cmd_ode(args) -> int:
         q0 = meanfield.empty_occupancy(depth)
     else:  # argparse limits --start to empty / fixed-point
         q0 = meanfield.fixed_point(args.lam, args.d, depth)
-    policy = policy_from_name(args.policy) if args.policy else None
     result = meanfield.integrate_ode(
         args.lam,
         q0,
         args.horizon,
         depth=depth,
         d=args.d,
-        policy=policy,
         step=args.step,
         sample_interval=args.sample_interval,
     )
-    meta = _sim_metadata(args, "ode")
-    meta["depth"] = depth
-    write_trajectory_csv(result.record, args.out, meta)
+    write_trajectory_csv(result.record, args.out, _metadata(args, depth=depth))
     print(f"wrote {args.out}: steps={result.steps_taken} rejected={result.steps_rejected}")
     return 0
 
@@ -244,15 +213,8 @@ def cmd_trend(args) -> int:
         args.seeds,
         budget=args.budget,
     )
-    meta = {
-        "command": "trend",
-        "family": args.family,
-        "sizes": ",".join(map(str, args.sizes)),
-        "seeds": ",".join(map(str, args.seeds)),
-        "budget": args.budget,
-    }
-    header = ["family", "N", "M", "seed", "epsilon", "deficiency_lb", "uniform_metric", "optimal_load"]
-    write_table(args.out, meta, header, map(dataclasses.astuple, rows))
+    header = ["family", "N", "M", "seed", "epsilon", "deficiency_lb", "uniform_metric"]
+    write_table(args.out, _metadata(args), header, map(dataclasses.astuple, rows))
     print(f"wrote {args.out}: {len(rows)} rows")
     return 0
 
@@ -280,59 +242,47 @@ def _six_places(*values: float) -> tuple[str, ...]:
 
 
 def _erg_trajectories(args, meta):
-    sizes = args.sizes or [100, 1000]
-    depth = 12 if args.depth is None else args.depth
-    horizon = 20.0 if args.horizon is None else args.horizon
-    meta.update(sizes=sizes, horizon=horizon, depth=depth)
-
     def rows():
-        for n in sizes:
+        for n in args.sizes:
             g = graphs.FAMILIES["errg-log2"].build(n, args.seed)
             rec = simulator.simulate(
-                g, args.d, args.lam, horizon, seed=args.seed, depth=depth, allow_disconnected=True
+                g, args.d, args.lam, args.horizon, seed=args.seed, depth=args.depth,
+                allow_disconnected=True,
             )
             yield from ((f"sim-N{n}", *row) for row in trajectory_rows(rec))
-        ode = meanfield.integrate_ode(
-            args.lam, meanfield.empty_occupancy(depth), horizon, depth=depth, d=args.d
-        )
+        q0 = meanfield.empty_occupancy(args.depth)
+        ode = meanfield.integrate_ode(args.lam, q0, args.horizon, depth=args.depth, d=args.d)
         yield from (("ode", *row) for row in trajectory_rows(ode.record))
 
-    return ["source", "t", *level_columns(depth), "overflow"], rows()
+    return ["source", "t", *level_columns(args.depth), "overflow"], rows()
 
 
-def _family_sweep(args, meta, families, default_sizes):
+def _family_sweep(args, meta, families):
     """Steady-state mean queue length per (family, N) against the fixed point;
     `families` are names in graph.FAMILIES."""
-    sizes = args.sizes or default_sizes
-    target = _fixed_point_mean_qlen(args.lam, args.d)
-    meta.update(sizes=sizes, target=f"{target:.6f}")
+    meta["target"] = f"{_fixed_point_mean_qlen(args.lam, args.d):.6f}"
     rows = (
         (family, n, *_six_places(*_steady_mean(args, family, n, args.lam)))
         for family in families
-        for n in sizes
+        for n in args.sizes
     )
     return ["family", "N", "mean_qlen", "stderr"], rows
 
 
 def _degree_sweep(args, meta):
-    families = ("fixed-degree-4", "fixed-degree-log", "fixed-degree-log2")
-    return _family_sweep(args, meta, families, [250, 1000, 4000])
+    return _family_sweep(args, meta, ("fixed-degree-4", "fixed-degree-log", "fixed-degree-log2"))
 
 
 def _geometric_vs_errg(args, meta):
-    header, rows = _family_sweep(args, meta, ("errg-log2", "geometric-log2"), [250, 1000])
+    header, rows = _family_sweep(args, meta, ("errg-log2", "geometric-log2"))
     return [*header, "target"], ((*row, meta["target"]) for row in rows)
 
 
 def _lambda_sweep(args, meta):
-    sizes = args.sizes or [250, 1000, 4000]
-    lambdas = args.lambdas or [0.5, 0.65, 0.8]
-    meta.update(sizes=sizes, lambdas=lambdas)
-
     def rows():
-        for lam in lambdas:
+        for lam in args.lambdas:
             target = _fixed_point_mean_qlen(lam, args.d)
-            for n in sizes:
+            for n in args.sizes:
                 mean, se = _steady_mean(args, "errg-log2", n, lam)
                 yield (str(lam), n, *_six_places(mean, se, target, abs(mean - target)))
 
@@ -340,31 +290,50 @@ def _lambda_sweep(args, meta):
 
 
 def _service_sweep(args, meta):
-    sizes = args.sizes or [1000]
-    meta.update(sizes=sizes)
     rows = (
         (kind, n, *_six_places(*_steady_mean(args, "errg-log2", n, args.lam, kind)))
         for kind in ServiceDistribution.KINDS
-        for n in sizes
+        for n in args.sizes
     )
     return ["service", "N", "mean_qlen", "stderr"], rows
 
 
-# Each recipe takes (args, meta), adds its settings to meta and returns
-# (header, rows); rows may be lazy because write_table consumes them first.
+# Each recipe is (function, defaults of the flags it reads besides --d and
+# --seed, which every recipe reads). The function takes (args, meta), may
+# add a computed `target` to meta, and returns (header, rows); rows may be
+# lazy because write_table consumes them first.
 RECIPES = {
-    "erg-trajectories": _erg_trajectories,
-    "degree-sweep": _degree_sweep,
-    "lambda-sweep": _lambda_sweep,
-    "service-sweep": _service_sweep,
-    "geometric-vs-errg": _geometric_vs_errg,
+    "erg-trajectories": (
+        _erg_trajectories, {"sizes": [100, 1000], "lam": 0.8, "horizon": 20.0, "depth": 12}
+    ),
+    "degree-sweep": (_degree_sweep, {"sizes": [250, 1000, 4000], "lam": 0.8}),
+    "lambda-sweep": (_lambda_sweep, {"sizes": [250, 1000, 4000], "lambdas": [0.5, 0.65, 0.8]}),
+    "service-sweep": (_service_sweep, {"sizes": [1000], "lam": 0.8}),
+    "geometric-vs-errg": (_geometric_vs_errg, {"sizes": [250, 1000], "lam": 0.8}),
 }
 
 
+def _resolve_recipe(args):
+    """The recipe's function, with its declared defaults filled into the
+    flags left unset; a usage error names any set flag it does not read."""
+    run, defaults = RECIPES[args.recipe]
+    declared = {key for _, flags in RECIPES.values() for key in flags}
+    unread = sorted(
+        f"--{_NAMES.get(k, k)}" for k in declared - defaults.keys() if getattr(args, k) is not None
+    )
+    if unread:
+        raise CliUsageError(f"reproduce {args.recipe} does not read {', '.join(unread)}")
+    for key, value in defaults.items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
+    return run
+
+
 def cmd_reproduce(args) -> int:
+    run = _resolve_recipe(args)
     out = args.out or f"{args.recipe}.csv"
-    meta = {"command": f"reproduce {args.recipe}", "lambda": args.lam, "d": args.d, "seed": args.seed}
-    header, rows = RECIPES[args.recipe](args, meta)
+    meta = _metadata(args)
+    header, rows = run(args, meta)
     write_table(out, meta, header, rows)
     print(f"wrote {out}")
     return 0
@@ -374,9 +343,10 @@ def cmd_reproduce(args) -> int:
 # parser assembly
 
 
-def _add_common(sub, *, graph_input=False, sim_params=False):
+def _add_common(sub, *, seed=True, graph_input=False, sim_params=False):
     sub.add_argument("--config", help="JSON file with defaults for this command's flags")
-    sub.add_argument("--seed", type=int, default=0)
+    if seed:
+        sub.add_argument("--seed", type=int, default=0)
     if graph_input:
         sub.add_argument("--graph", required=True, help="path to a BPG v1 graph file")
     if sim_params:
@@ -445,16 +415,15 @@ def build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--step", type=float, default=0.01)
     p.add_argument("--sample-interval", dest="sample_interval", type=float, default=0.1)
     p.add_argument("--start", choices=["empty", "fixed-point"], default="empty")
-    p.add_argument("--policy", default=None, help='route through a named policy, e.g. "jsq-d:2"')
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_ode)
 
     p = subs.add_parser("compare", help="sup and l1 distance between two trajectory CSVs")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--levels", type=int, default=None)
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_compare)
 
     p = subs.add_parser("trend", help="sparsity/load metrics across a size sweep")
@@ -464,18 +433,18 @@ def build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--epsilons", type=_float_list, default=[0.1])
     p.add_argument("--budget", type=int, default=256)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_trend)
 
     p = subs.add_parser("reproduce", help="canned experiment recipes")
     p.add_argument("recipe", choices=sorted(RECIPES))
-    p.add_argument("--sizes", type=_int_list, default=None)
-    p.add_argument("--lambdas", type=_float_list, default=None)
+    p.add_argument("--sizes", type=_int_list)
+    p.add_argument("--lambdas", type=_float_list)
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.8)
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--horizon", type=float)
+    p.add_argument("--depth", type=int)
+    p.add_argument("--out")
     _add_common(p)
     p.set_defaults(func=cmd_reproduce)
 
@@ -495,7 +464,8 @@ def _config_defaults(path: str, args) -> dict:
     if not isinstance(overrides, dict):
         raise CliUsageError(f"{path}: config must be a JSON object")
     valid = set(vars(args)) - {"command", "func", "config"}
-    dest = {key: "lam" if key == "lambda" else key.replace("-", "_") for key in overrides}
+    renamed = {name: dest for dest, name in _NAMES.items()}
+    dest = {key: renamed.get(key, key.replace("-", "_")) for key in overrides}
     unknown = sorted(key for key in overrides if dest[key] not in valid)
     if unknown:
         raise CliUsageError(f"unknown config key(s) {unknown}; valid keys: {sorted(valid)}")

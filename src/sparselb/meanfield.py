@@ -135,7 +135,9 @@ def integrate_ode(
 
     Fixed-step integration keeps runs bit-identical across platforms; the
     system is smooth and non-stiff for lambda < 1, so adaptivity buys
-    nothing.
+    nothing. Each sample interval takes a whole number of steps, so the
+    step actually used is sample_interval / round(sample_interval / step);
+    a step longer than sample_interval is refused.
     """
     if not 0 < lam < 1:
         raise ValueError("lambda must lie in (0, 1)")
@@ -202,8 +204,10 @@ def integrate_ode(
         return advance(y, 0.5 * h, halvings + 1)
 
     sample_times = sample_grid(horizon, sample_interval)
+    if step > sample_interval:
+        raise ValueError(f"step must be at most sample_interval {sample_interval}, not {step}")
     n_samples = len(sample_times) - 1
-    substeps = max(1, round(sample_interval / step))
+    substeps = round(sample_interval / step)
     h = sample_interval / substeps
 
     y = q0[1:].copy()

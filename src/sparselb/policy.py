@@ -139,13 +139,6 @@ def jsqd_policy(d: int) -> AssignmentPolicy:
     )
 
 
-def policy_from_name(name: str) -> AssignmentPolicy:
-    """Resolve a config-style policy name; currently "jsq-d:<d>"."""
-    if name.startswith("jsq-d:"):
-        return jsqd_policy(int(name.split(":", 1)[1]))
-    raise ValueError(f"unknown policy name {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # empirical Lipschitz estimation
 

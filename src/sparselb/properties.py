@@ -26,7 +26,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, pairwise
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -251,7 +251,7 @@ def bad_dispatcher_count(graph: BipartiteGraph, subset: Sequence[int], epsilon: 
     size = len(members)
     bad = 0
     indptr, servers = graph.csr()
-    for a, b in pairwise(indptr.tolist()):  # a row at a time: the graph keeps no row lists
+    for a, b in pairwise(indptr.tolist()):  # CSR slices: never builds the cached `adjacency` lists
         deg = b - a
         inter = sum(1 for v in servers[a:b].tolist() if v in members)
         if abs(inter * n - size * deg) >= epsilon * (deg * n):
@@ -505,7 +505,6 @@ class TrendRow:
     epsilon: float
     deficiency_lb: float
     uniform_metric: float
-    optimal_load: Optional[float] = None
 
 
 def sparsity_trend(
@@ -514,8 +513,6 @@ def sparsity_trend(
     sizes: Sequence[int],
     seeds: Sequence[int],
     budget: int = 256,
-    include_optimal: bool = False,
-    d: int = 2,
 ) -> list[TrendRow]:
     """Sampled deficiency and uniform load metric across sizes and seeds.
 
@@ -528,9 +525,6 @@ def sparsity_trend(
         for seed in seeds:
             graph = family.build(n, seed)
             uniform, _ = uniform_subcriticality_metric(graph)
-            optimal = None
-            if include_optimal:
-                optimal = optimal_subcriticality_load(graph, d).optimal_load
             for eps in epsilons:
                 report = sparsity_deficiency(
                     graph, eps, mode="sampled", budget=budget, seed=seed
@@ -544,7 +538,6 @@ def sparsity_trend(
                         epsilon=eps,
                         deficiency_lb=report.deficiency,
                         uniform_metric=uniform,
-                        optimal_load=optimal,
                     )
                 )
     return rows

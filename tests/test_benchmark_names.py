@@ -38,3 +38,18 @@ def test_benchmark_names_exist():
     assert ("graph", "generate_inhomogeneous") in used  # and instrumented names
     missing = sorted(f"{module}.{name}" for module, name in used if not hasattr(MODULES[module], name))
     assert missing == [], f"benchmarks/run.py uses names that sparselb lacks: {missing}"
+
+
+def test_benchmark_cli_call_is_valid_usage():
+    # run.py counts the degree sweep's exit 1 as a known generation failure,
+    # so a usage error in its argv would pass unseen there
+    tree = ast.parse(RUN_PY.read_text(encoding="utf-8"))
+    (argv,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "DEGREE_SWEEP_ARGV"
+    ]
+    parser, _ = cli.build_parser()
+    args = parser.parse_args([*argv, "--out", "degree-sweep.csv"])
+    assert args.func is cli.cmd_reproduce
+    cli._resolve_recipe(args)  # raises CliUsageError on a flag the recipe does not read

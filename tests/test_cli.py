@@ -3,13 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from sparselb.cli import RECIPES, main
+from sparselb.cli import RECIPES, build_parser, main
 from sparselb.graph import read_graph
+from sparselb.meanfield import default_depth
 from sparselb.records import read_trajectory_csv
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def _header(path):
+    """The '#' metadata block of a CSV as an ordered dict of strings."""
+    lines = (ln[2:] for ln in path.read_text().splitlines() if ln.startswith("# "))
+    return dict(ln.split(": ", 1) for ln in lines)
 
 
 def _data_rows(path):
@@ -219,7 +226,7 @@ def test_bad_sample_interval_is_exit_1(tmp_path, capsys, command, interval):
 @pytest.mark.parametrize(
     "command, flag, value",
     [(c, "--horizon", v) for c in ("simulate", "coupled", "ode") for v in ("0", "-1", "nan", "inf")]
-    + [("ode", "--step", v) for v in ("0", "-1", "nan", "inf")]
+    + [("ode", "--step", v) for v in ("0", "-1", "nan", "inf", "50")]
     + [("steady", "--warmup", v) for v in ("-1", "nan", "inf")]
     + [("steady", "--measure", v) for v in ("0", "-1", "nan", "inf")]
     + [(c, "--lambda", v) for c in ("simulate", "steady", "coupled", "ode")
@@ -300,7 +307,6 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         {"sizes": [32, 1.5], "seeds": [0]},  # not an integer
         {"sizes": [32], "seeds": [0], "epsilons": []},
         {"sizes": [32], "seeds": [0], "epsilons": ["x"]},
-        {"sizes": [32], "seeds": [0], "seed": 1.5},  # a number is checked like the flag too
     ],
 )
 def test_config_list_values_checked_like_flags(tmp_path, capsys, config):
@@ -309,6 +315,17 @@ def test_config_list_values_checked_like_flags(tmp_path, capsys, config):
     out = tmp_path / "t.csv"
     assert run("trend", "--family", "fixed-degree-log2", "--budget", "8",
                "--config", str(cfg), "--out", str(out)) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_seed_checked_like_the_flag(tmp_path, capsys):
+    # a number is checked like the flag's text too: 1.5 is no --seed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1.5}))
+    out = tmp_path / "t.csv"
+    assert run("reproduce", "degree-sweep", "--sizes", "40", "--config", str(cfg),
+               "--out", str(out)) == 1
     assert "usage error" in capsys.readouterr().err
     assert not out.exists()
 
@@ -365,7 +382,7 @@ def test_trend_command(tmp_path):
                "--seeds", "0..2", "--epsilons", "0.15", "--budget", "16",
                "--out", str(out)) == 0
     rows = _data_rows(out)
-    assert rows[0] == "family,N,M,seed,epsilon,deficiency_lb,uniform_metric,optimal_load"
+    assert rows[0] == "family,N,M,seed,epsilon,deficiency_lb,uniform_metric"
     assert len(rows) == 1 + 2 * 3
     assert run("trend", "--family", "unknown", "--sizes", "8", "--seeds", "0",
                "--out", str(out)) == 1
@@ -396,7 +413,8 @@ def test_bad_epsilon_is_exit_1(tmp_path, capsys, command, epsilon):
 
 _LEVELS = [f"q{i}" for i in range(1, 9)]
 
-# recipe -> (header, first-column keys) at --sizes 40 --depth 8 --lambdas 0.5,0.8
+# recipe -> (header, first-column keys) at --sizes 40 and, where the recipe
+# reads them, --horizon 3.0 --depth 8 --lambdas 0.5,0.8
 RECIPE_SCHEMAS = {
     "erg-trajectories": (["source", "t", *_LEVELS, "overflow"], {"sim-N40", "ode"}),
     "degree-sweep": (
@@ -419,8 +437,18 @@ RECIPE_SCHEMAS = {
 def test_reproduce_recipe(tmp_path, recipe):
     header, keys = RECIPE_SCHEMAS[recipe]
     out = tmp_path / f"{recipe}.csv"
-    assert run("reproduce", recipe, "--sizes", "40", "--horizon", "3", "--depth", "8",
-               "--lambdas", "0.5,0.8", "--out", str(out)) == 0
+    _, defaults = RECIPES[recipe]
+    flags = {"sizes": "40", "horizon": "3.0", "depth": "8", "lambdas": "0.5,0.8"}
+    argv = [text for key, value in flags.items() if key in defaults for text in (f"--{key}", value)]
+    assert run("reproduce", recipe, *argv, "--out", str(out)) == 0
+    # the header states every flag the recipe reads: as set, or its declared default
+    meta = _header(out)
+    assert meta["command"] == f"reproduce {recipe}"
+    for key, default in {"d": 2, "seed": 0, **defaults}.items():
+        name = "lambda" if key == "lam" else key
+        text = ",".join(map(str, default)) if isinstance(default, list) else str(default)
+        assert meta.pop(name) == flags.get(key, text)
+    assert set(meta) <= {"artifact", "command", "target"}
     rows = [ln.split(",") for ln in _data_rows(out)]
     assert rows[0] == header
     assert all(len(row) == len(header) for row in rows[1:])
@@ -435,4 +463,81 @@ def test_generation_failure_leaves_no_csv(tmp_path, capsys):
     # fixed-degree-4 at N=1000 leaves a dispatcher isolated on every retry
     assert run("reproduce", "degree-sweep", "--sizes", "1000", "--out", str(out)) == 1
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Every flag each command reads, set to a non-default value and written in
+# parser order as the header writes it ("--x" alone is a switch, written True)
+HEADER_CASES = {
+    "check": "--seed 3 --graph G --d 3 --epsilons 0.2,0.3 --mode exact --budget 64 --optimal",
+    "simulate": "--seed 3 --graph G --d 1 --lambda 0.5 --depth 6 --allow-disconnected --horizon 2.0 "
+                "--service deterministic --sample-interval 0.5 --allow-overload",
+    "steady": "--seed 3 --graph G --d 1 --lambda 0.5 --depth 6 --allow-disconnected --warmup 1.0 "
+              "--measure 2.0 --replicas 2 --service pareto --allow-overload",
+    "coupled": "--seed 3 --graph G --d 1 --lambda 0.5 --depth 6 --allow-disconnected --horizon 2.0 "
+               "--sample-interval 0.5",
+    "ode": "--d 3 --lambda 0.5 --horizon 1.0 --depth 6 --step 0.05 --sample-interval 0.5 "
+           "--start fixed-point",
+    "trend": "--family fixed-degree-4 --sizes 32,40 --seeds 1,2 --epsilons 0.2,0.3 --budget 8",
+    "reproduce erg-trajectories": "--sizes 40 --d 3 --lambda 0.5 --horizon 1.0 --depth 6 --seed 2",
+    "reproduce degree-sweep": "--sizes 40 --d 3 --lambda 0.5 --seed 2",
+    "reproduce lambda-sweep": "--sizes 40 --lambdas 0.5,0.6 --d 3 --seed 2",
+    "reproduce service-sweep": "--sizes 40 --d 3 --lambda 0.5 --seed 2",
+    "reproduce geometric-vs-errg": "--sizes 40 --d 3 --lambda 0.5 --seed 2",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HEADER_CASES))
+def test_header_states_every_flag_read(tmp_path, command):
+    g = tmp_path / "g.bpg"
+    run("gen", "--kind", "braess" if command == "check" else "complete", "--n", "4", "--out", str(g))
+    argv = [str(g) if tok == "G" else tok for tok in HEADER_CASES[command].split()]
+    expected = {"artifact": "sparselb v0.1.0", "command": command}
+    for i, tok in enumerate(argv):
+        if tok.startswith("--"):
+            switch = i + 1 == len(argv) or argv[i + 1].startswith("--")
+            expected[tok[2:].replace("-", "_")] = "True" if switch else argv[i + 1]
+    _, subparsers = build_parser()
+    order = [action.dest for action in subparsers[command.split()[0]]._actions]
+    dests = ["lam" if key == "lambda" else key for key in list(expected)[2:]]
+    assert dests == sorted(dests, key=order.index)  # the case lists flags in parser order
+    out = tmp_path / "out.csv"
+    assert run(*command.split(), *argv, "--out", str(out)) == 0
+    meta = _header(out)
+    assert list(meta.items())[: len(expected)] == list(expected.items())
+    assert set(list(meta)[len(expected):]) <= {"mean_qlen", "mean_qlen_stderr", "target"}
+
+
+def test_header_states_resolved_defaults(tmp_path):
+    g = tmp_path / "g.bpg"
+    run("gen", "--kind", "complete", "--n", "4", "--out", str(g))
+    out = tmp_path / "out.csv"
+    assert run("steady", "--graph", str(g), "--lambda", "0.5", "--measure", "1", "--replicas", "1",
+               "--out", str(out)) == 0
+    assert _header(out)["warmup"] == "20.0"  # 10 / (1 - lambda)
+    assert run("ode", "--lambda", "0.5", "--d", "3", "--horizon", "0.1", "--out", str(out)) == 0
+    assert _header(out)["depth"] == str(default_depth(0.5, 3))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("ode --policy jsq-d:2 --out OUT", "unrecognized arguments: --policy"),
+        ("ode --seed 1 --out OUT", "unrecognized arguments: --seed"),
+        ("compare --a OUT --b OUT --seed 1", "unrecognized arguments: --seed"),
+        ("trend --family fixed-degree-4 --sizes 32 --seeds 0 --seed 1 --out OUT",
+         "unrecognized arguments: --seed"),
+        ("reproduce degree-sweep --sizes 40 --lambdas 0.5 --out OUT",
+         "reproduce degree-sweep does not read --lambdas"),
+        ("reproduce lambda-sweep --sizes 40 --lambda 0.3 --depth 4 --out OUT",
+         "reproduce lambda-sweep does not read --depth, --lambda"),
+        ("reproduce service-sweep --sizes 40 --horizon 5 --out OUT",
+         "reproduce service-sweep does not read --horizon"),
+    ],
+)
+def test_flag_nothing_reads_is_usage_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert run(*(str(out) if tok == "OUT" else tok for tok in argv.split())) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and message in err, err
     assert not out.exists()

@@ -126,6 +126,13 @@ def test_step_rejection_cascade_recovers():
     assert q[0] == 1.0 and np.all(np.diff(q) <= 1e-12) and np.all(q >= 0.0)
 
 
+@pytest.mark.parametrize("step", [0.15, 50.0])
+def test_step_longer_than_sample_interval_is_refused(step):
+    # round(0.1 / step) is 1 or 0 here, so the run would take steps of 0.1
+    with pytest.raises(ValueError, match=rf"^step must be at most sample_interval 0\.1, not {step}$"):
+        integrate_ode(0.8, empty_occupancy(5), 1.0, depth=5, step=step, sample_interval=0.1)
+
+
 def _reference_ode(lam, q0, horizon, depth, d, policy, step, sample_interval):
     """Occupancy rows of integrate_ode's RK4 written with allocating numpy
     expressions (np.concatenate per stage), the reference for the

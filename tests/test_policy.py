@@ -14,7 +14,6 @@ from sparselb.policy import (
     jsqd_policy,
     occupancy_from_distribution,
     distribution_from_occupancy,
-    policy_from_name,
     validate_distribution,
 )
 
@@ -37,12 +36,6 @@ def test_jsqd_declared_bounds():
 def test_jsqd_rejects_bad_d():
     with pytest.raises(ValueError):
         jsqd_policy(0)
-
-
-def test_policy_from_name():
-    assert policy_from_name("jsq-d:3").name == "jsq-d:3"
-    with pytest.raises(ValueError):
-        policy_from_name("round-robin")
 
 
 def test_brute_force_oracle_equivalence():

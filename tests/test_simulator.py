@@ -415,6 +415,32 @@ def test_coupling_margin_nonnegative_on_small_graphs(g, d, lam, horizon, seed):
     assert np.all(np.diff(coupled.delta_series) >= 0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    g=_small_graphs(),
+    d=st.integers(1, 3),
+    lam=st.floats(0.1, 0.9),
+    service=st.sampled_from(ServiceDistribution.KINDS),
+    samples=st.integers(1, 40),
+    depth=st.integers(1, 4),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_recorded_rows_match_the_state(g, d, lam, service, samples, depth, data, seed):
+    # the horizon lies on the binary sample grid, so the last row is
+    # recorded at it and holds the final state
+    initial = data.draw(st.lists(st.integers(0, 6), min_size=g.n_servers, max_size=g.n_servers))
+    rec = simulate(g, d, lam, samples / 4, service=service, initial_lengths=initial,
+                   sample_interval=0.25, seed=seed, depth=depth, allow_disconnected=True, debug=True)
+    final = rec.final_queue_lengths
+    assert rec.sample_times[-1] == samples / 4
+    levels = [np.count_nonzero(final >= i) / g.n_servers for i in range(1, depth + 1)]
+    assert rec.occupancy[-1].tolist() == levels
+    assert rec.overflow[-1] == np.count_nonzero(final > depth)
+    assert 0 <= rec.departure_count <= rec.arrival_count + sum(initial)
+    assert rec.arrival_count + sum(initial) - rec.departure_count == final.sum()
+
+
 def _reference_min_rank(s, d, u):
     """The smallest p with C(s-1-p, d)/C(s, d) < 1 - u, from exact binomials
     and one rounded quotient each."""
