@@ -6,6 +6,8 @@ certifies sparse random compatibility graphs, and verifies the pathwise
 coupling inequality and steady-state tail bounds at desk scale.
 """
 
+__version__ = "0.1.0"  # read by records.FORMAT_VERSION, so set before the imports
+
 from .graph import (
     BipartiteGraph,
     GraphFormatError,
@@ -57,5 +59,3 @@ from .simulator import (
     steady_state,
     tail_moment_margin,
 )
-
-__version__ = "0.1.0"

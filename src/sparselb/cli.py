@@ -106,16 +106,7 @@ def _metadata(args, **resolved) -> dict:
 
 
 def cmd_gen(args) -> int:
-    spec = GraphSpec(
-        kind=args.kind,
-        n=args.n,
-        m=args.m if args.m is not None else args.n,
-        c=args.c,
-        p=args.p,
-        radius=args.radius,
-        seed=args.seed,
-    )
-    g = spec.build()
+    g = GraphSpec(**_flag_kwargs(args, m=args.n if args.m is None else args.m)).build()
     graphs.write_graph(g, args.out)
     retries = g.meta.get("retries", 0)
     print(
@@ -451,8 +442,10 @@ def build_parser() -> tuple[_Parser, dict]:
     return parser, subs.choices
 
 
-def _config_defaults(path: str, args) -> dict:
-    """Flag defaults from a JSON object; "lambda" sets --lambda, unknown keys are refused.
+def _config_defaults(path: str, sub: argparse.ArgumentParser) -> dict:
+    """Defaults for the optional flags of the command `sub` from a JSON
+    object; "lambda" sets --lambda. Any other key is refused: a positional
+    argument, a required flag (`--graph`, `check --out`) and `--config`.
 
     A number or a list becomes the text a flag would carry (a list joined
     by commas), so argparse checks it with the flag's own type, such as
@@ -463,14 +456,15 @@ def _config_defaults(path: str, args) -> dict:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise CliUsageError(f"{path}: config must be a JSON object")
-    valid = set(vars(args)) - {"command", "func", "config"}
+    valid = {a.dest for a in sub._actions if a.option_strings and not a.required} - {"help", "config"}
     renamed = {name: dest for dest, name in _NAMES.items()}
     dest = {key: renamed.get(key, key.replace("-", "_")) for key in overrides}
     unknown = sorted(key for key in overrides if dest[key] not in valid)
     if unknown:
-        raise CliUsageError(f"unknown config key(s) {unknown}; valid keys: {sorted(valid)}")
+        names = sorted(_NAMES.get(key, key) for key in valid)
+        raise CliUsageError(f"unknown config key(s) {unknown}; valid keys: {names}")
     for key, value in overrides.items():
-        if isinstance(getattr(args, dest[key]), bool) and not isinstance(value, bool):
+        if isinstance(sub.get_default(dest[key]), bool) and not isinstance(value, bool):
             raise CliUsageError(f"config key {key!r} takes true or false, not {value!r}")
     return {dest[key]: _flag_text(value) for key, value in overrides.items()}
 
@@ -488,7 +482,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            subparsers[args.command].set_defaults(**_config_defaults(args.config, args))
+            sub = subparsers[args.command]
+            sub.set_defaults(**_config_defaults(args.config, sub))
             args = parser.parse_args(argv)  # explicit flags still win
         return args.func(args)
     except CliUsageError as exc:

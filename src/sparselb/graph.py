@@ -4,7 +4,8 @@ A graph connects N servers (left side) to M dispatchers (right side); an
 edge (v, w) means server v can process tasks arriving at dispatcher w.
 A graph is its two CSR directions, dispatcher-major and server-major, as
 read-only numpy arrays: a constructor is given one, and the other is sorted
-from it on first use. Python row lists are a view built on first use.
+from it on first use. Degrees are read off the indptr arrays; the
+dispatcher rows as Python lists are a view built on first use.
 Graphs are immutable after construction and safe to share across workers.
 
 Dispatchers with no compatible server are rejected: a task type that no
@@ -104,11 +105,12 @@ class BipartiteGraph:
 
     `csr()` is the dispatcher-major CSR (row w lists the servers compatible
     with dispatcher w) and `reverse_csr()` the server-major one (row v lists
-    the dispatchers server v can serve), each row sorted. `adjacency` and
-    `reverse_adjacency` are the same rows as Python lists, built on first
-    access and cached. Complete graphs store only the two indptr arrays and
-    `range` rows, so K_{10^4,10^4} costs O(N+M) memory until a CSR is
-    asked for.
+    the dispatchers server v can serve), each row sorted.
+    `dispatcher_degrees()` and `server_degrees()` read only the indptr
+    arrays. `adjacency` is the rows of `csr()` as Python lists, built on
+    first access and cached. Complete graphs store only the two indptr
+    arrays and `range` dispatcher rows, so K_{10^4,10^4} costs O(N+M)
+    memory until a CSR is asked for.
 
     The public constructor always validates the dispatcher rows (nonempty,
     in range, no duplicate edge) and sorts them. The generators,
@@ -127,7 +129,6 @@ class BipartiteGraph:
         "_csr",
         "_reverse_csr",
         "_rows",
-        "_reverse_rows",
         "_connected",
     )
 
@@ -162,13 +163,12 @@ class BipartiteGraph:
         """The one place a graph's fields are set. A direction left None is
         derived from the other by `csr()` or `reverse_csr()`."""
         _check_sizes(n_servers, n_dispatchers)
-        self._rows = self._reverse_rows = None
+        self._rows = None
         if csr is None and reverse_csr is None:  # complete: no indices until a CSR is asked for
             total = n_servers * n_dispatchers
             csr = (np.arange(0, total + 1, n_servers, dtype=np.int64), None)
             reverse_csr = (np.arange(0, total + 1, n_dispatchers, dtype=np.int64), None)
             self._rows = [range(n_servers)] * n_dispatchers
-            self._reverse_rows = [range(n_dispatchers)] * n_servers
         elif csr is not None and len(csr[0]) != n_dispatchers + 1:
             raise ValueError("adjacency must have one row per dispatcher")
         for array in (*(csr or ()), *(reverse_csr or ())):
@@ -193,26 +193,14 @@ class BipartiteGraph:
             self._rows = _row_lists(*self.csr())
         return self._rows
 
-    @property
-    def reverse_adjacency(self) -> list:
-        """Each server's sorted dispatchers, a list view of `reverse_csr()`."""
-        if self._reverse_rows is None:
-            self._reverse_rows = _row_lists(*self.reverse_csr())
-        return self._reverse_rows
-
     # `(self._csr or self.csr())[0]` is the indptr without building a
     # complete graph's implicit indices
 
-    def server_degree(self, v: int) -> int:
-        indptr = (self._reverse_csr or self.reverse_csr())[0]
-        return int(indptr[v + 1] - indptr[v])
-
-    def dispatcher_degree(self, w: int) -> int:
-        indptr = (self._csr or self.csr())[0]
-        return int(indptr[w + 1] - indptr[w])
-
     def dispatcher_degrees(self) -> np.ndarray:
         return np.diff((self._csr or self.csr())[0])
+
+    def server_degrees(self) -> np.ndarray:
+        return np.diff((self._reverse_csr or self.reverse_csr())[0])
 
     @property
     def is_connected(self) -> bool:
@@ -220,12 +208,6 @@ class BipartiteGraph:
         if self._connected is None:
             self._connected = self.is_complete or _one_component(*self.csr(), *self.reverse_csr())
         return self._connected
-
-    def edges(self):
-        """Iterate (server, dispatcher) pairs in ascending lexicographic order."""
-        indptr, dispatchers = self.reverse_csr()
-        servers = np.repeat(np.arange(self.n_servers), np.diff(indptr))
-        return zip(servers.tolist(), dispatchers.tolist())
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Dispatcher-major CSR: (int64 indptr, int32 server_indices),
@@ -397,7 +379,7 @@ def generate_inhomogeneous(n_servers: int, n_dispatchers: int, p, seed: int) -> 
     _check_sizes(n_servers, n_dispatchers)
     scalar_p = np.ndim(p) == 0
     p = np.broadcast_to(np.asarray(p, dtype=float), (n_dispatchers,))
-    if np.any((p <= 0) | (p > 1)):
+    if not ((p > 0) & (p <= 1)).all():  # NaN fails both comparisons
         raise ValueError("edge probabilities must lie in (0, 1]")
     rng = np.random.default_rng(seed)
     counts, chunks = [], []
@@ -442,7 +424,7 @@ def generate_geometric(n_servers: int, n_dispatchers: int, radius: float, seed: 
     dispatcher at a time.
     """
     _check_sizes(n_servers, n_dispatchers)
-    if radius <= 0:
+    if not radius > 0:  # NaN too
         raise ValueError("radius must be positive")
     rng = np.random.default_rng(seed)
     sxy = rng.random((n_servers, 2))

@@ -118,7 +118,7 @@ def integrate_ode(
     lam: float,
     q0,
     horizon: float,
-    depth: Optional[int] = None,
+    depth: int,
     d: int = 2,
     policy: Optional[AssignmentPolicy] = None,
     step: float = 0.01,
@@ -144,8 +144,6 @@ def integrate_ode(
     require_finite_positive("horizon", horizon)
     require_finite_positive("step", step)
     d = require_positive_int("d", d)
-    if depth is None:
-        depth = default_depth(lam, d)
     depth = require_positive_int("depth", depth)
     q0 = _validate_initial(q0, depth)
 
@@ -239,8 +237,8 @@ def integrate_ode(
 
 @dataclass
 class StabilityWeights:
-    """Weights omega making the weighted l1 distance to the fixed point
-    contract: strictly increasing, geometric with ratio r past level i0.
+    """Weights omega making the weighted l1 distance to the JSQ(2) fixed
+    point contract: strictly increasing, geometric with ratio r past level i0.
 
     omega[0] = 0 and omega[1] = 1; for i > i0, omega[i] = omega[i0] * r^(i-i0)
     with 1 < r < 2/(1+lambda).
@@ -251,7 +249,6 @@ class StabilityWeights:
     i0: int
     delta: float
     lam: float
-    d: int
 
     @property
     def depth(self) -> int:
@@ -291,8 +288,13 @@ def master_inequality_margin(
     return worst
 
 
-def stability_weights(lam: float, depth: int, d: int = 2) -> StabilityWeights:
-    """Construct contraction weights for the JSQ(d) dynamics at rate lam.
+def stability_weights(lam: float, depth: int) -> StabilityWeights:
+    """Construct contraction weights for the JSQ(2) dynamics at rate lam.
+
+    The master inequality (`master_inequality_margin`), its crossover
+    factor lambda (2 q*_i + 1) and the pre-crossover divisor 3 are written
+    for the JSQ(2) drift lambda (q_{i-1}^2 - q_i^2), around the JSQ(2) fixed
+    point, so the weights certify no other d.
 
     The slack delta is searched over decreasing powers of two (the largest
     feasible value maximizes the certified margin); a candidate is feasible
@@ -304,7 +306,7 @@ def stability_weights(lam: float, depth: int, d: int = 2) -> StabilityWeights:
     if not 0 < lam < 1:
         raise ValueError("lambda must lie in (0, 1)")
     depth = require_positive_int("depth", depth)
-    q_star = fixed_point(lam, d, max(depth + 1, default_depth(lam, d)))
+    q_star = fixed_point(lam, 2, max(depth + 1, default_depth(lam, 2)))
     i0 = crossover_index(lam, q_star)
     build_depth = max(depth, i0 + 1)
     threshold_rate = 2.0 / (1.0 + lam)
@@ -327,10 +329,8 @@ def stability_weights(lam: float, depth: int, d: int = 2) -> StabilityWeights:
             continue
         for i in range(i0 + 1, build_depth + 1):
             om[i] = om[i0] * r ** (i - i0)
-        candidate = StabilityWeights(
-            omega=om[: depth + 1], r=r, i0=i0, delta=delta, lam=lam, d=d
-        )
-        full = StabilityWeights(omega=om, r=r, i0=i0, delta=delta, lam=lam, d=d)
+        candidate = StabilityWeights(omega=om[: depth + 1], r=r, i0=i0, delta=delta, lam=lam)
+        full = StabilityWeights(omega=om, r=r, i0=i0, delta=delta, lam=lam)
         if master_inequality_margin(full, q_star) < -1e-12:
             continue
         return candidate

@@ -275,10 +275,9 @@ class _SubsetScorer:
         self.indptr, self.indices = graph.csr()
         self.degs = graph.dispatcher_degrees()
         self.thresholds = epsilon * (self.degs * self.n)
-        server_indptr, dispatchers = graph.reverse_csr()
-        server_degs = np.diff(server_indptr)
+        server_degs = graph.server_degrees()
         self.rev = np.full((self.n, int(server_degs.max())), self.m, dtype=np.int32)
-        self.rev[np.arange(self.rev.shape[1]) < server_degs[:, None]] = dispatchers
+        self.rev[np.arange(self.rev.shape[1]) < server_degs[:, None]] = graph.reverse_csr()[1]
 
     def counts(self, member: np.ndarray) -> np.ndarray:
         sel = member[self.indices].astype(np.int64)

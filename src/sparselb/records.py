@@ -22,7 +22,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-FORMAT_VERSION = "sparselb v0.1.0"
+from . import __version__
+
+FORMAT_VERSION = f"sparselb v{__version__}"
 
 # metadata keys that must agree before two trajectory files are compared
 _COMPARE_KEYS = ("lambda", "d", "depth")
@@ -54,12 +56,6 @@ class TrajectoryRecord:
     @property
     def depth(self) -> int:
         return self.occupancy.shape[1]
-
-    def level(self, i: int) -> np.ndarray:
-        """Occupancy series q_i (levels are 1-indexed)."""
-        if not 1 <= i <= self.depth:
-            raise IndexError(f"level {i} outside recorded depth {self.depth}")
-        return self.occupancy[:, i - 1]
 
 
 def require_finite_positive(name: str, value: float) -> None:

@@ -89,12 +89,6 @@ class ServiceDistribution:
         return gen.standard_exponential(size)
 
 
-def _as_service(service) -> ServiceDistribution:
-    if isinstance(service, ServiceDistribution):
-        return service
-    return ServiceDistribution(str(service))
-
-
 def _check_inputs(
     graph: BipartiteGraph, d: int, lam: float, depth: int, seed: int, allow_disconnected: bool, allow_overload: bool
 ) -> tuple[int, int, int]:
@@ -444,7 +438,7 @@ def simulate(
     test hook called at each assignment with live (read-only) state; leave
     it None in production runs.
     """
-    service = _as_service(service)
+    service = ServiceDistribution(service)
     d, depth, seed = _check_inputs(graph, d, lam, depth, seed, allow_disconnected, allow_overload)
     require_finite_positive("horizon", horizon)
     _warn_overload(lam)
@@ -480,7 +474,7 @@ def steady_state(
     servers, the warmup keeps queue lengths only: the level counts and
     window integrals are built from them when the window opens.
     """
-    service = _as_service(service)
+    service = ServiceDistribution(service)
     d, depth, seed = _check_inputs(graph, d, lam, depth, seed, allow_disconnected, allow_overload)
     if warmup is None:
         if lam >= 1:

@@ -12,6 +12,14 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 
+def row_lists(csr):
+    """The rows of a CSR (indptr, indices) as lists of ints, for references
+    that walk a graph row by row: `row_lists(g.reverse_csr())[v]` lists the
+    dispatchers of server v."""
+    indptr, indices = csr
+    return [indices[a:b].tolist() for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
+
+
 def min_of_d_oracle(x, d):
     """Exact law of the minimum of d i.i.d. draws from x, by enumeration
     over the d-fold product."""

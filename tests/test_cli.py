@@ -268,7 +268,7 @@ def test_disconnected_graph_exit(tmp_path):
                "--out", str(tmp_path / "t.csv")) == 0
 
 
-def test_config_file_defaults_and_override(tmp_path):
+def test_config_file_defaults_and_override(tmp_path, monkeypatch):
     g = tmp_path / "c.bpg"
     run("gen", "--kind", "complete", "--n", "20", "--m", "20", "--out", str(g))
     cfg = tmp_path / "cfg.json"
@@ -284,18 +284,41 @@ def test_config_file_defaults_and_override(tmp_path):
                "--lambda", "0.7", "--out", str(out)) == 0
     _, meta = read_trajectory_csv(out)
     assert meta["lambda"] == "0.7"
+    # reproduce's --out is optional, so a config file may set it
+    monkeypatch.chdir(tmp_path)  # where the default erg-trajectories.csv would land
+    cfg.write_text(json.dumps({"out": str(tmp_path / "erg.csv")}))
+    assert run("reproduce", "erg-trajectories", "--sizes", "40", "--horizon", "1.0", "--depth", "4",
+               "--config", str(cfg)) == 0
+    assert (tmp_path / "erg.csv").exists() and not (tmp_path / "erg-trajectories.csv").exists()
+
+
+# (command line, config, its refused key, a valid key the error lists)
+_REFUSED_CONFIGS = [
+    ("simulate --graph G", {"lamda": 0.95}, "lamda", "horizon"),
+    # a config file sets only optional flags: no positional argument, no required flag
+    ("reproduce degree-sweep --sizes 40", {"recipe": "lambda-sweep", "sizes": [40]}, "recipe", "lambdas"),
+    ("check --graph G", {"out": "CFG_OUT"}, "out", "epsilons"),
+    ("check --graph G", {"graph": "G"}, "graph", "budget"),
+    ("trend --family fixed-degree-log2 --sizes 32 --seeds 0 --budget 8", {"family": "errg-log2"},
+     "family", "seeds"),
+]
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     g = tmp_path / "c.bpg"
     run("gen", "--kind", "complete", "--n", "20", "--m", "20", "--out", str(g))
+    paths = {"G": str(g), "CFG_OUT": str(tmp_path / "cfg_out.csv")}
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"lamda": 0.95}))
-    out = tmp_path / "sim.csv"
-    assert run("simulate", "--graph", str(g), "--config", str(cfg), "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert "lamda" in err and "horizon" in err
-    assert not out.exists()
+    out = tmp_path / "out.csv"
+    for argv, config, key, valid in _REFUSED_CONFIGS:
+        cfg.write_text(json.dumps({k: paths.get(v, v) if isinstance(v, str) else v for k, v in config.items()}))
+        capsys.readouterr()
+        assert run(*(paths.get(tok, tok) for tok in argv.split()), "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: unknown config key(s) [{key!r}]; valid keys: ["), err
+        listed = err.split("valid keys:")[1]
+        assert repr(valid) in listed and repr(key) not in listed, err
+        assert not out.exists() and not (tmp_path / "cfg_out.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -307,6 +330,7 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         {"sizes": [32, 1.5], "seeds": [0]},  # not an integer
         {"sizes": [32], "seeds": [0], "epsilons": []},
         {"sizes": [32], "seeds": [0], "epsilons": ["x"]},
+        [{"sizes": [32], "seeds": [0]}],  # not a JSON object
     ],
 )
 def test_config_list_values_checked_like_flags(tmp_path, capsys, config):

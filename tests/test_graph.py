@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import row_lists
 
 from sparselb import graph as graph_module
 from sparselb.graph import (
@@ -34,24 +35,26 @@ from sparselb.simulator import simulate, steady_state
 def test_complete_bipartite_small():
     g = complete_bipartite(2, 3)
     assert g.n_edges == 6
-    assert all(g.dispatcher_degree(w) == 2 for w in range(3))
+    assert g.dispatcher_degrees().tolist() == [2, 2, 2]
+    assert g.server_degrees().tolist() == [3, 3]
     g1 = complete_bipartite(1, 1)
     assert g1.n_edges == 1
-    assert list(g1.edges()) == [(0, 0)]
+    assert row_lists(g1.reverse_csr()) == [[0]]
 
 
 def test_complete_bipartite_large_is_implicit():
-    # must not materialize 10^8 edges
+    # must not materialize 10^8 edges: the degrees read the indptr arrays alone
     g = complete_bipartite(10**4, 10**4)
-    assert g.dispatcher_degree(0) == 10**4
-    assert g.server_degree(9999) == 10**4
-    assert g.n_edges == 10**8
-    assert g.is_complete and g.is_connected
+    with mock.patch.object(graph_module, "_dense", side_effect=AssertionError("index array built")):
+        assert (g.dispatcher_degrees() == 10**4).all() and len(g.dispatcher_degrees()) == 10**4
+        assert (g.server_degrees() == 10**4).all() and len(g.server_degrees()) == 10**4
+        assert g.n_edges == 10**8
+        assert g.is_complete and g.is_connected
 
 
 def test_perfect_matching():
     g = perfect_matching(4)
-    assert sorted(g.edges()) == [(i, i) for i in range(4)]
+    assert row_lists(g.reverse_csr()) == [[i] for i in range(4)]
     assert perfect_matching(1) == complete_bipartite(1, 1)
     g6 = perfect_matching(6)
     assert g6.n_edges == 6
@@ -63,10 +66,8 @@ def test_braess_example():
     assert g.n_servers == g.n_dispatchers == 6
     assert g.n_edges == 14
     # server 0: own dispatcher plus the four sharing dispatchers
-    assert g.server_degree(0) == 5
-    assert g.server_degree(3) == 1
-    matching_edges = set((i, i) for i in range(6))
-    assert matching_edges <= set(g.edges())
+    assert g.server_degrees().tolist() == [5, 5, 1, 1, 1, 1]
+    assert all(w in row for w, row in enumerate(row_lists(g.reverse_csr())))  # the matching edges
     assert g.is_connected
 
 
@@ -87,18 +88,21 @@ def test_adjacency_reverse_consistency(tmp_path):
     ]
     for g in gs:
         ref = BipartiteGraph(g.n_servers, g.n_dispatchers, g.adjacency)
-        assert [list(r) for r in g.adjacency] == ref.adjacency
-        assert [list(r) for r in g.reverse_adjacency] == ref.reverse_adjacency
+        rows, reverse_rows = row_lists(g.csr()), row_lists(g.reverse_csr())
+        assert [list(r) for r in g.adjacency] == rows == row_lists(ref.csr())
+        assert reverse_rows == row_lists(ref.reverse_csr())
         rederived = [[] for _ in range(g.n_servers)]
-        for w, row in enumerate(g.adjacency):
+        for w, row in enumerate(rows):
             for v in row:
                 rederived[v].append(w)
-        assert [list(r) for r in g.reverse_adjacency] == rederived
+        assert reverse_rows == rederived
         rederived_adj = [[] for _ in range(g.n_dispatchers)]
-        for v, row in enumerate(g.reverse_adjacency):
+        for v, row in enumerate(reverse_rows):
             for w in row:
                 rederived_adj[w].append(v)
-        assert [list(r) for r in g.adjacency] == rederived_adj
+        assert rows == rederived_adj
+        assert g.server_degrees().tolist() == [len(row) for row in reverse_rows]
+        assert g.dispatcher_degrees().tolist() == [len(row) for row in rows]
 
 
 def test_degree_zero_dispatcher_rejected():
@@ -117,7 +121,7 @@ def test_fixed_degree_forced_cases():
     assert generate_fixed_server_degree(4, 4, 4, seed=0) == complete_bipartite(4, 4)
     g = generate_fixed_server_degree(4, 4, 2, seed=1)
     assert g.n_edges == 8
-    assert all(g.server_degree(v) == 2 for v in range(4))
+    assert (g.server_degrees() == 2).all()
 
 
 def test_fixed_degree_rejects_bad_c():
@@ -136,7 +140,7 @@ def test_fixed_degree_impossible_regime_errors():
 def test_fixed_degree_every_seed_exact_degree():
     for seed in range(20):
         g = generate_fixed_server_degree(50, 37, 9, seed=seed)
-        assert all(g.server_degree(v) == 9 for v in range(50))
+        assert g.server_degrees().tolist() == [9] * 50
         assert g.n_edges == 450
 
 
@@ -195,7 +199,7 @@ def _assert_matches_reference(*args, reference=_reference_fixed_degree, generato
         return None
     g = generator(*args)
     assert g.adjacency == expected.adjacency
-    assert g.reverse_adjacency == expected.reverse_adjacency
+    assert row_lists(g.reverse_csr()) == row_lists(expected.reverse_csr())
     assert _same_meta(g, expected)
     assert g.n_edges == expected.n_edges
     return expected
@@ -344,10 +348,11 @@ def test_inhomogeneous_p_one_is_complete():
 
 
 def test_inhomogeneous_rejects_bad_p():
-    with pytest.raises(ValueError):
-        generate_inhomogeneous(5, 3, 0.0, seed=0)
-    with pytest.raises(ValueError):
-        generate_inhomogeneous(5, 3, [0.5, 1.2, 0.5], seed=0)
+    # NaN fails every comparison, so it is refused before any draw
+    with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drew")):
+        for p in (0.0, [0.5, 1.2, 0.5], float("nan"), [0.5, float("nan"), 0.5]):
+            with pytest.raises(ValueError, match=r"^edge probabilities must lie in \(0, 1\]$"):
+                generate_inhomogeneous(5, 3, p, seed=0)
 
 
 def test_inhomogeneous_degree_statistics():
@@ -391,8 +396,10 @@ def test_geometric_full_radius_is_complete():
 
 
 def test_geometric_rejects_nonpositive_radius():
-    with pytest.raises(ValueError):
-        generate_geometric(5, 5, 0.0, seed=0)
+    with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drew")):
+        for radius in (0.0, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="^radius must be positive$"):
+                generate_geometric(5, 5, radius, seed=0)
 
 
 def test_geometric_positions_kept_and_consistent():
@@ -453,6 +460,10 @@ def test_graph_spec_validation():
         GraphSpec("fixed-degree", n=4, m=4).build()  # c missing
     with pytest.raises(ValueError):
         GraphSpec("geometric", n=4, m=4, radius=5.0).build()
+    with pytest.raises(ValueError, match="^inhomogeneous spec needs p$"):
+        GraphSpec("inhomogeneous", n=4, m=4).build()
+    with pytest.raises(ValueError, match="^geometric spec needs radius$"):
+        GraphSpec("geometric", n=4, m=4).build()
     assert GraphSpec("braess").build() == braess_example()
 
 
@@ -519,7 +530,7 @@ def test_io_accepts_any_order(tmp_path):
     path = tmp_path / "g.bpg"
     path.write_text("BPG v1\n2 2 3\n1 1\n0 0\n0 1\n")
     g = read_graph(path)
-    assert sorted(g.edges()) == [(0, 0), (0, 1), (1, 1)]
+    assert row_lists(g.reverse_csr()) == [[0, 1], [1]]
 
 
 @pytest.mark.parametrize(
@@ -543,6 +554,7 @@ def test_io_accepts_any_order(tmp_path):
         "BPG v1\n2 1 2\n0 0\n1 0 0\n",  # three tokens on a line
         "BPG v1\n2 1 2\n0 0\n1 0 0",  # three tokens on a last line with no line ending
         "BPG v1\n2 1 2\n0 0\n18446744073709551617 0\n",  # 20 digits: 2^64 + 1 would wrap to 1
+        "BPG v1\n0 1 0\n",  # no server
     ],
 )
 def test_io_rejects_malformed(tmp_path, content):
@@ -564,7 +576,7 @@ def test_io_reads_leading_zeros_as_decimal(tmp_path):
     path.write_text("BPG v1\n11 8 8\n" + "".join(f"0 {w}\n" for w in range(7)) + "010 7\n")
     with mock.patch.object(graph_module, "_edge_lines", side_effect=AssertionError("line reader")):
         g = read_graph(path)
-    assert g.reverse_adjacency[10] == [7] and g.adjacency[7] == [10]
+    assert row_lists(g.reverse_csr())[10] == [7] and g.adjacency[7] == [10]
 
 
 @pytest.mark.parametrize("variant", ["canonical", "tabs-blank-lines-crlf"])
@@ -671,7 +683,7 @@ def test_io_bulk_reader_matches_list_constructor(tmp_path_factory, case):
         expected.n_servers, expected.n_dispatchers, expected.n_edges
     )
     assert g.adjacency == expected.adjacency
-    assert g.reverse_adjacency == expected.reverse_adjacency
+    assert row_lists(g.reverse_csr()) == row_lists(expected.reverse_csr())
 
 
 @st.composite
@@ -713,12 +725,14 @@ def test_io_bulk_reader_matches_line_reader(data):
 def test_csr_is_cached_and_read_only():
     # each generator supplies one direction; the other is sorted on first use
     for g in (generate_fixed_server_degree(30, 20, 5, seed=3), generate_inhomogeneous(30, 20, 0.3, seed=3)):
-        for csr, rows in ((g.csr, g.adjacency), (g.reverse_csr, g.reverse_adjacency)):
+        for csr, degrees in ((g.csr, g.dispatcher_degrees), (g.reverse_csr, g.server_degrees)):
             indptr, indices = csr()
             assert csr()[1] is indices
             assert not indptr.flags.writeable and not indices.flags.writeable
-            assert indptr.tolist() == [0, *np.cumsum([len(row) for row in rows]).tolist()]
-            assert indices.tolist() == [v for row in rows for v in row]
+            assert indptr.tolist() == [0, *np.cumsum(degrees()).tolist()]
+        assert row_lists(g.csr()) == g.adjacency
+        rederived = sorted((v, w) for w, row in enumerate(g.adjacency) for v in row)
+        assert [(v, w) for v, row in enumerate(row_lists(g.reverse_csr())) for w in row] == rederived
 
 
 def test_generated_and_written_graph_sorts_no_edge_keys(tmp_path):
@@ -726,17 +740,17 @@ def test_generated_and_written_graph_sorts_no_edge_keys(tmp_path):
     g = generate_fixed_server_degree(300, 200, 4, seed=1)
     with mock.patch.object(graph_module, "_flip", side_effect=AssertionError("edge keys sorted")):
         write_graph(g, tmp_path / "g.bpg")
-        assert g.server_degree(7) == 4
+        assert (g.server_degrees() == 4).all()
     assert read_graph(tmp_path / "g.bpg") == g
 
 
 def test_row_lists_are_cached_views(tmp_path):
     write_graph(generate_fixed_server_degree(60, 50, 6, seed=1), tmp_path / "g.bpg")
     for g in (generate_inhomogeneous(40, 30, 0.1, seed=2), read_graph(tmp_path / "g.bpg")):
-        assert g.adjacency is g.adjacency and g.reverse_adjacency is g.reverse_adjacency
-        assert all(type(row) is list for row in g.adjacency + g.reverse_adjacency)
+        assert g.adjacency is g.adjacency
+        assert all(type(row) is list for row in g.adjacency)
     g = complete_bipartite(10**4, 10**4)
-    assert g.adjacency[0] == range(10**4) and g.reverse_adjacency[-1] == range(10**4)
+    assert g.adjacency[0] == range(10**4) and g.adjacency[-1] == range(10**4)
 
 
 def test_array_consumers_on_a_read_graph_build_no_row_lists(tmp_path):
@@ -757,7 +771,7 @@ def _write_per_edge(graph, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("BPG v1\n")
         fh.write(f"{graph.n_servers} {graph.n_dispatchers} {graph.n_edges}\n")
-        for v, row in enumerate(graph.reverse_adjacency):
+        for v, row in enumerate(row_lists(graph.reverse_csr())):
             for w in row:
                 fh.write(f"{v} {w}\n")
 
@@ -785,11 +799,12 @@ def _bfs_connected(g) -> bool:
     """Breadth-first search over the row lists from dispatcher 0."""
     seen_d, seen_s = {0}, set()
     queue = deque([0])
+    reverse_rows = row_lists(g.reverse_csr())
     while queue:
         for v in g.adjacency[queue.popleft()]:
             if v not in seen_s:
                 seen_s.add(v)
-                for w in g.reverse_adjacency[v]:
+                for w in reverse_rows[v]:
                     if w not in seen_d:
                         seen_d.add(w)
                         queue.append(w)

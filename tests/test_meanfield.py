@@ -106,13 +106,37 @@ def test_mass_flow_identity():
 
 
 def test_initial_state_validation():
-    with pytest.raises(ValueError):
-        integrate_ode(0.8, np.zeros(11), 1.0, depth=10)  # q0[0] != 1
-    with pytest.raises(ValueError):
-        integrate_ode(0.8, np.linspace(1, 0.9, 11)[::-1].copy(), 1.0, depth=10)  # increasing
+    with pytest.raises(ValueError, match="q0\\[0\\] must equal 1"):
+        integrate_ode(0.8, np.zeros(11), 1.0, depth=10)
+    with pytest.raises(ValueError, match="q0\\[0\\] must equal 1"):
+        integrate_ode(0.8, np.linspace(1, 0.9, 11)[::-1].copy(), 1.0, depth=10)
+    with pytest.raises(ValueError, match="^q0 entries must lie in \\[0, 1\\]$"):
+        integrate_ode(0.8, [1.0, 0.5, -0.1], 1.0, depth=2)
+    with pytest.raises(ValueError, match="^q0 must be non-increasing$"):
+        integrate_ode(0.8, [1.0, 0.2, 0.5], 1.0, depth=2)
     bad = empty_occupancy(10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="q0 must have length"):
         integrate_ode(0.8, bad, 1.0, depth=12)  # length mismatch
+
+
+def test_depth_has_no_default_and_the_certificate_no_d():
+    # q0 fixes the depth; the weights are built for JSQ(2) alone
+    with pytest.raises(TypeError):
+        integrate_ode(0.8, empty_occupancy(10), 1.0)
+    with pytest.raises(TypeError):
+        stability_weights(0.8, 10, d=3)
+    assert not hasattr(stability_weights(0.8, 10), "d")
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, -0.5, 1.5, float("nan")])
+@pytest.mark.parametrize("call", [
+    lambda lam: fixed_point(lam, 2, 5),
+    lambda lam: stability_weights(lam, 5),
+    lambda lam: integrate_ode(lam, empty_occupancy(5), 1.0, depth=5),
+], ids=["fixed_point", "stability_weights", "integrate_ode"])
+def test_lambda_outside_unit_interval_is_refused(call, lam):
+    with pytest.raises(ValueError, match=r"^lambda must lie in \(0, 1\)$"):
+        call(lam)
 
 
 def test_step_rejection_cascade_recovers():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import row_lists
 
 from sparselb.graph import (
     BipartiteGraph,
@@ -233,6 +234,8 @@ def test_exact_mode_refused_above_limit():
     g = generate_fixed_server_degree(23, 10, 3, seed=0)
     with pytest.raises(ValueError):
         sparsity_deficiency(g, 0.1, mode="exact")
+    with pytest.raises(ValueError, match="^mode must be 'exact' or 'sampled', not 'bogus'$"):
+        sparsity_deficiency(g, 0.1, mode="bogus")
 
 
 def test_report_fields():
@@ -266,7 +269,7 @@ def _reference_sampled_deficiency(graph, epsilon, budget, seed):
     def bad_of(counts, size):
         return int(np.sum(np.abs(counts * n - size * degs) >= thresholds))
 
-    rev = [np.asarray(row, dtype=np.int64) for row in graph.reverse_adjacency]
+    rev = [np.asarray(row, dtype=np.int64) for row in row_lists(graph.reverse_csr())]
     probed = 0
     starts = []
     for _ in range(budget):

@@ -38,7 +38,7 @@ from sparselb.simulator import (
 def test_mm1_busy_fraction():
     # single M/M/1 queue at rho = 0.5: P(busy) = rho
     rec = simulate(complete_bipartite(1, 1), 1, 0.5, 1e4, seed=1, debug=True)
-    assert abs(rec.level(1).mean() - 0.5) <= 0.02
+    assert abs(rec.occupancy[:, 0].mean() - 0.5) <= 0.02
 
 
 def test_mm1_mean_queue_length():
@@ -80,6 +80,11 @@ def test_service_distribution_parameters():
     assert abs(draws.mean() - 1.0) <= 0.01
     with pytest.raises(ValueError):
         ServiceDistribution("uniform")
+    # the runs take the kind's name only
+    with pytest.raises(ValueError, match="service kind"):
+        simulate(complete_bipartite(1, 1), 1, 0.5, 1.0, service=par)
+    with pytest.raises(ValueError, match="service kind"):
+        steady_state(complete_bipartite(1, 1), 1, 0.5, warmup=1.0, measure=1.0, service=par)
 
 
 def test_arrival_count_concentration():
