@@ -13,6 +13,10 @@ such a run is then independent of its state. Deterministic and Pareto
 service keep a heap of completion times, scheduled when a task starts
 service. Either way every random number is drawn ahead of time in numpy
 blocks of BLOCK events, and the Python loop only applies the state update.
+With exponential service and at most two sampled servers, that update
+moves only the queue lengths: the loop logs one signed level per event,
+and numpy applies each segment's log to the level counts and the window
+integrals, the event times never leaving their array.
 
 The coupled run drives a constrained system and a fully flexible twin
 with shared arrival and potential-departure streams to expose their
@@ -32,9 +36,8 @@ import math
 import operator
 import random
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -156,36 +159,72 @@ def _ordered_sample(gen: np.random.Generator, degs: np.ndarray, cols: int) -> li
     integer draw) and becomes the r-th position not picked before it."""
     first = gen.integers(0, degs)
     picks = [first]
+    full = degs.min(initial=cols)  # every row is live while k < full: no masks
     for k in range(1, cols):
-        live = degs > k
+        live = slice(None) if k < full else degs > k
         r = gen.integers(0, degs[live] - k)
-        earlier = np.column_stack(picks)[live]
-        earlier.sort(axis=1)
-        for p in earlier.T:  # ascending: each earlier pick at or below r moves r up one
+        if k == 1:  # a single earlier pick: nothing to stack or sort
+            earlier = [first[live]]
+        else:
+            earlier = np.column_stack(picks)[live]
+            earlier.sort(axis=1)
+            earlier = earlier.T
+        for p in earlier:  # ascending: each earlier pick at or below r moves r up one
             r += p <= r
-        pick = first.copy()
-        pick[live] = r
-        picks.append(pick)
+        if k >= full:
+            pick = first.copy()
+            pick[live] = r
+            r = pick
+        picks.append(r)
     return picks
 
 
 def _record_sample(occupancy: np.ndarray, overflow: np.ndarray, idx: int, Q: list[int]) -> None:
-    """Row idx of an int64 count matrix: Q_1..Q_depth in one slice, and the
-    overflow Q_{depth+1}. The run divides the matrix by N once it ends."""
+    """Row idx of a zeroed int64 count matrix: the nonzero levels among
+    Q_1..Q_depth in one slice, and the overflow Q_{depth+1}. Q is a list,
+    and it never increases with the level. The run divides the matrix by N
+    once it ends."""
     depth = occupancy.shape[1]
-    occupancy[idx, : len(Q) - 1] = Q[1 : depth + 1]
+    row = Q[1 : depth + 1]
+    if row and not row[-1]:  # the nonzero levels end inside the row
+        del row[row.index(0) :]
+    occupancy[idx, : len(row)] = row
     overflow[idx] = Q[depth + 1] if len(Q) > depth + 1 else 0
 
 
-def _check_counts(lengths: list[int], Q: list[int]) -> None:
-    expect = _level_counts(lengths)
-    if expect != Q[: len(expect)] or any(Q[len(expect) :]):
+def _check_counts(lengths: list[int], Q: Sequence[int]) -> None:
+    if not np.array_equal(_level_counts(lengths, len(Q)), Q):
         raise InvariantViolation("incremental occupancy counts diverged from state")
 
 
-def _level_counts(lengths: list[int]) -> list[int]:
-    """Q[i] = number of servers with at least i tasks, i = 0..max(lengths)."""
-    return np.cumsum(np.bincount(lengths)[::-1])[::-1].tolist()
+def _level_counts(lengths: list[int], size: int = 0) -> np.ndarray:
+    """Q[i] = number of servers with at least i tasks, i = 0..max(lengths),
+    padded with zero levels to `size`."""
+    return np.cumsum(np.bincount(lengths, minlength=size)[::-1])[::-1]
+
+
+def _replay(log: Iterable[int], times: np.ndarray, Q: np.ndarray,
+            tw: Optional[np.ndarray]) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Apply a segment's level log to the level counts Q and, once the window
+    is open, to their integrals tw; returns both, grown to every level the
+    log reaches.
+
+    log yields one signed level per event at `times`: +l for an arrival that
+    lands at level l, -l for a departure that leaves level l, 0 for a no-op.
+    ufunc.at is unbuffered and adds in order, so each tw[l] takes the same
+    floating-point adds, in the same order, as one update per event would."""
+    level = np.fromiter(log, dtype=np.int64, count=len(times))
+    step = np.sign(level)
+    np.abs(level, out=level)
+    top = int(level.max())
+    if top >= len(Q):
+        grow = np.zeros(top + 1 - len(Q), dtype=np.int64)
+        Q = np.concatenate([Q, grow])
+        tw = None if tw is None else np.concatenate([tw, grow])
+    np.add.at(Q, level, step)
+    if tw is not None:
+        np.add.at(tw, level, step * times)
+    return Q, tw
 
 
 def _drain(heap: list, until: float, lengths: list[int], Q: list[int], tw: list[float], next_service) -> None:
@@ -201,7 +240,7 @@ def _drain(heap: list, until: float, lengths: list[int], Q: list[int], tw: list[
 
 
 def _walk(gen: np.random.Generator, lam: float, n: int, markovian: bool, horizon: float,
-          grid: np.ndarray, area_from: Optional[float], draw, counts: list[int]):
+          grid: np.ndarray, area_from: Optional[float], draw, listed: bool, counts: list[int]):
     """The event clock of one run, cut into segments at its boundaries.
 
     Markovian runs are uniformized: events come at rate (lambda+1)*N, each
@@ -209,17 +248,19 @@ def _walk(gen: np.random.Generator, lam: float, n: int, markovian: bool, horizon
     rate lambda*N and every one is an arrival. Each block of BLOCK events
     draws its times and arrival positions here, then `draw(arriving)` - the
     kernel's own block draw, given the sorted arrival positions - returns
-    the kernel's further per-event columns as lists.
+    the kernel's further per-event columns as lists. A `listed` block also
+    carries its times as a list, for a kernel whose loop reads them.
 
     The boundaries are the sample times of `grid`, the window start
     `area_from` and the horizon, in time order (a sample at the horizon
     precedes the stop). Yields (block, lo, hi, action, b_time) per segment:
-    the segment is events lo..hi-1 of block, the list of the times and the
-    kernel's columns. Action is None when the segment ends its block, and
-    otherwise names the boundary at b_time that ends it: a sample index,
-    _WINDOW or _STOP. Samples within rounding past the horizon follow the
-    stop, at b_time = horizon and with no events. Once the walk ends,
-    counts holds [events, arrivals] up to the horizon.
+    the segment is events lo..hi-1 of block, which holds the times array,
+    the kernel's columns and, if `listed`, the times' list. Action is None
+    (and b_time too) when the segment ends its block, and otherwise names
+    the boundary at b_time that ends it: a sample index, _WINDOW or _STOP.
+    Samples within rounding past the horizon follow the stop, at b_time =
+    horizon and with no events. Once the walk ends, counts holds
+    [events, arrivals] up to the horizon.
     """
     rate = (lam + 1.0) * n if markovian else lam * n
     p_arrival = lam / (1.0 + lam)
@@ -227,31 +268,41 @@ def _walk(gen: np.random.Generator, lam: float, n: int, markovian: bool, horizon
     if area_from is not None:
         bounds.append((area_from, _WINDOW))
     bounds.append((horizon, _STOP))
-    bounds = iter(sorted(bounds, key=lambda b: b[0]))  # stable: a sample at the horizon precedes the stop
-    b_time, action = next(bounds)
+    bounds.sort(key=lambda b: b[0])  # stable: a sample at the horizon precedes the stop
+    b_times = np.array([b for b, _ in bounds], dtype=float)
+    k = 0  # the next boundary
     t0 = 0.0
     events = arrivals = 0
+    times = np.empty(BLOCK)  # refilled in place: the kernel holds the spent block until the next one
     while True:
-        times = t0 + np.cumsum(gen.standard_exponential(BLOCK)) / rate
+        gen.standard_exponential(out=times)
+        np.cumsum(times, out=times)
+        times /= rate
+        times += t0
         arriving = np.flatnonzero(gen.random(BLOCK) < p_arrival) if markovian else np.arange(BLOCK)
-        columns = draw(arriving)  # before the times' list, which would raise the peak
-        T = times.tolist()
-        block = [T, *columns]
+        block = [times, *draw(arriving)]
+        if listed:  # after the kernel's draw, whose arrays would raise the peak
+            block.append(times.tolist())
+        # the boundaries before the block's last event, and the segment ends they make
+        inside = k + int(np.searchsorted(b_times[k:], times[-1]))
         pos = 0
-        while (end := bisect_right(T, b_time, pos)) < len(T):  # a boundary inside this block
+        for end in np.searchsorted(times, b_times[k:inside], side="right").tolist():
+            b_time, action = bounds[k]
+            k += 1
             yield block, pos, end, action, b_time
             if action == _STOP:
                 counts[:] = events + end, arrivals + int(np.searchsorted(arriving, end))
-                for _, action in bounds:  # samples within rounding past the horizon
+                for _, action in bounds[k:]:  # samples within rounding past the horizon
                     yield block, end, end, action, b_time
+                for column in block[1:]:  # the kernel still holds the block: free it before the record
+                    column.clear()
                 return
             pos = end
-            b_time, action = next(bounds)
-        yield block, pos, end, None, b_time
-        events += end
+        yield block, pos, len(times), None, None
+        events += len(times)
         arrivals += len(arriving)
-        t0 = T[-1]
-        for column in block:  # the kernel still holds the spent block: free it before the draw
+        t0 = float(times[-1])
+        for column in block[1:]:  # the kernel still holds the spent block: free it before the draw
             column.clear()
 
 
@@ -278,13 +329,20 @@ def _simulate_core(
     dispatcher and ordered server sample and each potential departure's
     server; the loop over a segment only updates the state. Departures are
     stored as ~server (negative), arrivals as their first sample.
+
+    A pair run (exponential service, at most two samples, no hook) moves
+    only the queue lengths per event and logs each event's signed level;
+    `_replay` then applies the segment's log to Q and tw in numpy. Until
+    its window opens, a pair run that records nothing keeps no log. Every
+    other run keeps Q and tw as lists, updated per event, and its times as
+    a list.
     """
     n, m = graph.n_servers, graph.n_dispatchers
     markovian = service.is_markovian
     degs = graph.dispatcher_degrees()
     cols = min(d, int(degs.max()))
     # pair: b is the other sample (d = 1 repeats the first); otherwise b lists
-    # the rest, and the general branch also drains the heap and calls the hook
+    # the rest, and the general loop also drains the heap and calls the hook
     pair = markovian and cols <= 2 and on_assign is None
     csr = None if graph.is_complete else graph.csr()  # complete rows: position = server
 
@@ -298,11 +356,25 @@ def _simulate_core(
                 raise ValueError("queue lengths must be nonnegative")
             lengths[v] = l
     start_tasks = sum(lengths)
-    Q = _level_counts(lengths)
-    top = len(Q)
-    # tw[i] = sum of t * (change of Q_i at t) over the events so far, reset to
-    # Q_i * area_from when the window opens; then area_i = Q_i * horizon - tw[i]
-    tw = [0.0] * top
+
+    grid = sample_grid(horizon, sample_interval) if sample_interval is not None else np.empty(0)
+    occupancy = np.zeros((len(grid), depth), dtype=np.int64)  # counts until the run ends
+    overflow = np.zeros(len(grid), dtype=np.int64)
+
+    # Q[i] = number of servers with at least i tasks. tw[i] = sum of
+    # t * (change of Q_i at t) over the events so far, reset to
+    # Q_i * area_from when the window opens; then area_i = Q_i * horizon - tw[i].
+    if pair:
+        Q = _level_counts(lengths, depth + 2)  # Q_{depth+1}, the overflow, is always there
+        tw = None  # until the window opens
+        # written in place: a list that grew and shrank each segment would
+        # fragment the heap and raise the process's peak memory
+        log = [0] * BLOCK
+        logged = debug or len(grid) > 0
+    else:
+        Q = _level_counts(lengths).tolist()
+        top = len(Q)
+        tw = [0.0] * top
 
     next_service = None
     heap: list[tuple[float, int]] = []
@@ -317,10 +389,6 @@ def _simulate_core(
                 heap.append((next_service(), v))
         heapq.heapify(heap)
 
-    grid = sample_grid(horizon, sample_interval) if sample_interval is not None else np.empty(0)
-    occupancy = np.zeros((len(grid), depth), dtype=np.int64)  # counts until the run ends
-    overflow = np.zeros(len(grid), dtype=np.int64)
-
     def draw_block(arriving: np.ndarray, pair=pair):  # a default: a closure read would make pair a cell
         w = gen.integers(0, m, len(arriving))
         picks = _ordered_sample(gen, degs[w], cols)
@@ -334,37 +402,20 @@ def _simulate_core(
             picks = spread
         return picks[0].tolist(), (picks[-1] if pair else np.column_stack(picks)[:, 1:]).tolist()
 
-    # a pair run with a window and no samples warms up on queue lengths alone
-    warm = pair and area_from is not None and not len(grid)
     counts = [0, 0]
-    walk = _walk(gen, lam, n, markovian, horizon, grid, area_from, draw_block, counts)
-    for (T, A, B), lo, hi, action, b_time in walk:
-        if warm:
-            for a, b in zip(A[lo:hi], B[lo:hi]):
-                if a >= 0:  # an arrival joins the shorter sample, a on a tie
-                    if lengths[b] < lengths[a]:
-                        a = b
-                    lengths[a] += 1
-                elif lengths[~a]:  # a potential departure at busy server ~a
-                    lengths[~a] -= 1
-            if action == _WINDOW:
-                Q, warm = _level_counts(lengths), False
-                top, tw = len(Q), [q * b_time for q in Q]
-            continue
-        for t, a, b in zip(T[lo:hi], A[lo:hi], B[lo:hi]):
-            if a < 0:  # potential departure at server ~a
-                a = ~a
-                l = lengths[a]
-                if l:
-                    lengths[a] = l - 1
-                    Q[l] -= 1
-                    tw[l] -= t
-                continue
-            if pair:
-                l, lb = lengths[a], lengths[b]
-                if lb < l:
-                    a, l = b, lb
-            else:
+    walk = _walk(gen, lam, n, markovian, horizon, grid, area_from, draw_block, not pair, counts)
+    for block, lo, hi, action, b_time in walk:
+        if not pair:
+            _, A, B, T = block
+            for t, a, b in zip(T[lo:hi], A[lo:hi], B[lo:hi]):
+                if a < 0:  # potential departure at server ~a
+                    a = ~a
+                    l = lengths[a]
+                    if l:
+                        lengths[a] = l - 1
+                        Q[l] -= 1
+                        tw[l] -= t
+                    continue
                 if heap and heap[0][0] <= t:
                     _drain(heap, t, lengths, Q, tw, next_service)
                 v, l = a, lengths[a]
@@ -376,25 +427,58 @@ def _simulate_core(
                     on_assign(v, l, list(dict.fromkeys([a, *b])), lengths)
                 if l == 0 and next_service is not None:
                     heapq.heappush(heap, (t + next_service(), v))
-                a = v
-            l += 1
-            lengths[a] = l
-            if l == top:
-                Q.append(0)
-                tw.append(0.0)
-                top += 1
-            Q[l] += 1
-            tw[l] += t
+                l += 1
+                lengths[v] = l
+                if l == top:
+                    Q.append(0)
+                    tw.append(0.0)
+                    top += 1
+                Q[l] += 1
+                tw[l] += t
+            if action is not None and heap and heap[0][0] <= b_time:
+                _drain(heap, b_time, lengths, Q, tw, next_service)
+        elif tw is None and not logged:  # nothing reads Q or tw before the window opens
+            _, A, B = block
+            for a, b in zip(A[lo:hi], B[lo:hi]):
+                if a >= 0:  # an arrival joins the shorter sample, a on a tie
+                    if lengths[b] < lengths[a]:
+                        a = b
+                    lengths[a] += 1
+                elif lengths[~a]:  # a potential departure at busy server ~a
+                    lengths[~a] -= 1
+        else:
+            times, A, B = block
+            for i, a, b in zip(range(hi - lo), A[lo:hi], B[lo:hi]):
+                if a < 0:  # potential departure at server ~a, a no-op when it is idle
+                    a = ~a
+                    l = lengths[a]
+                    if l:
+                        lengths[a] = l - 1
+                    log[i] = -l
+                    continue
+                l, lb = lengths[a], lengths[b]  # an arrival joins the shorter sample, a on a tie
+                if lb < l:
+                    a, l = b, lb
+                l += 1
+                lengths[a] = l
+                log[i] = l
+            if hi > lo:
+                Q, tw = _replay(itertools.islice(log, hi - lo), times[lo:hi], Q, tw)
         if action is None:  # the block's end
             if debug:
                 _check_counts(lengths, Q)
-            continue
-        if heap and heap[0][0] <= b_time:
-            _drain(heap, b_time, lengths, Q, tw, next_service)
-        if action == _WINDOW:
-            tw[:] = [q * b_time for q in Q]
+        elif action == _WINDOW:
+            if pair:
+                Q = _level_counts(lengths, depth + 2)
+                tw = Q * float(b_time)  # a float array even when b_time is an int
+            else:
+                tw[:] = [q * b_time for q in Q]
         elif action >= 0:
-            _record_sample(occupancy, overflow, action, Q)
+            if pair:
+                occupancy[action] = Q[1 : depth + 1]
+                overflow[action] = Q[depth + 1]
+            else:
+                _record_sample(occupancy, overflow, action, Q)
 
     if debug:
         _check_counts(lengths, Q)
@@ -472,7 +556,10 @@ def steady_state(
     its own. The mean queue length integrates every level, not just the
     reported depth. With exponential service and at most two sampled
     servers, the warmup keeps queue lengths only: the level counts and
-    window integrals are built from them when the window opens.
+    window integrals are built from them when the window opens. In the
+    window the event loop still moves only the queue lengths and logs each
+    event's signed level, and numpy adds the log's event times into the
+    integrals, in event order, once per segment.
     """
     service = ServiceDistribution(service)
     d, depth, seed = _check_inputs(graph, d, lam, depth, seed, allow_disconnected, allow_overload)
@@ -671,8 +758,8 @@ def coupled_simulate(
     margin_series = np.zeros(len(grid), dtype=np.int64)
 
     counts = [0, 0]
-    walk = _walk(gen, lam, n, True, horizon, grid, None, draw_block, counts)
-    for (T, A, P, R, K), lo, hi, action, _ in walk:
+    walk = _walk(gen, lam, n, True, horizon, grid, None, draw_block, True, counts)
+    for (_, A, P, R, K, T), lo, hi, action, _ in walk:
         for t, a, pick, rank, above in zip(T[lo:hi], A[lo:hi], P[lo:hi], R[lo:hi], K[lo:hi]):
             if a < 0:  # potential departure at server ~a, at the same slot in the twin
                 a = ~a

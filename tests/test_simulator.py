@@ -153,7 +153,8 @@ def test_coupled_block_seams_and_recording_do_not_perturb_the_run(monkeypatch):
 
 
 @pytest.mark.parametrize("kernel, names", [
-    (simulator._simulate_core, ("lengths", "Q", "tw", "top", "heap", "pair", "next_service", "warm")),
+    (simulator._simulate_core, ("lengths", "Q", "tw", "top", "heap", "pair", "next_service", "logged",
+                                "log", "i", "a", "b", "l", "lb")),
     (coupled_simulate, ("lengths", "Q_g", "Q_k", "top", "D", "delta", "margin_min")),
 ])
 def test_event_loop_state_is_no_closure_cell(kernel, names):
@@ -355,6 +356,18 @@ def test_steady_state_replica_stream_isolation():
     s2 = steady_state(g, 2, 0.8, warmup=5, measure=20, replicas=2, seed=0)
     assert np.array_equal(s1.replica_mean_qlen, s2.replica_mean_qlen)
     assert s1.replica_mean_qlen[0] != s1.replica_mean_qlen[1]  # distinct streams
+
+
+@pytest.mark.parametrize("d, service", [(2, "exponential"), (3, "exponential"), (2, "deterministic")])
+def test_steady_state_integer_times_give_the_float_bits(d, service):
+    # the window integrals start from Q_i * warmup: integer times must not
+    # make them integers, which would truncate every event time added later
+    g = generate_fixed_server_degree(40, 30, 2, seed=4)
+    ints, floats = (steady_state(g, d, 0.9, warmup=w, measure=m, replicas=2, service=service,
+                                 seed=23, depth=8)
+                    for w, m in ((5, 20), (5.0, 20.0)))
+    assert ints.replica_mean_qlen.tobytes() == floats.replica_mean_qlen.tobytes()
+    assert ints.replica_occupancy.tobytes() == floats.replica_occupancy.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -78,16 +78,31 @@ SIMULATE = {
 }
 
 
-def _simulate_run(name, d, service, horizon):
+# depth 2 clips the recorded levels, so the overflow column is nonzero; the
+# queues also climb past the initial top level 3, opening new levels
+SIMULATE_DEPTH2 = {
+    ("sparse", 1, "exponential"): "269ddc3a2e99da1c",
+    ("sparse", 2, "exponential"): "bb591e0b930edc61",
+}
+
+
+def _simulate_run(name, d, service, horizon, depth=6):
     g = GRAPHS[name]
     init = [(v * 7) % 4 for v in range(g.n_servers)]  # starts busy: service draws at t=0
     return simulate(g, d, 0.9, horizon, service=service, initial_lengths=init,
-                    sample_interval=0.5, seed=17, depth=6, debug=True)
+                    sample_interval=0.5, seed=17, depth=depth, debug=True)
 
 
 @pytest.mark.parametrize("case", sorted(SIMULATE), ids=lambda c: "-".join(map(str, c)))
 def test_simulate_stream(case):
     assert _record_digest(_simulate_run(*case, horizon=25.0)) == SIMULATE[case]
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_DEPTH2), ids=lambda c: "-".join(map(str, c)))
+def test_simulate_overflow_stream(case):
+    rec = _simulate_run(*case, horizon=25.0, depth=2)
+    assert rec.overflow.any() and rec.final_queue_lengths.max() > 3
+    assert _record_digest(rec) == SIMULATE_DEPTH2[case]
 
 
 # horizon 250: more than two blocks of arrivals, so at least two seams
