@@ -15,8 +15,8 @@ service. Either way every random number is drawn ahead of time in numpy
 blocks of BLOCK events, and the Python loop only applies the state update.
 With exponential service and at most two sampled servers, that update
 moves only the queue lengths: the loop logs one signed level per event,
-and numpy applies each segment's log to the level counts and the window
-integrals, the event times never leaving their array.
+and numpy applies each block's log to the level counts, the samples' rows
+and the window integrals, the event times never leaving their array.
 
 The coupled run drives a constrained system and a fully flexible twin
 with shared arrival and potential-departure streams to expose their
@@ -37,7 +37,7 @@ import operator
 import random
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -180,15 +180,10 @@ def _ordered_sample(gen: np.random.Generator, degs: np.ndarray, cols: int) -> li
 
 
 def _record_sample(occupancy: np.ndarray, overflow: np.ndarray, idx: int, Q: list[int]) -> None:
-    """Row idx of a zeroed int64 count matrix: the nonzero levels among
-    Q_1..Q_depth in one slice, and the overflow Q_{depth+1}. Q is a list,
-    and it never increases with the level. The run divides the matrix by N
-    once it ends."""
+    """Row idx of an int64 count matrix: Q_1..Q_depth in one slice, and the
+    overflow Q_{depth+1}. The run divides the matrix by N once it ends."""
     depth = occupancy.shape[1]
-    row = Q[1 : depth + 1]
-    if row and not row[-1]:  # the nonzero levels end inside the row
-        del row[row.index(0) :]
-    occupancy[idx, : len(row)] = row
+    occupancy[idx, : len(Q) - 1] = Q[1 : depth + 1]
     overflow[idx] = Q[depth + 1] if len(Q) > depth + 1 else 0
 
 
@@ -203,27 +198,44 @@ def _level_counts(lengths: list[int], size: int = 0) -> np.ndarray:
     return np.cumsum(np.bincount(lengths, minlength=size)[::-1])[::-1]
 
 
-def _replay(log: Iterable[int], times: np.ndarray, Q: np.ndarray,
-            tw: Optional[np.ndarray]) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Apply a segment's level log to the level counts Q and, once the window
-    is open, to their integrals tw; returns both, grown to every level the
-    log reaches.
+def _replay(log: list[int], lo: int, hi: int, times: np.ndarray, Q: np.ndarray, tw: Optional[np.ndarray],
+            cuts: list[tuple[int, int]], occupancy: np.ndarray, overflow: np.ndarray
+            ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Apply the level log of block events lo..hi-1, at times[lo:hi], to
+    the level counts Q and, once the window is open, to their integrals tw;
+    returns both, grown to every level the log reaches. Each (position,
+    index) of `cuts` is a sample taken before block event `position`: its
+    counts go to row `index` of `occupancy` and `overflow`.
 
-    log yields one signed level per event at `times`: +l for an arrival that
+    log[lo:hi] holds one signed level per event: +l for an arrival that
     lands at level l, -l for a departure that leaves level l, 0 for a no-op.
     ufunc.at is unbuffered and adds in order, so each tw[l] takes the same
     floating-point adds, in the same order, as one update per event would."""
-    level = np.fromiter(log, dtype=np.int64, count=len(times))
+    level = np.fromiter(itertools.islice(log, lo, hi), dtype=np.int64, count=hi - lo)
     step = np.sign(level)
-    np.abs(level, out=level)
-    top = int(level.max())
+    level *= step  # |l|
+    if cuts:
+        # per sample, the net change of Q_1..Q_{depth+1} over the events before
+        # it: the events between two samples add into one row of `delta`
+        # (deeper levels into its last column), and the rows are summed up
+        at, rows = zip(*cuts)
+        rows = list(rows)
+        width = occupancy.shape[1] + 3
+        part = np.searchsorted(at, np.arange(lo, hi), side="right")  # the samples before each event
+        delta = np.zeros((len(at) + 1, width), dtype=np.int64)
+        np.add.at(delta.reshape(-1), part * width + np.minimum(level, width - 1), step)
+        counts = np.cumsum(delta[:-1, 1:-1], axis=0)
+        counts += Q[1:width - 1]
+        occupancy[rows, :] = counts[:, :-1]
+        overflow[rows] = counts[:, -1]
+    top = int(level.max(initial=0))
     if top >= len(Q):
         grow = np.zeros(top + 1 - len(Q), dtype=np.int64)
         Q = np.concatenate([Q, grow])
         tw = None if tw is None else np.concatenate([tw, grow])
     np.add.at(Q, level, step)
     if tw is not None:
-        np.add.at(tw, level, step * times)
+        np.add.at(tw, level, step * times[lo:hi])
     return Q, tw
 
 
@@ -331,11 +343,12 @@ def _simulate_core(
     stored as ~server (negative), arrivals as their first sample.
 
     A pair run (exponential service, at most two samples, no hook) moves
-    only the queue lengths per event and logs each event's signed level;
-    `_replay` then applies the segment's log to Q and tw in numpy. Until
-    its window opens, a pair run that records nothing keeps no log. Every
-    other run keeps Q and tw as lists, updated per event, and its times as
-    a list.
+    only the queue lengths per event and logs each event's signed level at
+    its block position; `_replay` applies the log to Q and tw in numpy once
+    per block, and a sample only marks its position in the log, so the cost
+    of a replay does not grow with the number of samples. Until its window
+    opens, a pair run that records nothing keeps no log. Every other run
+    keeps Q and tw as lists, updated per event, and its times as a list.
     """
     n, m = graph.n_servers, graph.n_dispatchers
     markovian = service.is_markovian
@@ -367,10 +380,12 @@ def _simulate_core(
     if pair:
         Q = _level_counts(lengths, depth + 2)  # Q_{depth+1}, the overflow, is always there
         tw = None  # until the window opens
-        # written in place: a list that grew and shrank each segment would
-        # fragment the heap and raise the process's peak memory
+        # written in place at the block's positions: a list that grew and
+        # shrank each block would fragment the heap and raise the peak memory
         log = [0] * BLOCK
-        logged = debug or len(grid) > 0
+        logged = debug or len(grid) > 0  # until the window opens, only samples and checks read Q
+        since = 0  # the first block position whose log is not yet applied
+        cuts: list[tuple[int, int]] = []  # (position, index) of the samples since then
     else:
         Q = _level_counts(lengths).tolist()
         top = len(Q)
@@ -437,7 +452,7 @@ def _simulate_core(
                 tw[l] += t
             if action is not None and heap and heap[0][0] <= b_time:
                 _drain(heap, b_time, lengths, Q, tw, next_service)
-        elif tw is None and not logged:  # nothing reads Q or tw before the window opens
+        elif not logged:
             _, A, B = block
             for a, b in zip(A[lo:hi], B[lo:hi]):
                 if a >= 0:  # an arrival joins the shorter sample, a on a tie
@@ -447,8 +462,8 @@ def _simulate_core(
                 elif lengths[~a]:  # a potential departure at busy server ~a
                     lengths[~a] -= 1
         else:
-            times, A, B = block
-            for i, a, b in zip(range(hi - lo), A[lo:hi], B[lo:hi]):
+            _, A, B = block
+            for i, a, b in zip(range(lo, hi), A[lo:hi], B[lo:hi]):
                 if a < 0:  # potential departure at server ~a, a no-op when it is idle
                     a = ~a
                     l = lengths[a]
@@ -462,24 +477,32 @@ def _simulate_core(
                 l += 1
                 lengths[a] = l
                 log[i] = l
-            if hi > lo:
-                Q, tw = _replay(itertools.islice(log, hi - lo), times[lo:hi], Q, tw)
         if action is None:  # the block's end
+            if pair and logged:  # one replay per block: a sample only marks its position
+                Q, tw = _replay(log, since, hi, block[0], Q, tw, cuts, occupancy, overflow)
+                since = 0
+                cuts.clear()
             if debug:
                 _check_counts(lengths, Q)
         elif action == _WINDOW:
             if pair:
+                if cuts:  # the samples before the window still need their counts
+                    _replay(log, since, hi, block[0], Q, tw, cuts, occupancy, overflow)
+                    cuts.clear()
                 Q = _level_counts(lengths, depth + 2)
                 tw = Q * float(b_time)  # a float array even when b_time is an int
+                logged = True
+                since = hi
             else:
                 tw[:] = [q * b_time for q in Q]
         elif action >= 0:
             if pair:
-                occupancy[action] = Q[1 : depth + 1]
-                overflow[action] = Q[depth + 1]
+                cuts.append((hi, action))
             else:
                 _record_sample(occupancy, overflow, action, Q)
 
+    if pair and logged:  # the last block's events up to the horizon
+        Q, tw = _replay(log, since, hi, block[0], Q, tw, cuts, occupancy, overflow)
     if debug:
         _check_counts(lengths, Q)
     arrivals = counts[1]
@@ -494,7 +517,12 @@ def _simulate_core(
         departure_count=departures,
         final_queue_lengths=np.array(lengths, dtype=np.int64),
     )
-    area = None if area_from is None else [q * horizon - s for q, s in zip(Q, tw)]
+    if area_from is None:
+        area = None
+    elif pair:  # Python floats, as the list kernel gives: from 3.12 sum() compensates floats, not np.float64
+        area = (Q * horizon - tw).tolist()
+    else:
+        area = [q * horizon - s for q, s in zip(Q, tw)]
     return record, area
 
 
@@ -559,7 +587,7 @@ def steady_state(
     window integrals are built from them when the window opens. In the
     window the event loop still moves only the queue lengths and logs each
     event's signed level, and numpy adds the log's event times into the
-    integrals, in event order, once per segment.
+    integrals, in event order, once per block.
     """
     service = ServiceDistribution(service)
     d, depth, seed = _check_inputs(graph, d, lam, depth, seed, allow_disconnected, allow_overload)

@@ -215,6 +215,25 @@ def test_assignment_never_beats_sampled_minimum():
     assert not failures
 
 
+@pytest.mark.parametrize("d, horizon, interval, depth", [
+    (2, 60.0, 0.003, 30),  # several samples between two events: rows from one replay per block
+    (1, 40.7, 0.1, 3),  # overflow, and samples within rounding past the horizon
+    (2, 1000.0, 230.0, 2),  # samples blocks apart
+])
+@pytest.mark.parametrize("block", [simulator.BLOCK, 7])
+def test_pair_kernel_records_match_list_kernel(monkeypatch, block, d, horizon, interval, depth):
+    # a hook sends a pair run through the list kernel, which updates Q per
+    # event and writes each sample's row at once; the draws are the same
+    monkeypatch.setattr(simulator, "BLOCK", block)
+    g = generate_fixed_server_degree(12, 9, 3, seed=4)
+    pair, listed = [simulate(g, d, 0.95, horizon, sample_interval=interval, seed=7, depth=depth, on_assign=hook)
+                    for hook in (None, lambda *args: None)]
+    np.testing.assert_array_equal(pair.occupancy, listed.occupancy)
+    np.testing.assert_array_equal(pair.overflow, listed.overflow)
+    np.testing.assert_array_equal(pair.final_queue_lengths, listed.final_queue_lengths)
+    assert (pair.event_count, pair.arrival_count) == (listed.event_count, listed.arrival_count)
+
+
 # A row of five servers and a row of two: d = 3 samples three of five, and
 # all of a shorter row. Both layouts: positions read through the CSR view,
 # and a complete graph's positions taken as the servers themselves.
@@ -368,6 +387,17 @@ def test_steady_state_integer_times_give_the_float_bits(d, service):
                     for w, m in ((5, 20), (5.0, 20.0)))
     assert ints.replica_mean_qlen.tobytes() == floats.replica_mean_qlen.tobytes()
     assert ints.replica_occupancy.tobytes() == floats.replica_occupancy.tobytes()
+
+
+@pytest.mark.parametrize("d, service", [(2, "exponential"), (3, "exponential"), (2, "pareto")])
+def test_window_areas_are_python_floats(d, service):
+    # steady_state sums the areas with sum(), which from Python 3.12 adds
+    # exact floats with compensation but np.float64 without: every kernel
+    # must hand back the same type for the mean queue length to keep its bits
+    g = generate_fixed_server_degree(40, 30, 2, seed=4)
+    _, area = simulator._simulate_core(g, d, 0.9, 25.0, ServiceDistribution(service), _replica_stream(23, 0),
+                                       None, None, 5.0, 8, False, None)
+    assert area and all(type(a) is float for a in area)
 
 
 # ---------------------------------------------------------------------------
