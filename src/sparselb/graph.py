@@ -364,50 +364,34 @@ def generate_inhomogeneous(n_servers: int, n_dispatchers: int, p, seed: int) -> 
     """Edge (v, w) present independently with probability p[w].
 
     `p` may be a scalar or a length-M vector with entries in (0, 1].
-    An isolated dispatcher has only its own row resampled (rows are
-    independent, so this preserves the conditional law).
-
     Dispatcher w's row is {v : u[v] < p[w]} for the first uniform N-vector
     u of the stream, after those of dispatchers 0..w-1, that gives a
-    nonempty row. The vectors come in blocks of one `rng.random((B, N))`
-    call, the same stream as B `rng.random(N)` calls, and vector i of a
-    block serves the block's i-th dispatcher until one row comes out
-    isolated. The next vector redraws that row, which shifts the later
-    vectors on by one dispatcher; the block's minima say which vector
-    serves which dispatcher, since u gives w a row iff min(u) < p[w].
+    nonempty row: an isolated dispatcher has only its own row resampled
+    (rows are independent, so this preserves the conditional law), up to
+    GENERATION_RETRIES times.
     """
     _check_sizes(n_servers, n_dispatchers)
-    scalar_p = np.ndim(p) == 0
     p = np.broadcast_to(np.asarray(p, dtype=float), (n_dispatchers,))
     if not ((p > 0) & (p <= 1)).all():  # NaN fails both comparisons
         raise ValueError("edge probabilities must lie in (0, 1]")
     rng = np.random.default_rng(seed)
-    counts, chunks = [], []
-    w = retries = redraws = 0  # the next dispatcher; the vectors it has refused
-    while w < n_dispatchers:
-        # never more vectors than dispatchers left, so every vector is used
-        u = rng.random((max(1, min(_CHUNK // n_servers, n_dispatchers - w)), n_servers))
-        lengths, servers = _row_entries(u < (p[w] if scalar_p else p[w : w + len(u), None]))
-        if lengths.all():  # vector i served dispatcher w + i
-            w, redraws = w + len(u), 0
+    u = np.empty(n_servers)
+    rows, retries = [], 0
+    for w, pw in enumerate(p.tolist()):
+        for redraws in range(GENERATION_RETRIES + 1):
+            row = np.flatnonzero(rng.random(out=u) < pw)
+            if row.size:
+                break
         else:
-            owner_p = np.zeros(len(u))  # p of the dispatcher each vector serves; 0 if refused
-            for i, least in enumerate(u.min(axis=1).tolist()):
-                if least < p[w]:
-                    owner_p[i], w, redraws = p[w], w + 1, 0
-                    continue
-                retries, redraws = retries + 1, redraws + 1
-                if redraws > GENERATION_RETRIES:
-                    raise GraphGenerationError(
-                        f"dispatcher {w} stayed isolated after {GENERATION_RETRIES} "
-                        f"resamples (p={p[w]:g}, N={n_servers})"
-                    )
-            lengths, servers = _row_entries(u < owner_p[:, None])
-            lengths = lengths[owner_p > 0]
-        counts.append(lengths)
-        chunks.append(servers)
+            raise GraphGenerationError(
+                f"dispatcher {w} stayed isolated after {GENERATION_RETRIES} "
+                f"resamples (p={pw:g}, N={n_servers})"
+            )
+        retries += redraws
+        rows.append(row.astype(np.int32))
     meta = {"generator": "inhomogeneous", "seed": seed, "retries": retries}
-    return BipartiteGraph._from_csr(n_servers, n_dispatchers, meta, csr=_stacked(counts, chunks))
+    csr = _stacked([[len(row) for row in rows]], rows)
+    return BipartiteGraph._from_csr(n_servers, n_dispatchers, meta, csr=csr)
 
 
 def generate_geometric(n_servers: int, n_dispatchers: int, radius: float, seed: int) -> BipartiteGraph:
@@ -483,8 +467,8 @@ def _row_entries(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stacked(counts: list, chunks: list) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR whose rows are the blocks' rows in order: per-block row
-    lengths and per-block concatenated indices."""
+    """The CSR of rows in order, from their lengths and their concatenated
+    indices, each given in pieces (blocks of rows, or single rows)."""
     lengths = np.concatenate(counts)
     indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])

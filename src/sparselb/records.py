@@ -163,8 +163,8 @@ def write_trajectory_csv(record: TrajectoryRecord, path, metadata: Optional[dict
 def read_trajectory_csv(path) -> tuple[TrajectoryRecord, dict]:
     """Read a trajectory CSV and its '#' metadata block.
 
-    A missing or foreign header, a ragged row or a non-numeric cell raises
-    TrajectoryFormatError naming the file and line.
+    A missing or foreign header, a ragged row, a non-numeric cell or no
+    data row at all raises TrajectoryFormatError naming the file (and line).
     """
     meta: dict = {}
     header = None
@@ -200,6 +200,8 @@ def read_trajectory_csv(path) -> tuple[TrajectoryRecord, dict]:
                 raise TrajectoryFormatError(f"{path}, line {lineno}: {exc}") from None
     if header is None:
         raise TrajectoryFormatError(f"{path}: no header row")
+    if not times:
+        raise TrajectoryFormatError(f"{path}: no data rows")
     record = TrajectoryRecord(
         sample_times=np.array(times),
         occupancy=np.array(occ).reshape(len(times), width - 2),
@@ -247,13 +249,13 @@ def compare_trajectories(
     """(sup, l1) distances between two occupancy paths.
 
     sup is the largest |q_i^a(t) - q_i^b(t)| over sampled times and levels
-    i <= `levels`; l1 the largest per-time sum over those levels. When the
-    sample grids differ, b is linearly interpolated onto a's grid; the
-    horizons must agree.
+    i <= `levels` (a positive integer); l1 the largest per-time sum over
+    those levels. When the sample grids differ, b is linearly interpolated
+    onto a's grid; the horizons must agree.
     """
     k = min(a.depth, b.depth)
     if levels is not None:
-        k = min(k, levels)
+        k = min(k, require_positive_int("levels", levels))
     ta, tb = a.sample_times, b.sample_times
     if abs(ta[-1] - tb[-1]) > _TIME_TOL or abs(ta[0] - tb[0]) > _TIME_TOL:
         raise ValueError(

@@ -30,6 +30,7 @@ update.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -183,8 +184,8 @@ def _record_sample(occupancy: np.ndarray, overflow: np.ndarray, idx: int, Q: lis
     """Row idx of an int64 count matrix: Q_1..Q_depth in one slice, and the
     overflow Q_{depth+1}. The run divides the matrix by N once it ends."""
     depth = occupancy.shape[1]
-    occupancy[idx, : len(Q) - 1] = Q[1 : depth + 1]
-    overflow[idx] = Q[depth + 1] if len(Q) > depth + 1 else 0
+    occupancy[idx] = Q[1 : depth + 1]
+    overflow[idx] = Q[depth + 1]
 
 
 def _check_counts(lengths: list[int], Q: Sequence[int]) -> None:
@@ -331,11 +332,11 @@ def _simulate_core(
     depth: int,
     debug: bool,
     on_assign: Optional[Callable[[int, int, Sequence[int], Sequence[int]], None]],
-) -> tuple[TrajectoryRecord, Optional[list[float]]]:
+) -> tuple[TrajectoryRecord, Optional[np.ndarray]]:
     """One replica: (record, area). The record samples the occupancy
     every `sample_interval` (no samples when it is None), and `area` holds
     the per-level time integrals of Q_i over [area_from, horizon] when
-    `area_from` is given.
+    `area_from` is given. A run does one or the other, never both.
 
     Beyond the clock that `_walk` draws, a block holds each arrival's
     dispatcher and ordered server sample and each potential departure's
@@ -350,6 +351,7 @@ def _simulate_core(
     opens, a pair run that records nothing keeps no log. Every other run
     keeps Q and tw as lists, updated per event, and its times as a list.
     """
+    assert sample_interval is None or area_from is None
     n, m = graph.n_servers, graph.n_dispatchers
     markovian = service.is_markovian
     degs = graph.dispatcher_degrees()
@@ -374,11 +376,11 @@ def _simulate_core(
     occupancy = np.zeros((len(grid), depth), dtype=np.int64)  # counts until the run ends
     overflow = np.zeros(len(grid), dtype=np.int64)
 
-    # Q[i] = number of servers with at least i tasks. tw[i] = sum of
-    # t * (change of Q_i at t) over the events so far, reset to
-    # Q_i * area_from when the window opens; then area_i = Q_i * horizon - tw[i].
+    # Q[i] = number of servers with at least i tasks, always up to the overflow
+    # Q_{depth+1}. tw[i] = sum of t * (change of Q_i at t) over the events so far,
+    # reset to Q_i * area_from when the window opens; then area_i = Q_i * horizon - tw[i].
+    Q = _level_counts(lengths, depth + 2)
     if pair:
-        Q = _level_counts(lengths, depth + 2)  # Q_{depth+1}, the overflow, is always there
         tw = None  # until the window opens
         # written in place at the block's positions: a list that grew and
         # shrank each block would fragment the heap and raise the peak memory
@@ -387,7 +389,7 @@ def _simulate_core(
         since = 0  # the first block position whose log is not yet applied
         cuts: list[tuple[int, int]] = []  # (position, index) of the samples since then
     else:
-        Q = _level_counts(lengths).tolist()
+        Q = Q.tolist()
         top = len(Q)
         tw = [0.0] * top
 
@@ -486,9 +488,6 @@ def _simulate_core(
                 _check_counts(lengths, Q)
         elif action == _WINDOW:
             if pair:
-                if cuts:  # the samples before the window still need their counts
-                    _replay(log, since, hi, block[0], Q, tw, cuts, occupancy, overflow)
-                    cuts.clear()
                 Q = _level_counts(lengths, depth + 2)
                 tw = Q * float(b_time)  # a float array even when b_time is an int
                 logged = True
@@ -517,12 +516,7 @@ def _simulate_core(
         departure_count=departures,
         final_queue_lengths=np.array(lengths, dtype=np.int64),
     )
-    if area_from is None:
-        area = None
-    elif pair:  # Python floats, as the list kernel gives: from 3.12 sum() compensates floats, not np.float64
-        area = (Q * horizon - tw).tolist()
-    else:
-        area = [q * horizon - s for q, s in zip(Q, tw)]
+    area = None if area_from is None else np.multiply(Q, horizon) - tw
     return record, area
 
 
@@ -611,8 +605,9 @@ def steady_state(
             graph, d, lam, horizon, service, _replica_stream(seed, r),
             None, None, warmup, depth, False, None,
         )
-        rep_mql[r] = sum(area[1:]) / (n * measure)
-        rep_occ[r] = (area + [0.0] * depth)[1 : depth + 1]
+        # left to right on every Python: from 3.12, sum() adds floats with compensation
+        rep_mql[r] = functools.reduce(operator.add, area[1:], 0.0) / (n * measure)
+        rep_occ[r] = area[1 : depth + 1]
     rep_occ /= n * measure
     mean_q = rep_occ.mean(axis=0)
     mql = float(rep_mql.mean())
@@ -768,12 +763,12 @@ def coupled_simulate(
         above_k[arriving] = n - _min_rank(table, *twin, u)
         return who.tolist(), pick.tolist(), rank_g.tolist(), above_k.tolist()
 
-    # Q_g, Q_k: servers with >= i tasks, padded to one length with
-    # Q[top] = 0 past the longest queue of either system.
+    # Q_g, Q_k: servers with >= i tasks, padded to one length, at least
+    # depth + 2 levels, with Q[top] = 0 past the longest queue of either system.
     lengths = [0] * n
-    Q_g = [n, 0]
-    Q_k = [n, 0]
-    top = 1
+    Q_g = [n] + [0] * (depth + 1)
+    Q_k = Q_g.copy()
+    top = depth + 1
 
     # D = sum_i |Q_i(K) - Q_i(G)|, updated at the touched levels only
     D = delta = margin_min = 0

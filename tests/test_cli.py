@@ -158,6 +158,26 @@ def test_compare_malformed_row_is_format_error(tmp_path, capsys, bad_row, messag
     assert f"{bad}, line {bad_line}: {message}" in capsys.readouterr().err
 
 
+def test_compare_header_only_trajectory_is_format_error(tmp_path, capsys):
+    good, empty = tmp_path / "ok.csv", tmp_path / "empty.csv"
+    args = ["ode", "--lambda", "0.8", "--horizon", "0.1", "--depth", "2"]
+    assert run(*args, "--sample-interval", "0.1", "--out", str(good)) == 0
+    empty.write_text("".join(good.read_text().splitlines(keepends=True)[:-2]))  # drop both data rows
+    assert _data_rows(empty) == ["t,q1,q2,overflow"]
+    capsys.readouterr()
+    assert run("compare", "--a", str(good), "--b", str(empty)) == 3
+    assert f"{empty}: no data rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels", ["0", "-3"])
+def test_compare_levels_must_be_positive(tmp_path, capsys, levels):
+    a = tmp_path / "a.csv"
+    assert run("ode", "--lambda", "0.8", "--horizon", "1", "--depth", "4", "--out", str(a)) == 0
+    capsys.readouterr()
+    assert run("compare", "--a", str(a), "--b", str(a), "--levels", levels) == 1
+    assert f"levels must be a positive integer, not {levels}" in capsys.readouterr().err
+
+
 def test_simulate_vs_ode_compare(tmp_path):
     g = tmp_path / "c.bpg"
     run("gen", "--kind", "complete", "--n", "500", "--m", "500", "--out", str(g))

@@ -233,8 +233,8 @@ def test_fixed_degree_matches_scalar_reference_across_chunk_seams(chunk):
 
 
 def _reference_inhomogeneous(n, m, p, seed):
-    """The inhomogeneous generator written one `rng.random(n)` row at a
-    time, as it was before it drew rows in blocks."""
+    """The inhomogeneous generator's definition with Python lists: a fresh
+    `rng.random(n)` per row, each row a list, the graph built from them."""
     p = np.broadcast_to(np.asarray(p, dtype=float), (m,))
     rng = np.random.default_rng(seed)
     rows, retries = [], 0

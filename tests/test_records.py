@@ -39,7 +39,8 @@ def test_trajectory_csv_round_trip(tmp_path):
     "text, message",
     [("", "no header row"),
      ("# lambda: 0.8\n", "no header row"),
-     ("# lambda: 0.8\nreplica,mean_qlen,q1\n", "line 2: not a trajectory CSV")],
+     ("# lambda: 0.8\nreplica,mean_qlen,q1\n", "line 2: not a trajectory CSV"),
+     ("# lambda: 0.8\nt,q1,overflow\n\n", "t.csv: no data rows")],
 )
 def test_trajectory_csv_header_errors(tmp_path, text, message):
     path = tmp_path / "t.csv"
@@ -73,6 +74,13 @@ def test_compare_levels_cap():
     sup_all, _ = compare_trajectories(a, b)
     sup_one, _ = compare_trajectories(a, b, levels=1)
     assert sup_all == 0.9 and sup_one == 0.0
+
+
+@pytest.mark.parametrize("levels", [0, -3])
+def test_compare_levels_must_be_positive(levels):
+    rec = _record([0.0, 1.0], [[0.5, 0.9], [0.5, 0.9]])
+    with pytest.raises(ValueError, match=f"levels must be a positive integer, not {levels}"):
+        compare_trajectories(rec, rec, levels=levels)
 
 
 def test_metadata_compatibility_gate():

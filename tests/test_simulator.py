@@ -389,17 +389,6 @@ def test_steady_state_integer_times_give_the_float_bits(d, service):
     assert ints.replica_occupancy.tobytes() == floats.replica_occupancy.tobytes()
 
 
-@pytest.mark.parametrize("d, service", [(2, "exponential"), (3, "exponential"), (2, "pareto")])
-def test_window_areas_are_python_floats(d, service):
-    # steady_state sums the areas with sum(), which from Python 3.12 adds
-    # exact floats with compensation but np.float64 without: every kernel
-    # must hand back the same type for the mean queue length to keep its bits
-    g = generate_fixed_server_degree(40, 30, 2, seed=4)
-    _, area = simulator._simulate_core(g, d, 0.9, 25.0, ServiceDistribution(service), _replica_stream(23, 0),
-                                       None, None, 5.0, 8, False, None)
-    assert area and all(type(a) is float for a in area)
-
-
 # ---------------------------------------------------------------------------
 # coupled runs
 
