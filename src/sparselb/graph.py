@@ -23,6 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 GENERATION_RETRIES = 100
+INDEX_LIMIT = 2**31  # bounds N, M and a recording depth: int32 indices, int64 edge keys v*M + w
 
 
 class GraphFormatError(ValueError):
@@ -58,6 +59,8 @@ def floyd_sample(n: int, k: int, randbelow: Callable[[int], int]) -> list[int]:
 def _check_sizes(n_servers: int, n_dispatchers: int) -> None:
     if n_servers < 1 or n_dispatchers < 1:
         raise ValueError("need at least one server and one dispatcher")
+    if max(n_servers, n_dispatchers) >= INDEX_LIMIT:
+        raise ValueError(f"N={n_servers} M={n_dispatchers} too large; N and M must be below 2^31")
 
 
 def _flip(indptr: np.ndarray, indices: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -268,6 +271,7 @@ def perfect_matching(n: int) -> BipartiteGraph:
     Used as a checker fixture (it satisfies the load condition trivially),
     not as a simulation target.
     """
+    _check_sizes(n, n)
     return BipartiteGraph(n, n, [[i] for i in range(n)], meta={"generator": "matching"})
 
 
@@ -323,8 +327,8 @@ def generate_fixed_server_degree(
     )
 
 
-# The bulk generators work on about this many entries at a time, so their
-# scratch arrays stay near 256 KiB of int64 or float64 whatever the graph.
+# `_floyd_replace` sorts about this many draws at a time, so its scratch
+# arrays stay near 256 KiB of int64 whatever the graph.
 _CHUNK = 2**15
 
 
@@ -376,21 +380,12 @@ def generate_inhomogeneous(n_servers: int, n_dispatchers: int, p, seed: int) -> 
         raise ValueError("edge probabilities must lie in (0, 1]")
     rng = np.random.default_rng(seed)
     u = np.empty(n_servers)
-    rows, retries = [], 0
-    for w, pw in enumerate(p.tolist()):
-        for redraws in range(GENERATION_RETRIES + 1):
-            row = np.flatnonzero(rng.random(out=u) < pw)
-            if row.size:
-                break
-        else:
-            raise GraphGenerationError(
-                f"dispatcher {w} stayed isolated after {GENERATION_RETRIES} "
-                f"resamples (p={pw:g}, N={n_servers})"
-            )
-        retries += redraws
-        rows.append(row.astype(np.int32))
+    csr, retries = _nonempty_rows(
+        n_dispatchers,
+        lambda w, attempt: np.flatnonzero(rng.random(out=u) < p[w]),
+        lambda w: f"dispatcher {w} stayed isolated after {GENERATION_RETRIES} resamples (p={p[w]:g}, N={n_servers})",
+    )
     meta = {"generator": "inhomogeneous", "seed": seed, "retries": retries}
-    csr = _stacked([[len(row) for row in rows]], rows)
     return BipartiteGraph._from_csr(n_servers, n_dispatchers, meta, csr=csr)
 
 
@@ -398,14 +393,10 @@ def generate_geometric(n_servers: int, n_dispatchers: int, radius: float, seed: 
     """Servers and dispatchers placed uniformly on the unit square; edge iff
     their Euclidean distance is at most `radius`.
 
-    Positions are kept in graph.meta ("server_xy", "dispatcher_xy"). An
-    isolated dispatcher is moved to a fresh uniform position up to
+    Positions are kept in graph.meta ("server_xy", "dispatcher_xy"). All
+    positions are drawn up front; then, in index order, an isolated
+    dispatcher is moved to a fresh uniform position up to
     GENERATION_RETRIES times.
-
-    All positions are drawn up front and only an isolated dispatcher draws
-    again, in index order, so the rows are computed for blocks of
-    dispatchers at once, with the same float64 test per pair as one
-    dispatcher at a time.
     """
     _check_sizes(n_servers, n_dispatchers)
     if not radius > 0:  # NaN too
@@ -414,37 +405,19 @@ def generate_geometric(n_servers: int, n_dispatchers: int, radius: float, seed: 
     sxy = rng.random((n_servers, 2))
     dxy = rng.random((n_dispatchers, 2))
     sx, sy = sxy.T.copy()
-    r2 = radius * radius
+    dx, dy = np.empty(n_servers), np.empty(n_servers)
 
-    def near(xy: np.ndarray) -> np.ndarray:
-        """(len(xy), N) bool: server v within the radius of position xy[i],
-        (sx[v] - x)**2 + (sy[v] - y)**2 <= r**2 in float64, in place."""
-        dx = sx - xy[:, 0, None]
-        dx *= dx
-        dy = sy - xy[:, 1, None]
-        dy *= dy
-        dx += dy
-        return dx <= r2
+    def draw(w: int, attempt: int) -> np.ndarray:
+        """The servers v with (sx[v] - x)**2 + (sy[v] - y)**2 <= r**2 in
+        float64, (x, y) dispatcher w's position, moved on a redraw."""
+        if attempt:
+            dxy[w] = rng.random(2)
+        np.square(np.subtract(sx, dxy[w, 0], out=dx), out=dx)
+        np.square(np.subtract(sy, dxy[w, 1], out=dy), out=dy)
+        return np.flatnonzero(np.add(dx, dy, out=dx) <= radius * radius)
 
-    counts, chunks, retries = [], [], 0
-    step = max(1, _CHUNK // n_servers)
-    for a in range(0, n_dispatchers, step):
-        rows = near(dxy[a : a + step])
-        for k in np.flatnonzero(~rows.any(axis=1)):
-            for attempt in range(1, GENERATION_RETRIES + 1):
-                dxy[a + k] = rng.random(2)
-                rows[k] = near(dxy[a + k, None])[0]
-                if rows[k].any():
-                    break
-            else:
-                raise GraphGenerationError(
-                    f"dispatcher {a + k} found no server within radius {radius:g} "
-                    f"after {GENERATION_RETRIES} placements"
-                )
-            retries += attempt
-        lengths, servers = _row_entries(rows)
-        counts.append(lengths)
-        chunks.append(servers)
+    csr, retries = _nonempty_rows(n_dispatchers, draw, lambda w: (
+        f"dispatcher {w} found no server within radius {radius:g} after {GENERATION_RETRIES} placements"))
     meta = {
         "generator": "geometric",
         "radius": radius,
@@ -453,26 +426,29 @@ def generate_geometric(n_servers: int, n_dispatchers: int, radius: float, seed: 
         "server_xy": sxy,
         "dispatcher_xy": dxy,
     }
-    return BipartiteGraph._from_csr(n_servers, n_dispatchers, meta, csr=_stacked(counts, chunks))
+    return BipartiteGraph._from_csr(n_servers, n_dispatchers, meta, csr=csr)
 
 
-def _row_entries(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row lengths, concatenated int32 column indices) of a block of
-    boolean rows."""
-    flat = np.flatnonzero(rows)
-    starts = np.arange(0, rows.size + 1, rows.shape[1])
-    lengths = np.diff(np.searchsorted(flat, starts))
-    flat -= np.repeat(starts[:-1], lengths)
-    return lengths, flat.astype(np.int32)
-
-
-def _stacked(counts: list, chunks: list) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR of rows in order, from their lengths and their concatenated
-    indices, each given in pieces (blocks of rows, or single rows)."""
-    lengths = np.concatenate(counts)
-    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    return indptr, np.concatenate(chunks)
+def _nonempty_rows(
+    m: int, draw: Callable[[int, int], np.ndarray], isolated: Callable[[int], str]
+) -> tuple[tuple[np.ndarray, np.ndarray], int]:
+    """(dispatcher-major CSR, redraws in all) of rows drawn one dispatcher at
+    a time: row w is the first nonempty `draw(w, attempt)` (sorted server
+    indices) for attempt = 0, 1, ..., GENERATION_RETRIES; if there is none,
+    GraphGenerationError(isolated(w))."""
+    rows, retries = [], 0
+    for w in range(m):
+        for attempt in range(GENERATION_RETRIES + 1):
+            row = draw(w, attempt)
+            if row.size:
+                break
+        else:
+            raise GraphGenerationError(isolated(w))
+        retries += attempt
+        rows.append(row)
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum([row.size for row in rows], out=indptr[1:])
+    return (indptr, np.concatenate(rows, dtype=np.int32)), retries
 
 
 def radius_for_mean_degree(n_servers: int, mean_degree: float) -> float:
@@ -614,8 +590,7 @@ def _parse_bpg(data: bytes, path) -> tuple[int, int, np.ndarray, np.ndarray]:
     if not all(x.isdigit() for x in dims):  # bytes.isdigit() is ASCII only
         raise error(f"non-integer dimensions: {[_shown(x, 'bytes') for x in dims]}", 2)
     n_digits, m_digits, e_digits = (_significant(x) for x in dims)
-    # `csr` stores server indices as int32, and an edge key v*M + w fits an int64
-    if max(len(n_digits), len(m_digits)) > 10 or max(int(n_digits), int(m_digits)) >= 2**31:
+    if max(len(n_digits), len(m_digits)) > 10 or max(int(n_digits), int(m_digits)) >= INDEX_LIMIT:
         raise error(
             f"dimensions N={_shown(n_digits)} M={_shown(m_digits)} too large; N and M must be below 2^31", 2
         )

@@ -46,6 +46,8 @@ def default_depth(lam: float, d: int) -> int:
     The fixed point decays doubly exponentially, so deeper levels are
     numerically zero.
     """
+    if not 0 < lam < 1:
+        raise ValueError("lambda must lie in (0, 1)")
     q = 1.0
     for i in range(1, 200):
         q = lam * q**d
@@ -205,6 +207,8 @@ def integrate_ode(
     if step > sample_interval:
         raise ValueError(f"step must be at most sample_interval {sample_interval}, not {step}")
     n_samples = len(sample_times) - 1
+    if not math.isfinite(sample_interval / step):
+        raise ValueError(f"sample_interval / step must be finite, not {sample_interval} / {step}")
     substeps = round(sample_interval / step)
     h = sample_interval / substeps
 

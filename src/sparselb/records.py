@@ -78,10 +78,13 @@ def require_positive_int(name: str, value) -> int:
 
 def sample_grid(horizon: float, interval: float) -> np.ndarray:
     """Sample times 0, interval, 2*interval, ... up to horizon (within
-    1e-9 of a step); `interval` must be finite and positive."""
+    1e-9 of a step); `interval` must be finite and positive, and the grid
+    at most 2^31 samples long."""
     require_finite_positive("sample_interval", interval)
-    n = int(math.floor(horizon / interval + 1e-9))
-    return np.arange(n + 1) * interval
+    steps = horizon / interval + 1e-9
+    if not steps < 2**31:  # inf and NaN too
+        raise ValueError(f"horizon {horizon} / sample_interval {interval} asks for more than 2^31 samples")
+    return np.arange(int(math.floor(steps)) + 1) * interval
 
 
 @dataclass

@@ -42,7 +42,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .graph import BipartiteGraph
+from .graph import INDEX_LIMIT, BipartiteGraph
 from .records import (
     CoupledRecord,
     SteadyStateSummary,
@@ -106,6 +106,8 @@ def _check_inputs(
             "graph is disconnected; pass allow_disconnected=True to simulate anyway"
         )
     depth = require_positive_int("depth", depth)
+    if depth >= INDEX_LIMIT:
+        raise ValueError(f"depth must be below 2^31, not {depth}")
     try:
         value = operator.index(seed)
     except TypeError:
@@ -366,10 +368,12 @@ def _simulate_core(
         if len(initial_lengths) != n:
             raise ValueError("initial_lengths must have one entry per server")
         for v, l in enumerate(initial_lengths):
-            l = int(l)
-            if l < 0:
+            try:
+                lengths[v] = operator.index(l)
+            except TypeError:
+                raise ValueError(f"queue length of server {v} must be an integer, not {l!r}") from None
+            if lengths[v] < 0:
                 raise ValueError("queue lengths must be nonnegative")
-            lengths[v] = l
     start_tasks = sum(lengths)
 
     grid = sample_grid(horizon, sample_interval) if sample_interval is not None else np.empty(0)
@@ -539,6 +543,7 @@ def simulate(
     `sample_interval` (None: counts and final lengths only, no samples).
     Deterministic given (config, seed); the run is replica 0 of
     `steady_state` at the same seed, and recording draws nothing.
+    `initial_lengths` are integers (numpy's too), one per server.
 
     `on_assign(server, queue_length_before, sampled_servers, lengths)` is a
     test hook called at each assignment with live (read-only) state; leave

@@ -278,6 +278,32 @@ def test_bad_run_argument_is_exit_1(tmp_path, capsys, command, flag, value):
     assert not out.exists()
 
 
+_HUGE = "99999999999999999999"  # 20 digits: refused before anything is allocated
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("ode --lambda 2", "lambda must lie in (0, 1)"),
+    ("reproduce lambda-sweep --lambdas 2 --sizes 40", "lambda must lie in (0, 1)"),
+    *((f"{c} --horizon 1e308", "horizon 1e+308 / sample_interval 0.1 asks for more than 2^31 samples")
+      for c in ("simulate", "coupled", "ode")),
+    ("ode --sample-interval 1e308", "sample_interval / step must be finite, not 1e+308 / 0.01"),
+    (f"gen --kind fixed-degree --c 2 --n {_HUGE}", f"N={_HUGE} M={_HUGE} too large; N and M must be below 2^31"),
+    (f"trend --family fixed-degree-4 --sizes {_HUGE}", f"N={_HUGE} M={_HUGE} too large; N and M must be below 2^31"),
+    (f"coupled --depth {_HUGE}", f"depth must be below 2^31, not {_HUGE}"),
+])
+def test_values_too_large_to_run_are_exit_1(tmp_path, capsys, argv, message):
+    g = tmp_path / "c.bpg"
+    run("gen", "--kind", "complete", "--n", "4", "--out", str(g))
+    out = tmp_path / "out"
+    argv = argv.split() + ["--out", str(out)]
+    if argv[0] in ("simulate", "coupled"):
+        argv += ["--graph", str(g)]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_disconnected_graph_exit(tmp_path):
     g = tmp_path / "m.bpg"
     run("gen", "--kind", "matching", "--n", "4", "--out", str(g))

@@ -117,6 +117,22 @@ def test_duplicate_and_range_validation():
         BipartiteGraph(3, 1, [[0, 3]])
 
 
+_HUGE = 99999999999999999999  # 20 digits: refused before anything is allocated or drawn
+
+
+@pytest.mark.parametrize("n, m", [(_HUGE, 3), (3, _HUGE)])
+@pytest.mark.parametrize("build", [
+    complete_bipartite,
+    lambda n, m: generate_fixed_server_degree(n, m, 1, seed=0),
+    lambda n, m: generate_inhomogeneous(n, m, 0.5, seed=0),
+    lambda n, m: generate_geometric(n, m, 0.5, seed=0),
+], ids=["complete", "fixed-degree", "inhomogeneous", "geometric"])
+def test_sizes_beyond_the_index_limit_are_refused(build, n, m):
+    with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drew")):
+        with pytest.raises(ValueError, match=rf"^N={n} M={m} too large; N and M must be below 2\^31$"):
+            build(n, m)
+
+
 def test_fixed_degree_forced_cases():
     assert generate_fixed_server_degree(4, 4, 4, seed=0) == complete_bipartite(4, 4)
     g = generate_fixed_server_degree(4, 4, 2, seed=1)
@@ -253,8 +269,8 @@ def _reference_inhomogeneous(n, m, p, seed):
 
 
 def _reference_geometric(n, m, radius, seed):
-    """The geometric generator written one dispatcher at a time, as it was
-    before it computed rows in blocks."""
+    """The geometric generator's definition with Python lists: all positions
+    drawn up front, an isolated dispatcher moved, each row a list."""
     rng = np.random.default_rng(seed)
     sxy = rng.random((n, 2))
     dxy = rng.random((m, 2))
@@ -279,7 +295,6 @@ def _reference_geometric(n, m, radius, seed):
     return BipartiteGraph(n, m, rows, meta=meta)
 
 
-_chunks = st.sampled_from([1, 2, 7, graph_module._CHUNK])
 _seeds = st.integers(0, 2**32 - 1)
 
 
@@ -295,19 +310,15 @@ def _inhomogeneous_case(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=_inhomogeneous_case(), chunk=_chunks)
-def test_inhomogeneous_matches_row_reference(case, chunk):
-    with mock.patch.object(graph_module, "_CHUNK", chunk):
-        _assert_matches_reference(*case, reference=_reference_inhomogeneous, generator=generate_inhomogeneous)
+@given(case=_inhomogeneous_case())
+def test_inhomogeneous_matches_row_reference(case):
+    _assert_matches_reference(*case, reference=_reference_inhomogeneous, generator=generate_inhomogeneous)
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    n=st.integers(1, 8), m=st.integers(1, 12), radius=st.floats(0.02, 1.5), seed=_seeds, chunk=_chunks
-)
-def test_geometric_matches_row_reference(n, m, radius, seed, chunk):
-    with mock.patch.object(graph_module, "_CHUNK", chunk):
-        _assert_matches_reference(n, m, radius, seed, reference=_reference_geometric, generator=generate_geometric)
+@given(n=st.integers(1, 8), m=st.integers(1, 12), radius=st.floats(0.02, 1.5), seed=_seeds)
+def test_geometric_matches_row_reference(n, m, radius, seed):
+    _assert_matches_reference(n, m, radius, seed, reference=_reference_geometric, generator=generate_geometric)
 
 
 def test_fixed_degree_dispatcher_degree_statistics():

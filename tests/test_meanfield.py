@@ -133,7 +133,8 @@ def test_depth_has_no_default_and_the_certificate_no_d():
     lambda lam: fixed_point(lam, 2, 5),
     lambda lam: stability_weights(lam, 5),
     lambda lam: integrate_ode(lam, empty_occupancy(5), 1.0, depth=5),
-], ids=["fixed_point", "stability_weights", "integrate_ode"])
+    lambda lam: default_depth(lam, 2),
+], ids=["fixed_point", "stability_weights", "integrate_ode", "default_depth"])
 def test_lambda_outside_unit_interval_is_refused(call, lam):
     with pytest.raises(ValueError, match=r"^lambda must lie in \(0, 1\)$"):
         call(lam)
@@ -155,6 +156,11 @@ def test_step_longer_than_sample_interval_is_refused(step):
     # round(0.1 / step) is 1 or 0 here, so the run would take steps of 0.1
     with pytest.raises(ValueError, match=rf"^step must be at most sample_interval 0\.1, not {step}$"):
         integrate_ode(0.8, empty_occupancy(5), 1.0, depth=5, step=step, sample_interval=0.1)
+
+
+def test_sample_interval_over_step_must_be_finite():
+    with pytest.raises(ValueError, match=r"^sample_interval / step must be finite, not 1e\+308 / 0\.01$"):
+        integrate_ode(0.8, empty_occupancy(5), 1.0, depth=5, sample_interval=1e308)
 
 
 def _reference_ode(lam, q0, horizon, depth, d, policy, step, sample_interval):

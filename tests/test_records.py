@@ -1,3 +1,6 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from sparselb.records import (
     check_compatible_metadata,
     compare_trajectories,
     read_trajectory_csv,
+    sample_grid,
     write_trajectory_csv,
 )
 from sparselb.simulator import lyapunov_series, simulate, steady_state, tail_moment_margin
@@ -81,6 +85,17 @@ def test_compare_levels_must_be_positive(levels):
     rec = _record([0.0, 1.0], [[0.5, 0.9], [0.5, 0.9]])
     with pytest.raises(ValueError, match=f"levels must be a positive integer, not {levels}"):
         compare_trajectories(rec, rec, levels=levels)
+
+
+@pytest.mark.parametrize("horizon, interval", [(1e308, 0.1), (1.0, 1e-300), (2.0**31, 1.0)])
+def test_sample_grid_of_more_than_2_31_samples_is_refused(horizon, interval):
+    # refused before np.arange allocates the grid
+    with mock.patch.object(np, "arange", side_effect=AssertionError("allocated")):
+        with pytest.raises(ValueError, match="^" + re.escape(f"horizon {horizon} / sample_interval {interval} asks for more")):
+            sample_grid(horizon, interval)
+    with mock.patch.object(np, "arange") as arange:  # 2^31 samples, the largest grid allowed
+        sample_grid(2.0**31 - 1, 1.0)
+    arange.assert_called_once_with(2**31)
 
 
 def test_metadata_compatibility_gate():

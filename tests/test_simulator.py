@@ -184,6 +184,16 @@ def test_initial_state_respected():
     assert rec.occupancy[0, 3] == 0.0
 
 
+def test_fractional_initial_lengths_are_refused():
+    g = complete_bipartite(2, 2)
+    with pytest.raises(ValueError, match=r"^queue length of server 0 must be an integer, not 1\.9$"):
+        simulate(g, 2, 0.5, 1.0, initial_lengths=[1.9, 2.5])
+    with pytest.raises(ValueError, match=r"^queue length of server 1 must be an integer, not 2\.0$"):
+        simulate(g, 2, 0.5, 1.0, initial_lengths=[1, 2.0])
+    from_numpy = simulate(g, 2, 0.5, 1.0, initial_lengths=np.array([1, 2]), seed=3)
+    assert np.array_equal(from_numpy.occupancy, simulate(g, 2, 0.5, 1.0, initial_lengths=[1, 2], seed=3).occupancy)
+
+
 def test_choose_shortest_never_picks_longer():
     rng = random.Random(0)
     lengths = [5, 2, 2, 7, 0, 3]
@@ -366,6 +376,16 @@ def test_bad_seed_is_named(seed):
                 lambda: steady_state(g, 2, 0.5, warmup=1.0, measure=1.0, seed=seed),
                 lambda: coupled_simulate(g, 2, 0.5, 1.0, seed=seed)):
         with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, not {seed}$"):
+            run()
+
+
+def test_depth_beyond_the_index_limit_is_named():
+    g = complete_bipartite(4, 4)
+    depth = 99999999999999999999  # 20 digits: refused before any recording array exists
+    for run in (lambda: simulate(g, 2, 0.5, 1.0, depth=depth),
+                lambda: steady_state(g, 2, 0.5, warmup=1.0, measure=1.0, depth=depth),
+                lambda: coupled_simulate(g, 2, 0.5, 1.0, depth=depth)):
+        with pytest.raises(ValueError, match=rf"^depth must be below 2\^31, not {depth}$"):
             run()
 
 
