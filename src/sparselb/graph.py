@@ -22,8 +22,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .records import INDEX_LIMIT, require_seed
+
 GENERATION_RETRIES = 100
-INDEX_LIMIT = 2**31  # bounds N, M and a recording depth: int32 indices, int64 edge keys v*M + w
 
 
 class GraphFormatError(ValueError):
@@ -309,6 +310,7 @@ def generate_fixed_server_degree(
     _check_sizes(n_servers, n_dispatchers)
     if not 1 <= c <= n_dispatchers:
         raise ValueError(f"server degree c={c} must be in [1, {n_dispatchers}]")
+    seed = require_seed(seed)
     rng = np.random.default_rng(seed)
     top = np.arange(n_dispatchers - c, n_dispatchers, dtype=np.int32)  # M-c+k
     for attempt in range(GENERATION_RETRIES):
@@ -378,6 +380,7 @@ def generate_inhomogeneous(n_servers: int, n_dispatchers: int, p, seed: int) -> 
     p = np.broadcast_to(np.asarray(p, dtype=float), (n_dispatchers,))
     if not ((p > 0) & (p <= 1)).all():  # NaN fails both comparisons
         raise ValueError("edge probabilities must lie in (0, 1]")
+    seed = require_seed(seed)
     rng = np.random.default_rng(seed)
     u = np.empty(n_servers)
     csr, retries = _nonempty_rows(
@@ -401,6 +404,7 @@ def generate_geometric(n_servers: int, n_dispatchers: int, radius: float, seed: 
     _check_sizes(n_servers, n_dispatchers)
     if not radius > 0:  # NaN too
         raise ValueError("radius must be positive")
+    seed = require_seed(seed)
     rng = np.random.default_rng(seed)
     sxy = rng.random((n_servers, 2))
     dxy = rng.random((n_dispatchers, 2))
@@ -465,7 +469,8 @@ KINDS = ("complete", "matching", "fixed-degree", "inhomogeneous", "geometric", "
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Declarative recipe for a graph, validated per kind at build time."""
+    """Declarative recipe for a graph, validated per kind at build time: a
+    kind refuses a set c, p or radius that it does not read."""
 
     kind: str
     n: int = 0
@@ -478,6 +483,10 @@ class GraphSpec:
     def build(self) -> BipartiteGraph:
         if self.kind not in KINDS:
             raise ValueError(f"unknown graph kind {self.kind!r}; expected one of {KINDS}")
+        reads = {"fixed-degree": "c", "inhomogeneous": "p", "geometric": "radius"}.get(self.kind)
+        unread = [key for key in ("c", "p", "radius") if key != reads and getattr(self, key) is not None]
+        if unread:
+            raise ValueError(f"a {self.kind} graph does not read {', '.join(unread)}")
         if self.kind == "braess":
             return braess_example()
         if self.kind == "matching":

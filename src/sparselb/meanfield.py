@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .policy import AssignmentPolicy, distribution_from_occupancy
-from .records import TrajectoryRecord, require_finite_positive, require_positive_int, sample_grid
+from .records import TrajectoryRecord, require_count, require_finite_positive, require_positive_int, sample_grid
 
 FIXED_POINT_RESIDUAL_TOL = 1e-12
 CLAMP_TOL = 1e-9
@@ -65,7 +65,7 @@ def fixed_point(lam: float, d: int, depth: int) -> np.ndarray:
     if not 0 < lam < 1:
         raise ValueError("lambda must lie in (0, 1)")
     d = require_positive_int("d", d)
-    depth = require_positive_int("depth", depth)
+    depth = require_count("depth", depth)
     q = np.empty(depth + 1)
     q[0] = 1.0
     for i in range(1, depth + 1):
@@ -87,7 +87,7 @@ def fixed_point_residual(q: np.ndarray, lam: float, d: int) -> float:
 
 def empty_occupancy(depth: int) -> np.ndarray:
     """Occupancy of an empty system: [1, 0, ..., 0]."""
-    depth = require_positive_int("depth", depth)
+    depth = require_count("depth", depth)
     q = np.zeros(depth + 1)
     q[0] = 1.0
     return q
@@ -146,7 +146,7 @@ def integrate_ode(
     require_finite_positive("horizon", horizon)
     require_finite_positive("step", step)
     d = require_positive_int("d", d)
-    depth = require_positive_int("depth", depth)
+    depth = require_count("depth", depth)
     q0 = _validate_initial(q0, depth)
 
     if policy is not None:
@@ -309,7 +309,7 @@ def stability_weights(lam: float, depth: int) -> StabilityWeights:
     """
     if not 0 < lam < 1:
         raise ValueError("lambda must lie in (0, 1)")
-    depth = require_positive_int("depth", depth)
+    depth = require_count("depth", depth)
     q_star = fixed_point(lam, 2, max(depth + 1, default_depth(lam, 2)))
     i0 = crossover_index(lam, q_star)
     build_depth = max(depth, i0 + 1)

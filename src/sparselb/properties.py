@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import BipartiteGraph, GraphFamily
-from .records import require_finite_positive, require_positive_int
+from .records import require_finite_positive, require_positive_int, require_seed
 
 ENUMERATION_CAP = 10**6
 EXACT_MAX_SERVERS = 22
@@ -188,6 +188,7 @@ def optimal_subcriticality_load(graph: BipartiteGraph, d: int) -> Subcriticality
     decreases, so the loop ends after at most N + 1 solves. gamma is read
     off the flow at the optimum.
     """
+    d = require_positive_int("d", d)
     uniform, argmax = uniform_subcriticality_metric(graph)
     pairs = _enumerate_pairs(graph, d)
     n = graph.n_servers
@@ -467,7 +468,10 @@ def sparsity_deficiency(
     greedy local search, deterministic given `seed`.
     """
     require_finite_positive("epsilon", epsilon)
+    if epsilon > 1:  # no deviation exceeds 1, and eps*(deg*N) must stay finite
+        raise ValueError(f"epsilon must be at most 1, not {epsilon}")
     budget = require_positive_int("budget", budget)
+    seed = require_seed(seed)
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', not {mode!r}")
     n = graph.n_servers

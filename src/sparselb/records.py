@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 
 FORMAT_VERSION = f"sparselb v{__version__}"
+INDEX_LIMIT = 2**31  # bounds N, M, a depth and a replica count: int32 indices, int64 edge keys v*M + w
 
 # metadata keys that must agree before two trajectory files are compared
 _COMPARE_KEYS = ("lambda", "d", "depth")
@@ -74,6 +75,27 @@ def require_positive_int(name: str, value) -> int:
     if count < 1:
         raise ValueError(f"{name} must be a positive integer, not {value}")
     return count
+
+
+def require_count(name: str, value) -> int:
+    """`value` as an int; a ValueError that names the argument unless it is
+    a positive integer below INDEX_LIMIT, so it can size an array axis."""
+    count = require_positive_int(name, value)
+    if count >= INDEX_LIMIT:
+        raise ValueError(f"{name} must be below 2^31, not {count}")
+    return count
+
+
+def require_seed(seed) -> int:
+    """`seed` as an int, the one numpy is handed; a ValueError that names it
+    unless it is an integer type >= 0."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"seed must be a non-negative integer, not {seed}")
+    return value
 
 
 def sample_grid(horizon: float, interval: float) -> np.ndarray:
@@ -149,7 +171,7 @@ def write_table(path, metadata: dict, header: Sequence[str], rows: Iterable[Sequ
 
 
 def level_columns(depth: int) -> list[str]:
-    return [f"q{i}" for i in range(1, depth + 1)]
+    return [f"q{i}" for i in range(1, require_count("depth", depth) + 1)]
 
 
 def trajectory_rows(record: TrajectoryRecord) -> Iterator[tuple]:

@@ -42,13 +42,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .graph import INDEX_LIMIT, BipartiteGraph
+from .graph import BipartiteGraph
 from .records import (
     CoupledRecord,
     SteadyStateSummary,
     TrajectoryRecord,
+    require_count,
     require_finite_positive,
     require_positive_int,
+    require_seed,
     sample_grid,
 )
 
@@ -105,16 +107,7 @@ def _check_inputs(
         raise ValueError(
             "graph is disconnected; pass allow_disconnected=True to simulate anyway"
         )
-    depth = require_positive_int("depth", depth)
-    if depth >= INDEX_LIMIT:
-        raise ValueError(f"depth must be below 2^31, not {depth}")
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        value = -1
-    if value < 0:
-        raise ValueError(f"seed must be a non-negative integer, not {seed}")
-    return d, depth, value
+    return d, require_count("depth", depth), require_seed(seed)
 
 
 def _replica_stream(seed: int, replica: int) -> np.random.Generator:
@@ -599,7 +592,7 @@ def steady_state(
     if not (math.isfinite(warmup) and warmup >= 0):
         raise ValueError(f"warmup must be finite and >= 0, not {warmup}")
     require_finite_positive("measure", measure)
-    replicas = require_positive_int("replicas", replicas)
+    replicas = require_count("replicas", replicas)
     _warn_overload(lam)
     n = graph.n_servers
     horizon = warmup + measure
@@ -646,43 +639,34 @@ def steady_state(
 
 
 def _rank_tables(sizes: Sequence[int], d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Shortest-of-sample rank tables, one slice per size.
+    """One complex table of shortest-of-sample rank laws, one slice per size.
 
     The lowest rank in a sample of d' = min(d, s) of s ranked servers,
     drawn without replacement, exceeds p with probability
     R_s(p) = C(s-1-p, d') / C(s, d'). Slice k, table[bounds[k]:bounds[k+1]],
-    holds -R_s(p) for s = sizes[k] and p = 0..s-d'-1: ascending, each the
-    correctly rounded quotient of the two exact integers. One +inf closes
-    the table, so a bisection may probe one past any slice.
+    holds k + 1j*(-R_s(p)) for s = sizes[k] and p = 0..s-d'-1, each
+    imaginary part the correctly rounded quotient of the two exact
+    integers. numpy orders complex numbers by real part, then imaginary
+    part, so the whole table ascends.
     """
     parts = []
-    for s in sizes:
-        k = min(d, s)
-        total = math.comb(s, k)
-        parts.append([-(math.comb(s - 1 - p, k) / total) for p in range(s - k)])
+    for k, s in enumerate(sizes):
+        c = min(d, s)
+        total = math.comb(s, c)
+        parts.append([complex(k, -(math.comb(s - 1 - p, c) / total)) for p in range(s - c)])
     bounds = np.zeros(len(parts) + 1, dtype=np.int64)
     np.cumsum([len(part) for part in parts], out=bounds[1:])
-    table = np.fromiter(itertools.chain(*parts, [math.inf]), dtype=float, count=bounds[-1] + 1)
+    table = np.fromiter(itertools.chain(*parts), dtype=complex, count=bounds[-1])
     return table, bounds
 
 
-def _min_rank(table: np.ndarray, start, count, u: np.ndarray) -> np.ndarray:
-    """Each u[i]'s shortest-of-sample rank: the smallest p with
-    R_s(p) < 1 - u[i], which is the number of entries at most u[i] - 1 in
-    its size's slice [start, start + count) of a `_rank_tables` table.
-    Integer start and count give every u one slice (one searchsorted);
-    arrays give each its own, searched by one branchless bisection."""
-    key = u - 1.0  # exactly -(1 - u)
-    if np.ndim(start) == 0:
-        return np.searchsorted(table[start : start + count], key, side="right")
-    pos, left = start, count
-    while left.any():
-        half = left >> 1
-        mid = pos + half
-        go = (table[mid] <= key) & (left > 0)
-        pos = np.where(go, mid + 1, pos)
-        left = np.where(go, left - half - 1, half)
-    return pos - start
+def _min_rank(table: np.ndarray, bounds: np.ndarray, slices, u: np.ndarray) -> np.ndarray:
+    """Each u[i]'s shortest-of-sample rank in slice slices[i] (or one slice
+    for all) of a `_rank_tables` table: the smallest p with R_s(p) < 1 - u[i],
+    which is the number of entries at most u[i] - 1 in that slice. One
+    search: the key slices + 1j*(u - 1) lands past every earlier slice and
+    before every later one, and u - 1.0 is exactly -(1 - u)."""
+    return np.searchsorted(table, slices + 1j * (u - 1.0), side="right") - bounds[slices]
 
 
 def coupled_simulate(
@@ -749,9 +733,7 @@ def coupled_simulate(
     # rank-table slices: one per dispatcher, then the twin's
     degs = graph.dispatcher_degrees()
     sizes, size_of = np.unique(np.append(degs, n), return_inverse=True)
-    table, cuts = _rank_tables(sizes.tolist(), d)
-    start, count = cuts[size_of], np.diff(cuts)[size_of]
-    twin = int(start[-1]), int(count[-1])
+    table, bounds = _rank_tables(sizes.tolist(), d)
 
     def draw_block(arriving: np.ndarray):
         """Per event: its dispatcher, or ~server for a potential departure;
@@ -763,9 +745,9 @@ def coupled_simulate(
         who[arriving] = w
         pick = gen.random(BLOCK)
         rank_g = np.zeros(BLOCK, dtype=np.int64)
-        rank_g[arriving] = _min_rank(table, start[w], count[w], u)
+        rank_g[arriving] = _min_rank(table, bounds, size_of[w], u)
         above_k = np.zeros(BLOCK, dtype=np.int64)
-        above_k[arriving] = n - _min_rank(table, *twin, u)
+        above_k[arriving] = n - _min_rank(table, bounds, size_of[-1], u)
         return who.tolist(), pick.tolist(), rank_g.tolist(), above_k.tolist()
 
     # Q_g, Q_k: servers with >= i tasks, padded to one length, at least

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sparselb import cli
 from sparselb.cli import RECIPES, build_parser, main
 from sparselb.graph import read_graph
 from sparselb.meanfield import default_depth
@@ -290,16 +291,40 @@ _HUGE = "99999999999999999999"  # 20 digits: refused before anything is allocate
     (f"gen --kind fixed-degree --c 2 --n {_HUGE}", f"N={_HUGE} M={_HUGE} too large; N and M must be below 2^31"),
     (f"trend --family fixed-degree-4 --sizes {_HUGE}", f"N={_HUGE} M={_HUGE} too large; N and M must be below 2^31"),
     (f"coupled --depth {_HUGE}", f"depth must be below 2^31, not {_HUGE}"),
+    (f"ode --depth {_HUGE}", f"depth must be below 2^31, not {_HUGE}"),
+    (f"ode --start fixed-point --depth {_HUGE}", f"depth must be below 2^31, not {_HUGE}"),
+    (f"reproduce erg-trajectories --sizes 8 --depth {_HUGE}", f"depth must be below 2^31, not {_HUGE}"),
+    (f"steady --replicas {_HUGE}", f"replicas must be below 2^31, not {_HUGE}"),
 ])
 def test_values_too_large_to_run_are_exit_1(tmp_path, capsys, argv, message):
     g = tmp_path / "c.bpg"
     run("gen", "--kind", "complete", "--n", "4", "--out", str(g))
     out = tmp_path / "out"
     argv = argv.split() + ["--out", str(out)]
-    if argv[0] in ("simulate", "coupled"):
+    if argv[0] in ("simulate", "steady", "coupled"):
         argv += ["--graph", str(g)]
     capsys.readouterr()
     assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("gen --kind fixed-degree --c 2 --seed -1", "seed must be a non-negative integer, not -1"),
+    ("check --graph G --seed -1", "seed must be a non-negative integer, not -1"),
+    ("trend --family fixed-degree-4 --sizes 8 --seeds 0,-1", "seed must be a non-negative integer, not -1"),
+    ("gen --kind complete --n 5 --c 3 --p 0.5 --radius 0.2", "a complete graph does not read c, p, radius"),
+    ("gen --kind geometric --radius 0.5 --p 0.5", "a geometric graph does not read p"),
+    ("check --graph G --optimal --d 0", "d must be a positive integer, not 0"),
+    ("check --graph G --epsilons 0.1,2", "epsilon must be at most 1, not 2.0"),
+    ("trend --family fixed-degree-4 --sizes 8 --seeds 0 --epsilons 1e308", "epsilon must be at most 1, not 1e+308"),
+])
+def test_refusal_names_the_value(tmp_path, capsys, argv, message):
+    g = tmp_path / "b.bpg"
+    run("gen", "--kind", "braess", "--out", str(g))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*(str(g) if tok == "G" else tok for tok in argv.split()), "--out", str(out)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
@@ -611,3 +636,90 @@ def test_flag_nothing_reads_is_usage_error(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and message in err, err
     assert not out.exists()
+
+
+# Every value flag of every command, read from the parser, is set in turn to
+# each hostile value on a small valid run, on the command line and through
+# --config. Nothing may escape main, the exit code is 0-3, and a run that
+# fails leaves no file behind.
+_HOSTILE = ["0", "-1", "nan", "inf", "1e308", _HUGE, "", ",", "1,", "text"]
+# flags whose legal values may run for hours, and the hostile values legal
+# for them, which they skip
+_COSTLY_LEGAL = {"--budget": {_HUGE}, "--replicas": set(), "--measure": {"1e308", _HUGE},
+                 "--warmup": {"0", "1e308", _HUGE}}
+# a small valid run per command (and per gen flag that needs its own kind);
+# G is a graph file and A a trajectory file
+_FUZZ_BASES = {
+    "gen": "--kind fixed-degree --n 6 --c 2 --out out",
+    ("gen", "--p"): "--kind inhomogeneous --n 6 --p 0.5 --out out",
+    ("gen", "--radius"): "--kind geometric --n 6 --radius 0.5 --out out",
+    "check": "--graph G --optimal --out out",
+    "simulate": "--graph G --lambda 0.5 --horizon 1 --out out",
+    "steady": "--graph G --lambda 0.5 --warmup 0.5 --measure 0.5 --replicas 2 --out out",
+    "coupled": "--graph G --lambda 0.5 --horizon 1 --out out",
+    "ode": "--lambda 0.5 --horizon 1 --depth 6 --out out",
+    "compare": "--a A --b A",
+    "trend": "--family fixed-degree-4 --sizes 8 --seeds 0 --budget 8 --out out",
+    "reproduce": "erg-trajectories --sizes 8 --lambda 0.5 --horizon 1 --depth 4 --out out",
+}
+
+
+def _as_json(text):
+    """A hostile value as a config file holds it: a JSON number where it
+    reads as one (NaN and Infinity included), else the string."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("command", sorted(build_parser()[1]))
+def test_hostile_values_exit_cleanly(tmp_path, monkeypatch, command, via_config):
+    inputs, work = tmp_path / "in", tmp_path / "work"
+    inputs.mkdir()
+    work.mkdir()
+    graph, trajectory, config = inputs / "g.bpg", inputs / "a.csv", inputs / "config.json"
+    assert run("gen", "--kind", "complete", "--n", "4", "--out", str(graph)) == 0
+    assert run("ode", "--lambda", "0.5", "--horizon", "1", "--depth", "6", "--out", str(trajectory)) == 0
+    monkeypatch.chdir(work)  # relative outputs land in `work`, which starts empty
+    # one parser serves every case (building one takes milliseconds); the
+    # defaults a config file sets on it are put back after each case
+    parser = build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    sub = parser[1][command]
+    action_defaults, parser_defaults = [(a, a.default) for a in sub._actions], dict(sub._defaults)
+    flags = [a.option_strings[0] for a in sub._actions if a.option_strings and a.nargs != 0]
+    faults = []
+    for flag in flags:
+        base = _FUZZ_BASES.get((command, flag), _FUZZ_BASES[command]).split()
+        base = [{"G": str(graph), "A": str(trajectory)}.get(tok, tok) for tok in base]
+        if flag in base:  # drop the base's own value of the flag
+            i = base.index(flag)
+            del base[i : i + 2]
+        for value in _HOSTILE:
+            if value in _COSTLY_LEGAL.get(flag, ()):
+                continue
+            if via_config:
+                config.write_text(json.dumps({flag[2:]: _as_json(value)}))
+                argv = [command, *base, "--config", str(config)]
+            else:
+                argv = [command, *base, flag, value]
+            try:
+                code = main(argv)
+            except BaseException as exc:  # anything that escapes main is a fault
+                faults.append((argv, f"raised {type(exc).__name__}: {exc}"))
+                code = None
+            for action, default in action_defaults:
+                action.default = default
+            sub._defaults = dict(parser_defaults)
+            left = sorted(p.name for p in work.iterdir())
+            if code not in (0, 1, 2, 3):
+                faults.append((argv, f"exit code {code}"))
+            elif code != 0 and left:
+                faults.append((argv, f"exit {code} left {left}"))
+            for name in left:
+                (work / name).unlink()
+    assert not faults, "\n".join(f"{' '.join(argv)}: {why}" for argv, why in faults)

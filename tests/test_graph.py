@@ -478,6 +478,28 @@ def test_graph_spec_validation():
     assert GraphSpec("braess").build() == braess_example()
 
 
+def test_graph_spec_refuses_fields_its_kind_does_not_read():
+    for spec, unread in [
+        (GraphSpec("complete", n=5, m=5, c=3, p=0.5, radius=0.2), "c, p, radius"),
+        (GraphSpec("braess", c=2), "c"),
+        (GraphSpec("matching", n=4, m=4, radius=0.2), "radius"),
+        (GraphSpec("fixed-degree", n=6, m=6, c=2, p=0.5), "p"),
+        (GraphSpec("inhomogeneous", n=6, m=6, p=0.5, radius=0.3), "radius"),
+        (GraphSpec("geometric", n=6, m=6, radius=0.5, c=2), "c"),
+    ]:
+        with pytest.raises(ValueError, match=f"^a {spec.kind} graph does not read {unread}$"):
+            spec.build()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+def test_bad_generator_seed_is_named(seed):
+    for build in (lambda: generate_fixed_server_degree(6, 6, 2, seed),
+                  lambda: generate_inhomogeneous(6, 6, 0.5, seed),
+                  lambda: generate_geometric(6, 6, 0.5, seed)):
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, not {seed}$"):
+            build()
+
+
 # the documented member of each family at N = 1, 40 and 250 (M = N):
 # ln 40 = 3.69, ln^2 40 = 13.6, ln 250 = 5.52, ln^2 250 = 30.5
 _FAMILY_MEMBERS = [

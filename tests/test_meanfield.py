@@ -297,3 +297,13 @@ def test_psi_series_decays_from_empty():
     assert np.all(psi.values >= 0.0)
     mask = (psi.times >= 1.0) & (psi.values > 1e-10)
     assert np.all(np.diff(psi.values[mask]) < 0.0)
+
+
+def test_depth_beyond_the_index_limit_is_named():
+    depth = 99999999999999999999  # 20 digits: refused before any depth-sized array exists
+    q0 = np.array([1.0, 0.0])
+    for call in (lambda: fixed_point(0.5, 2, depth), lambda: empty_occupancy(depth),
+                 lambda: integrate_ode(0.5, q0, 1.0, depth=depth, d=2),
+                 lambda: stability_weights(0.5, depth)):
+        with pytest.raises(ValueError, match=rf"^depth must be below 2\^31, not {depth}$"):
+            call()

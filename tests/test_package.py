@@ -4,8 +4,8 @@ the library)."""
 
 import ast
 import importlib.util
+import re
 import sys
-import tomllib
 from pathlib import Path
 
 import sparselb
@@ -16,8 +16,10 @@ ALLOWED = set(sys.stdlib_module_names) | {"numpy", "sparselb"}
 
 
 def test_one_version_string(monkeypatch):
-    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
-    assert pyproject["project"]["version"] == sparselb.__version__
+    # a regex, not tomllib (Python 3.11+): the check runs on every supported Python
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", pyproject, re.M | re.S).group(1)
+    assert re.findall(r'^version\s*=\s*"([^"]*)"', project, re.M) == [sparselb.__version__]
     assert records.FORMAT_VERSION == f"sparselb v{sparselb.__version__}"
     # the CSV header follows the package version, not a copy of it
     monkeypatch.setattr(sparselb, "__version__", "9.8.7")

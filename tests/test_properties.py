@@ -437,3 +437,18 @@ def test_sampled_never_exceeds_exact(g, epsilon, budget, seed):
     _assert_exact_matches_reference(g, epsilon)
     count = bad_dispatcher_count(g, sampled.witness_subset, epsilon)
     assert count / g.n_dispatchers == sampled.deficiency
+
+
+def test_refused_certifier_arguments_are_named():
+    g = braess_example()
+    for call, message in [
+        (lambda: sparsity_deficiency(g, 0.1, seed=-1), "seed must be a non-negative integer, not -1"),
+        (lambda: sparsity_deficiency(g, 2.0), "epsilon must be at most 1, not 2.0"),
+        (lambda: sparsity_deficiency(g, 1e308), "epsilon must be at most 1, not 1e+308"),
+        (lambda: optimal_subcriticality_load(g, 0), "d must be a positive integer, not 0"),
+        (lambda: optimal_subcriticality_load(g, -1), "d must be a positive integer, not -1"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+    assert sparsity_deficiency(g, 1.0).deficiency == 0.0  # no deviation reaches 1

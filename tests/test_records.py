@@ -13,6 +13,7 @@ from sparselb.records import (
     TrajectoryRecord,
     check_compatible_metadata,
     compare_trajectories,
+    level_columns,
     read_trajectory_csv,
     sample_grid,
     write_trajectory_csv,
@@ -130,3 +131,12 @@ def test_integer_arguments_are_named(case, value):
     name, call = _INTEGER_ARGUMENTS[case]
     with pytest.raises(ValueError, match=f"^{name} must be a positive integer, not {value}$"):
         call(value)
+
+
+def test_level_columns_refuse_a_depth_they_cannot_list():
+    assert level_columns(3) == ["q1", "q2", "q3"]
+    for depth, message in [(0, "depth must be a positive integer, not 0"),
+                           (99999999999999999999, "depth must be below 2^31, not 99999999999999999999")]:
+        with pytest.raises(ValueError) as info:
+            level_columns(depth)
+        assert str(info.value) == message

@@ -389,6 +389,12 @@ def test_depth_beyond_the_index_limit_is_named():
             run()
 
 
+def test_replicas_beyond_the_index_limit_are_named():
+    replicas = 99999999999999999999  # refused before the per-replica arrays exist
+    with pytest.raises(ValueError, match=rf"^replicas must be below 2\^31, not {replicas}$"):
+        steady_state(complete_bipartite(4, 4), 2, 0.5, warmup=1.0, measure=1.0, replicas=replicas)
+
+
 def test_steady_state_replica_stream_isolation():
     g = complete_bipartite(20, 20)
     s1 = steady_state(g, 2, 0.8, warmup=5, measure=20, replicas=2, seed=0)
@@ -516,12 +522,12 @@ def test_min_rank_matches_exact_binomials():
     for d in range(1, 9):
         table, bounds = _rank_tables(sizes, d)
         want = {s: [_reference_min_rank(s, min(d, s), u) for u in _U.tolist()] for s in sizes}
-        for k, s in enumerate(sizes):  # one slice for every u: searchsorted
-            got = _min_rank(table, int(bounds[k]), int(bounds[k + 1] - bounds[k]), _U)
+        for k, s in enumerate(sizes):  # one slice for every u
+            got = _min_rank(table, bounds, k, _U)
             assert got.tolist() == want[s], (s, d)
-        # every size at once, each u in its own slice: the bisection
+        # every size at once, each u in its own slice
         k = np.repeat(np.arange(len(sizes)), len(_U))
-        got = _min_rank(table, bounds[k], bounds[k + 1] - bounds[k], np.tile(_U, len(sizes)))
+        got = _min_rank(table, bounds, k, np.tile(_U, len(sizes)))
         assert got.tolist() == [r for s in sizes for r in want[s]], d
 
 
