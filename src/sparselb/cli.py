@@ -106,7 +106,13 @@ def _metadata(args, **resolved) -> dict:
 
 
 def cmd_gen(args) -> int:
-    g = GraphSpec(**_flag_kwargs(args, m=args.n if args.m is None else args.m)).build()
+    # --n, --m and --seed default to None so that a set one shows; unset, they are 6, N and 0
+    reads = graphs.READS[args.kind]
+    unread = [key for key in ("n", "m", "c", "p", "radius", "seed") if key not in reads and vars(args)[key] is not None]
+    if unread:
+        raise ValueError(f"a {args.kind} graph does not read {', '.join(unread)}")
+    n = 6 if args.n is None else args.n
+    g = GraphSpec(**_flag_kwargs(args, n=n, m=n if args.m is None else args.m, seed=args.seed or 0)).build()
     graphs.write_graph(g, args.out)
     retries = g.meta.get("retries", 0)
     print(
@@ -353,13 +359,14 @@ def build_parser() -> tuple[_Parser, dict]:
 
     p = subs.add_parser("gen", help="generate a compatibility graph file")
     p.add_argument("--kind", required=True, choices=graphs.KINDS)
-    p.add_argument("--n", type=int, default=6)
+    p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--c", type=int, default=None)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, seed=False)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_gen)
 
     p = subs.add_parser("check", help="certify sparsity and load conditions")

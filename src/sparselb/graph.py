@@ -15,6 +15,7 @@ a bounded number of times before giving up on an isolated dispatcher.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -66,15 +67,17 @@ def _check_sizes(n_servers: int, n_dispatchers: int) -> None:
 
 def _flip(indptr: np.ndarray, indices: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """The other direction of a CSR whose indices lie in range(size): one
-    sort of the int64 keys index * rows + row, with rows ascending in each
-    new row."""
+    sort of the keys index * rows + row, with rows ascending in each new
+    row. The keys are int32 when size * rows < 2^31 (int64 otherwise), and
+    the int32 indices returned are the sorted keys' remainders, in place."""
     rows = len(indptr) - 1
-    keys = indices.astype(np.int64) * rows
-    keys += np.repeat(np.arange(rows, dtype=np.int64), np.diff(indptr))
+    dtype = np.int32 if size * rows < INDEX_LIMIT else np.int64
+    keys = np.multiply(indices, rows, dtype=dtype)
+    keys += np.repeat(np.arange(rows, dtype=dtype), np.diff(indptr))
     keys.sort()
-    out = np.searchsorted(keys, np.arange(size + 1, dtype=np.int64) * rows)
+    out = np.searchsorted(keys, np.arange(size + 1, dtype=dtype) * rows)
     keys %= rows
-    return out, keys.astype(np.int32)
+    return out, keys.astype(np.int32, copy=False)
 
 
 def _row_lists(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
@@ -464,13 +467,16 @@ def radius_for_mean_degree(n_servers: int, mean_degree: float) -> float:
 # ---------------------------------------------------------------------------
 # declarative specs (CLI / experiment families)
 
-KINDS = ("complete", "matching", "fixed-degree", "inhomogeneous", "geometric", "braess")
+# the GraphSpec fields each kind reads
+READS = {"complete": ("n", "m"), "matching": ("n",), "fixed-degree": ("n", "m", "c", "seed"),
+         "inhomogeneous": ("n", "m", "p", "seed"), "geometric": ("n", "m", "radius", "seed"), "braess": ()}
+KINDS = tuple(READS)
 
 
 @dataclass(frozen=True)
 class GraphSpec:
     """Declarative recipe for a graph, validated per kind at build time: a
-    kind refuses a set c, p or radius that it does not read."""
+    kind refuses a set c, p or radius that it does not read (`READS`)."""
 
     kind: str
     n: int = 0
@@ -483,8 +489,7 @@ class GraphSpec:
     def build(self) -> BipartiteGraph:
         if self.kind not in KINDS:
             raise ValueError(f"unknown graph kind {self.kind!r}; expected one of {KINDS}")
-        reads = {"fixed-degree": "c", "inhomogeneous": "p", "geometric": "radius"}.get(self.kind)
-        unread = [key for key in ("c", "p", "radius") if key != reads and getattr(self, key) is not None]
+        unread = [key for key in ("c", "p", "radius") if key not in READS[self.kind] and getattr(self, key) is not None]
         if unread:
             raise ValueError(f"a {self.kind} graph does not read {', '.join(unread)}")
         if self.kind == "braess":
@@ -568,29 +573,32 @@ def read_graph(path) -> BipartiteGraph:
     whitespace, with LF, CRLF or CR line endings; rejects indices that are
     not ASCII decimal digits, out-of-range indices, duplicates, count
     mismatches and dispatchers without an edge. Errors name the file and,
-    where one applies, the line."""
+    where one applies, the line. The body is streamed into int32 indices
+    (`_streamed_csr`); a body that fails its checks, or a header E larger
+    than the file can hold, goes to the line reader over the whole file."""
     with open(path, "rb") as fh:
-        n, m, indptr, indices = _parse_bpg(fh.read(), path)
+        n, m, indptr, indices = _parse_bpg(fh if fh.seekable() else io.BytesIO(fh.read()), path)
     return BipartiteGraph._from_csr(n, m, {"generator": "file"}, reverse_csr=(indptr, indices))
 
 
 # the bytes an edge line may hold: digits and ASCII whitespace (bytes.split())
 _BODY_BYTES = b"0123456789 \t\n\r\x0b\x0c"
-_BODY_CHUNK = 2**18  # bytes of a body that the bulk reader's line check reads at a time
+_BODY_CHUNK = 2**17  # bytes of a body read at a time
 
 
-def _parse_bpg(data: bytes, path) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """(N, M, indptr, indices) of a BPG v1 file's bytes; (indptr, indices)
-    is the server-major CSR."""
+def _parse_bpg(fh, path) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """(N, M, indptr, indices) of the BPG v1 file open in `fh`, binary and
+    seekable; (indptr, indices) is the server-major CSR."""
 
     def error(message: str, line: Optional[int] = None) -> GraphFormatError:
         where = path if line is None else f"{path}, line {line}"
         return GraphFormatError(f"{where}: {message}")
 
-    if b"\r" in data:  # a line ends at LF, CRLF or a lone CR, as text mode reads it
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    header, dims_line, body = (data.split(b"\n", 2) + [b"", b""])[:3]  # a missing line reads as empty
-    del data
+    size = fh.seek(0, io.SEEK_END)
+    fh.seek(0)
+    head = fh.readline() + fh.readline()  # two lines, or all of a file whose lines end with CR alone
+    # a line ends at LF, CRLF or a lone CR, as text mode reads it; a missing line reads as empty
+    header, dims_line, rest = (head.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n", 2) + [b"", b""])[:3]
     if header != b"BPG v1":
         raise error(f"bad header {_shown(header, 'bytes')!r}; expected 'BPG v1'", 1)
     dims = dims_line.split()
@@ -608,18 +616,25 @@ def _parse_bpg(data: bytes, path) -> tuple[int, int, np.ndarray, np.ndarray]:
     n, m, e = int(n_digits), int(m_digits), int(e_digits)
     if n < 1 or m < 1:
         raise error(f"invalid dimensions N={n} M={m} E={e}", 2)
-    keys = _bulk_keys(body, n, m)
-    if keys is None:  # not well formed: the line reader names the first bad line
-        edges = _edge_lines(body, n, m, error)
-        keys = np.array(sorted(v * m + w for v, w in edges), dtype=np.int64)
-    del body
-    if keys.size != e:
-        raise error(f"edge count mismatch: header says {e}, found {keys.size}")
-    dispatchers = (keys % m).astype(np.int32)
-    degrees = np.bincount(dispatchers, minlength=m)
-    if not degrees.all():
-        raise error(f"dispatcher {int(np.argmin(degrees))} has no compatible server")
-    return n, m, np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * m), dispatchers
+    # every edge line but the last takes 4 bytes or more
+    csr = _streamed_csr(rest, fh, n, m, e) if 4 * e <= len(rest) + size - fh.tell() + 1 else None
+    if csr is None:  # not well formed: the line reader names the first bad line
+        fh.seek(0)
+        edges = _edge_lines(fh.read(), n, m, error)
+        csr = _keyed_csr(np.array(sorted(v * m + w for v, w in edges), dtype=np.int64), n, m)
+    indptr, indices = csr
+    if indices.size != e:
+        raise error(f"edge count mismatch: header says {e}, found {indices.size}")
+    covered = np.zeros(m, dtype=bool)
+    covered[indices] = True  # buffered: no int64 copy of the indices, as bincount makes
+    if not covered.all():
+        raise error(f"dispatcher {int(np.argmin(covered))} has no compatible server")
+    return n, m, indptr, indices
+
+
+def _keyed_csr(keys: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The server-major CSR of the sorted int64 edge keys v*M + w."""
+    return np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * m), (keys % m).astype(np.int32)
 
 
 def _text(raw: bytes) -> str:
@@ -641,8 +656,9 @@ def _shown(token: bytes, unit: str = "digits") -> str:
     return f"{_text(token[:20])}... ({len(token)} {unit})"
 
 
-def _edge_lines(body: bytes, n: int, m: int, error) -> set[tuple[int, int]]:
-    """The edges (v, w) of a BPG body with LF line endings.
+def _edge_lines(data: bytes, n: int, m: int, error) -> set[tuple[int, int]]:
+    """The edges (v, w) on the lines of a BPG file's bytes from line 3 on;
+    a line ends at LF, CRLF or a lone CR (`bytes.splitlines`).
 
     This is the format's definition: blank lines are skipped, and every
     other line holds a server and a dispatcher index in range, as ASCII
@@ -650,7 +666,7 @@ def _edge_lines(body: bytes, n: int, m: int, error) -> set[tuple[int, int]]:
     for the first line that does not.
     """
     edges: set[tuple[int, int]] = set()
-    for line, text in enumerate(body.split(b"\n"), start=3):
+    for line, text in enumerate(data.splitlines()[2:], start=3):
         tokens = text.split()
         if not tokens:
             continue
@@ -671,38 +687,59 @@ def _edge_lines(body: bytes, n: int, m: int, error) -> set[tuple[int, int]]:
     return edges
 
 
-def _bulk_keys(body: bytes, n: int, m: int) -> Optional[np.ndarray]:
-    """The sorted keys v*M + w of a well-formed BPG body, parsed by numpy's C
-    parser; None for a body that `_edge_lines` might reject, or that is blank.
-    `np.fromstring` ignores line ends and reads an index beyond int64 as
-    INT64_MAX: the lines are checked before it, the range after it."""
-    if body.translate(None, _BODY_BYTES) or not body.strip() or not _two_per_line(body):
-        return None
-    flat = np.fromstring(body, dtype=np.int64, sep=" ")
-    if (flat[0::2] >= n).any() or (flat[1::2] >= m).any():
-        return None
-    keys = flat[0::2] * m + flat[1::2]
-    del flat
-    if not (keys[1:] > keys[:-1]).all():  # not in canonical order, as `write_graph` writes it
-        keys.sort()
-    return None if (keys[1:] == keys[:-1]).any() else keys
+def _streamed_csr(rest: bytes, fh, n: int, m: int, e: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The server-major CSR of a BPG body, `rest` and then `_BODY_CHUNK`-byte
+    reads of `fh` cut after their last line end (LF or CR); None for a body
+    that `_edge_lines` might reject. `np.fromstring` ignores line ends and
+    reads an index beyond int64 as INT64_MAX: each part's lines are checked
+    before it, the range after it. A canonical body (ascending, as
+    `write_graph` writes it) fills one int32 array of E dispatchers and the
+    indptr's server degrees; any other order sorts int64 keys v*M + w."""
+    indptr = np.zeros(n + 1, dtype=np.int64)  # server v's degree at v + 1 until the cumsum
+    indices = np.empty(e, dtype=np.int32)
+    carry, keys, pos, last = [], None, 0, -1  # keys: the key arrays once the order is not canonical
+    for chunk in itertools.chain([rest], iter(lambda: fh.read(_BODY_CHUNK), b""), [b"\n"]):
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
+        if not cut:
+            carry.append(chunk)
+            continue
+        part, carry = b"".join([*carry, chunk[:cut]]), [chunk[cut:]]
+        tokens = -1 if part.translate(None, _BODY_BYTES) else _pair_tokens(part)
+        if tokens < 0:
+            return None
+        if not tokens:  # blank lines only: fromstring would read a 0
+            continue
+        flat = np.fromstring(part, dtype=np.int64, sep=" ")
+        v, w = flat[0::2], flat[1::2]
+        if flat.size != tokens or (v >= n).any() or (w >= m).any():
+            return None
+        part_keys = v * m + w
+        if keys is None and part_keys[0] > last and pos + v.size <= e and (part_keys[1:] > part_keys[:-1]).all():
+            indices[pos : pos + v.size] = w
+            indptr[v[0] + 1 : v[-1] + 2] += np.bincount(v - v[0])
+            last = part_keys[-1]
+        else:
+            if keys is None:  # the canonical parts so far, as keys
+                keys = [np.repeat(np.arange(n, dtype=np.int64) * m, indptr[1:]) + indices[:pos]]
+            keys.append(part_keys)
+        pos += v.size
+        del flat, v, w, part_keys  # before the next part's temporaries
+    if keys is None:
+        return np.cumsum(indptr, out=indptr), indices[:pos]
+    keys = np.concatenate(keys)
+    keys.sort()
+    return None if (keys[1:] == keys[:-1]).any() else _keyed_csr(keys, n, m)
 
 
-def _two_per_line(body: bytes) -> bool:
-    """Whether every non-blank line of an LF body of ASCII digits and whitespace
-    holds exactly two tokens; reads `_BODY_CHUNK` bytes at a time."""
-    raw = np.frombuffer(body, dtype=np.uint8)
-    carry, before = 0, False  # tokens on the open line; whether the byte before the chunk is a digit
-    for i in range(0, raw.size, _BODY_CHUNK):
-        chunk = raw[i : i + _BODY_CHUNK]
-        digit = chunk > 32  # the only bytes above the space are digits
-        mark = chunk == 10  # line ends and token starts, in byte order
-        mark[1:] |= digit[1:] > digit[:-1]
-        mark[0] |= digit[0] > before
-        marked = chunk[np.flatnonzero(mark)]
-        ends = np.flatnonzero(marked == 10)
-        if ((np.diff(ends, prepend=-1 - carry) - 1) & ~2).any():  # a line of other than 0 or 2 tokens
-            return False
-        carry = marked.size - 1 - ends[-1] if ends.size else carry + marked.size
-        before = digit[-1]
-    return not carry & ~2
+def _pair_tokens(part: bytes) -> int:
+    """The number of tokens in `part`, digits and ASCII whitespace ending at
+    a line end (LF or CR), if every non-blank line holds two; else -1."""
+    raw = np.frombuffer(part, dtype=np.uint8)
+    digit = raw > 32  # the only bytes above the space are digits
+    mark = raw == 10  # line ends and token starts, in byte order
+    mark |= raw == 13
+    mark[1:] |= digit[1:] > digit[:-1]
+    mark[0] |= digit[0]
+    marked = raw[mark]
+    ends = np.flatnonzero(marked < 32)
+    return -1 if ((np.diff(ends, prepend=-1) - 1) & ~2).any() else marked.size - ends.size

@@ -271,6 +271,9 @@ def _walk(gen: np.random.Generator, lam: float, n: int, markovian: bool, horizon
     [events, arrivals] up to the horizon.
     """
     rate = (lam + 1.0) * n if markovian else lam * n
+    if rate * horizon >= 2**52:  # the event gaps, about 1/rate, would fall below the float spacing near the horizon
+        raise ValueError(f"horizon {horizon:g} is too long: at {rate:g} events per unit time it expects 2^52 events "
+                         "or more, past which the event clock cannot advance")
     p_arrival = lam / (1.0 + lam)
     bounds = [(g, s) for s, g in enumerate(grid.tolist())]
     if area_from is not None:

@@ -295,6 +295,12 @@ _HUGE = "99999999999999999999"  # 20 digits: refused before anything is allocate
     (f"ode --start fixed-point --depth {_HUGE}", f"depth must be below 2^31, not {_HUGE}"),
     (f"reproduce erg-trajectories --sizes 8 --depth {_HUGE}", f"depth must be below 2^31, not {_HUGE}"),
     (f"steady --replicas {_HUGE}", f"replicas must be below 2^31, not {_HUGE}"),
+    # (lambda + 1) * N * horizon events of 2^52 or more: the clock would stop short
+    *((argv, f"horizon {horizon} is too long: at 7.2 events per unit time it expects 2^52 events or more, "
+             "past which the event clock cannot advance")
+      for argv, horizon in [("steady --warmup 1e308", "1e+308"), (f"steady --measure {_HUGE}", "1e+20"),
+                            ("simulate --horizon 1e15 --sample-interval 1e14", "1e+15"),
+                            ("coupled --horizon 1e15 --sample-interval 1e14", "1e+15")]),
 ])
 def test_values_too_large_to_run_are_exit_1(tmp_path, capsys, argv, message):
     g = tmp_path / "c.bpg"
@@ -327,6 +333,20 @@ def test_refusal_names_the_value(tmp_path, capsys, argv, message):
     assert run(*(str(g) if tok == "G" else tok for tok in argv.split()), "--out", str(out)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, flag", [
+    ("braess", "--n"), ("braess", "--m"), ("braess", "--seed"),
+    ("matching", "--m"), ("matching", "--seed"), ("complete", "--seed"),
+])
+def test_gen_refuses_a_size_or_seed_its_kind_does_not_read(tmp_path, capsys, kind, flag):
+    out, config = tmp_path / "g.bpg", tmp_path / "config.json"
+    config.write_text(json.dumps({flag[2:]: 7}))
+    for extra in ([flag, "7"], ["--config", str(config)]):
+        capsys.readouterr()
+        assert run("gen", "--kind", kind, *extra, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: a {kind} graph does not read {flag[2:]}\n"
+        assert not out.exists()
 
 
 def test_disconnected_graph_exit(tmp_path):
@@ -585,7 +605,7 @@ HEADER_CASES = {
 @pytest.mark.parametrize("command", sorted(HEADER_CASES))
 def test_header_states_every_flag_read(tmp_path, command):
     g = tmp_path / "g.bpg"
-    run("gen", "--kind", "braess" if command == "check" else "complete", "--n", "4", "--out", str(g))
+    run("gen", "--kind", *(["braess"] if command == "check" else ["complete", "--n", "4"]), "--out", str(g))
     argv = [str(g) if tok == "G" else tok for tok in HEADER_CASES[command].split()]
     expected = {"artifact": "sparselb v0.1.0", "command": command}
     for i, tok in enumerate(argv):
@@ -645,8 +665,7 @@ def test_flag_nothing_reads_is_usage_error(tmp_path, capsys, argv, message):
 _HOSTILE = ["0", "-1", "nan", "inf", "1e308", _HUGE, "", ",", "1,", "text"]
 # flags whose legal values may run for hours, and the hostile values legal
 # for them, which they skip
-_COSTLY_LEGAL = {"--budget": {_HUGE}, "--replicas": set(), "--measure": {"1e308", _HUGE},
-                 "--warmup": {"0", "1e308", _HUGE}}
+_COSTLY_LEGAL = {"--budget": {_HUGE}, "--replicas": set(), "--measure": set(), "--warmup": {"0"}}
 # a small valid run per command (and per gen flag that needs its own kind);
 # G is a graph file and A a trajectory file
 _FUZZ_BASES = {

@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 from collections import deque
@@ -598,7 +599,7 @@ def test_io_rejects_malformed(tmp_path, content):
         path.write_text(content)
     with pytest.raises(GraphFormatError) as raised:
         read_graph(path)
-    with mock.patch.object(graph_module, "_bulk_keys", return_value=None):
+    with mock.patch.object(graph_module, "_streamed_csr", return_value=None):
         with pytest.raises(GraphFormatError) as by_lines:
             read_graph(path)
     assert str(raised.value) == str(by_lines.value)  # the line reader's message
@@ -614,18 +615,38 @@ def test_io_reads_leading_zeros_as_decimal(tmp_path):
 
 @pytest.mark.parametrize("variant", ["canonical", "tabs-blank-lines-crlf"])
 def test_io_valid_file_takes_the_bulk_path(tmp_path, variant):
-    # over 2^18 bytes: the line check meets at least one seam
-    g = generate_fixed_server_degree(3000, 3000, 10, seed=7)
-    assert g.n_edges >= 10_000
+    # over 2^18 bytes: the default read size meets several seams; reads of
+    # 1, 2 and 7 bytes put a seam on every token and line end of a small file
+    large = generate_fixed_server_degree(3000, 3000, 10, seed=7)
+    assert large.n_edges >= 10_000
+    small = generate_fixed_server_degree(12, 10, 3, seed=7)
+    for chunk, g in ((graph_module._BODY_CHUNK, large), (1, small), (2, small), (7, small)):
+        path = tmp_path / "g.bpg"
+        write_graph(g, path)
+        if variant != "canonical":
+            lines = path.read_text().splitlines()
+            body = "".join("\t" + line.replace(" ", " \t") + "  \r\n" + ("\r\n" if k % 3 else "")
+                           for k, line in enumerate(lines[2:]))
+            path.write_bytes(("\r\n".join(lines[:2]) + "\r\n\r\n" + body).encode("ascii"))
+        with mock.patch.object(graph_module, "_BODY_CHUNK", chunk), \
+                mock.patch.object(graph_module, "_edge_lines", side_effect=AssertionError("line reader")):
+            assert read_graph(path) == g
+
+
+@pytest.mark.parametrize("text", [
+    "BPG v1\r\n3 2 4\r\n0 1\r\n1 0\r\n\r\n2 0\r\n2 1",
+    "BPG v1\r3 2 4\r2 1\r\n0 1\n\t1  0\r2 0 \t",
+], ids=["canonical-crlf-unended", "any-order-mixed-endings"])
+def test_io_streamed_read_cuts_at_line_ends(tmp_path, text):
+    # every read size up to the file's: each CRLF and the unended last line
+    # fall across a read at some size
     path = tmp_path / "g.bpg"
-    write_graph(g, path)
-    if variant != "canonical":
-        lines = path.read_text().splitlines()
-        body = "".join("\t" + line.replace(" ", " \t") + "  \r\n" + ("\r\n" if k % 3 else "")
-                       for k, line in enumerate(lines[2:]))
-        path.write_bytes(("\r\n".join(lines[:2]) + "\r\n\r\n" + body).encode("ascii"))
-    with mock.patch.object(graph_module, "_edge_lines", side_effect=AssertionError("line reader")):
-        assert read_graph(path) == g
+    path.write_bytes(text.encode("ascii"))
+    expected = BipartiteGraph(3, 2, [[1, 2], [0, 2]])
+    for chunk in range(1, len(text) + 1):
+        with mock.patch.object(graph_module, "_BODY_CHUNK", chunk), \
+                mock.patch.object(graph_module, "_edge_lines", side_effect=AssertionError("line reader")):
+            assert read_graph(path) == expected, chunk
 
 
 @pytest.mark.parametrize(
@@ -740,14 +761,14 @@ def _mutated_bpg(draw):
 def test_io_bulk_reader_matches_line_reader(data):
     def outcome():
         try:
-            n, m, indptr, indices = graph_module._parse_bpg(data, "g.bpg")
+            n, m, indptr, indices = graph_module._parse_bpg(io.BytesIO(data), "g.bpg")
         except GraphFormatError as exc:
             return str(exc)
         return n, m, indptr.tolist(), indices.tolist()
 
-    with mock.patch.object(graph_module, "_bulk_keys", return_value=None):
+    with mock.patch.object(graph_module, "_streamed_csr", return_value=None):
         by_lines = outcome()  # every body through the line reader
-    # 1, 2 and 7 bytes put a token or a line end on every seam of the line check
+    # reads of 1, 2 and 7 bytes put a token or a line end on every seam
     for chunk in (graph_module._BODY_CHUNK, 1, 2, 7):
         with mock.patch.object(graph_module, "_BODY_CHUNK", chunk), \
                 mock.patch.object(graph_module, "_edge_lines", wraps=graph_module._edge_lines) as slow:
@@ -766,6 +787,15 @@ def test_csr_is_cached_and_read_only():
         assert row_lists(g.csr()) == g.adjacency
         rederived = sorted((v, w) for w, row in enumerate(g.adjacency) for v in row)
         assert [(v, w) for v, row in enumerate(row_lists(g.reverse_csr())) for w in row] == rederived
+
+
+def test_flip_keys_past_2_31_are_int64():
+    # N * M = 2^32: keys v * M + w would wrap in int32
+    n = 2**16
+    g = BipartiteGraph(n, n, [[(w + 1) % n] for w in range(n)])
+    indptr, indices = g.reverse_csr()
+    assert indptr.tolist() == list(range(n + 1)) and indices.dtype == np.int32
+    assert indices.tolist() == [(v - 1) % n for v in range(n)]
 
 
 def test_generated_and_written_graph_sorts_no_edge_keys(tmp_path):
@@ -922,3 +952,32 @@ def test_generator_peak_memory(name):
 def test_write_graph_peak_memory(tmp_path):
     g = generate_fixed_server_degree(4000, 4000, 69, 0)
     assert _traced_peak(lambda: write_graph(g, tmp_path / "g.bpg")) <= 180_000 + 10**6
+
+
+def test_read_graph_and_flip_peak_memory(tmp_path):
+    # the reader holds its int32 indices, the indptr and a few reads' worth
+    # of temporaries, never the whole file; the flip holds two int32 arrays
+    g = generate_fixed_server_degree(2000, 2000, 40, seed=5)
+    e = g.n_edges
+    path = tmp_path / "g.bpg"
+    write_graph(g, path)
+    for chunk in (2**14, graph_module._BODY_CHUNK):
+        with mock.patch.object(graph_module, "_BODY_CHUNK", chunk):
+            assert _traced_peak(lambda: read_graph(path)) <= 12 * e + 8 * chunk
+    read = read_graph(path)
+    assert _traced_peak(read.csr) <= 8 * e + 16 * (g.n_servers + g.n_dispatchers + 2)  # the first csr()
+    assert read == g
+
+
+def test_header_edge_count_beyond_the_file_allocates_nothing(tmp_path):
+    # 4 bytes an edge line: E = 10^9 cannot fit in 30 bytes, so the line
+    # reader gives the count mismatch and no E-sized array is made
+    path = tmp_path / "g.bpg"
+    path.write_text("BPG v1\n2 2 1000000000\n0 0\n1 1\n")
+
+    def refused():
+        with pytest.raises(GraphFormatError, match=r"edge count mismatch: header says 1000000000, found 2$"):
+            read_graph(path)
+
+    with mock.patch.object(graph_module, "_streamed_csr", side_effect=AssertionError("E-sized array")):
+        assert _traced_peak(refused) <= 10**6
