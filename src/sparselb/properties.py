@@ -75,7 +75,13 @@ def uniform_subcriticality_metric(graph: BipartiteGraph) -> tuple[float, int]:
 
 
 class _Dinic:
-    """Max flow on float capacities (small networks; oracle-grade)."""
+    """Max flow on float capacities by Dinic's blocking flows (Dinic 1970).
+
+    Each phase labels the nodes by BFS distance from the source and lists,
+    per node, its arcs into the next level in the order they were added.
+    Augmenting paths are walked along these current arcs on an explicit
+    arc stack, not by recursion, so a path may be as long as the network.
+    """
 
     def __init__(self, n_nodes: int):
         self.n = n_nodes
@@ -83,7 +89,7 @@ class _Dinic:
         self.to: list[int] = []
         self.cap: list[float] = []
 
-    def add_edge(self, u: int, v: int, capacity: float) -> int:
+    def add_edge(self, u: int, v: int, capacity: float) -> None:
         idx = len(self.to)
         self.head[u].append(idx)
         self.to.append(v)
@@ -91,50 +97,75 @@ class _Dinic:
         self.head[v].append(idx + 1)
         self.to.append(u)
         self.cap.append(0.0)
-        return idx
 
-    def _bfs(self, s: int) -> list[int]:
+    def _levels(self, s: int, t: int) -> tuple[list[int], list[int], list[int], list[int]]:
+        """(level, arcs, first, end): BFS levels from s, and node u's arcs
+        into the next level as arcs[first[u]:end[u]]. Stops once t is
+        labelled and every node short of its level is expanded: no node at
+        t's level or beyond lies on a shortest path to t."""
+        head, to, cap = self.head, self.to, self.cap
         level = [-1] * self.n
         level[s] = 0
+        first, end = [0] * self.n, [0] * self.n
+        arcs: list[int] = []
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            for idx in self.head[u]:
-                v = self.to[idx]
-                if self.cap[idx] > _FLOW_EPS and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level
-
-    def _dfs(self, u: int, t: int, pushed: float, level: list[int], it: list[int]) -> float:
-        if u == t:
-            return pushed
-        while it[u] < len(self.head[u]):
-            idx = self.head[u][it[u]]
-            v = self.to[idx]
-            if self.cap[idx] > _FLOW_EPS and level[v] == level[u] + 1:
-                got = self._dfs(v, t, min(pushed, self.cap[idx]), level, it)
-                if got > _FLOW_EPS:
-                    self.cap[idx] -= got
-                    self.cap[idx ^ 1] += got
-                    return got
-            it[u] += 1
-        return 0.0
+            next_level = level[u] + 1
+            if next_level > level[t] >= 0:
+                break
+            first[u] = len(arcs)
+            for idx in head[u]:
+                if cap[idx] > _FLOW_EPS:
+                    v = to[idx]
+                    if level[v] < 0:
+                        level[v] = next_level
+                        queue.append(v)
+                    if level[v] == next_level:
+                        arcs.append(idx)
+            end[u] = len(arcs)
+        return level, arcs, first, end
 
     def max_flow(self, s: int, t: int) -> tuple[float, list[int]]:
         """(flow value, final BFS levels): nodes with level >= 0 are the
-        source side of a minimum cut."""
+        source side of a minimum cut. Solves from the flow held in `cap`."""
+        to, cap = self.to, self.cap
         total = 0.0
         while True:
-            level = self._bfs(s)
+            level, arcs, it, end = self._levels(s, t)
             if level[t] < 0:
                 return total, level
-            it = [0] * self.n
+            # it[u] is u's current arc. A pushed arc's reverse points a level
+            # down, so within a phase arcs only leave the lists, by saturating.
+            path: list[int] = []  # arcs from s to u
+            u = s
             while True:
-                pushed = self._dfs(s, t, math.inf, level, it)
-                if pushed <= _FLOW_EPS:
+                if u == t:
+                    pushed = min([cap[idx] for idx in path])
+                    for idx in path:
+                        cap[idx] -= pushed
+                        cap[idx ^ 1] += pushed
+                    total += pushed
+                    # back up to the tail of the first arc left saturated:
+                    # a walk from s would retrace the arcs before it
+                    for k, idx in enumerate(path):
+                        if cap[idx] <= _FLOW_EPS:
+                            break
+                    u = to[idx ^ 1]
+                    del path[k:]
+                    continue
+                i, stop = it[u], end[u]
+                while i < stop and cap[arcs[i]] <= _FLOW_EPS:
+                    i += 1
+                it[u] = i
+                if i < stop:
+                    path.append(arcs[i])
+                    u = to[arcs[i]]
+                elif path:  # dead end: retreat and skip the arc that led here
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
+                else:
                     break
-                total += pushed
 
 
 def _enumerate_pairs(graph: BipartiteGraph, d: int):
@@ -157,25 +188,36 @@ def _enumerate_pairs(graph: BipartiteGraph, d: int):
     return pairs
 
 
-def _pair_flow(pairs, n: int, t: float):
-    """Max flow of the pair network at server capacity t: source -> each
-    (w, U) pair with its supply -> member servers -> sink at capacity t.
+def _pair_network(pairs, n: int) -> tuple[_Dinic, list[float]]:
+    """The pair network: source 0 -> each (w, U) pair with its supply ->
+    member servers -> sink, whose n arcs come last.
 
-    Returns (flow, cut, net, pair_edges): `cut` counts the servers on the
-    source side of the minimum cut, the slope of the max flow in t there.
+    Returns (net, capacities): the arc capacities at zero flow, with the
+    server -> sink arcs at 0 until `_pair_flow` sets them to t.
     """
     n_pairs = len(pairs)
     sink = 1 + n_pairs + n
     net = _Dinic(sink + 1)
-    pair_edges = []
     for k, (_, subset, supply) in enumerate(pairs):
         net.add_edge(0, 1 + k, supply)
-        pair_edges.append([net.add_edge(1 + k, 1 + n_pairs + v, supply) for v in subset])
+        for v in subset:
+            net.add_edge(1 + k, 1 + n_pairs + v, supply)
     for v in range(n):
-        net.add_edge(1 + n_pairs + v, sink, t)
+        net.add_edge(1 + n_pairs + v, sink, 0.0)
+    return net, net.cap.copy()
+
+
+def _pair_flow(net: _Dinic, capacities: list[float], n: int, t: float) -> tuple[float, int]:
+    """Max flow of the pair network at server capacity t, solved from zero
+    flow. Returns (flow, cut): `cut` counts the servers on the source side
+    of the minimum cut, the slope of the max flow in t there.
+    """
+    net.cap[:] = capacities
+    net.cap[len(capacities) - 2 * n :: 2] = [t] * n
+    sink = net.n - 1
     flow, level = net.max_flow(0, sink)
-    cut = sum(1 for v in range(n) if level[1 + n_pairs + v] >= 0)
-    return flow, cut, net, pair_edges
+    cut = sum(1 for lv in level[sink - n : sink] if lv >= 0)
+    return flow, cut
 
 
 def optimal_subcriticality_load(graph: BipartiteGraph, d: int) -> SubcriticalityReport:
@@ -185,16 +227,17 @@ def optimal_subcriticality_load(graph: BipartiteGraph, d: int) -> Subcriticality
     in the server capacity t, and the total supply is N, so the optimum is
     the smallest t with F(t) = N. Newton steps from t = 1 along the minimum
     cut's slope k (t += (N - F(t)) / k) never overshoot it, and k strictly
-    decreases, so the loop ends after at most N + 1 solves. gamma is read
-    off the flow at the optimum.
+    decreases, so the loop ends after at most N + 1 solves of one network.
+    gamma is read off the flow at the optimum.
     """
     d = require_positive_int("d", d)
     uniform, argmax = uniform_subcriticality_metric(graph)
     pairs = _enumerate_pairs(graph, d)
     n = graph.n_servers
+    net, capacities = _pair_network(pairs, n)
     t, last_cut = 1.0, n + 1
     while True:
-        flow, cut, net, pair_edges = _pair_flow(pairs, n, t)
+        flow, cut = _pair_flow(net, capacities, n, t)
         if flow >= n - 1e-9:
             break
         assert 0 < cut < last_cut, "min-cut slope must strictly decrease"
@@ -202,13 +245,14 @@ def optimal_subcriticality_load(graph: BipartiteGraph, d: int) -> Subcriticality
         last_cut = cut
 
     # gamma from the flow at the optimum: fraction of each pair's supply
-    # sent to each member server
-    support = 0
-    for (w, subset, supply), edges in zip(pairs, pair_edges):
-        for idx in edges:
-            sent = net.cap[idx ^ 1]  # reverse capacity = routed flow
-            if sent > 1e-12 * max(1.0, supply):
-                support += 1
+    # sent to each member server. Pair k's arcs, as `_pair_network` added
+    # them, are its source arc and then one per member, each followed by its
+    # reverse arc, whose capacity is the routed flow.
+    support, first = 0, 0
+    for _, subset, supply in pairs:
+        sent = net.cap[first + 3 : first + 2 + 2 * len(subset) : 2]
+        support += sum(1 for f in sent if f > 1e-12 * max(1.0, supply))
+        first += 2 + 2 * len(subset)
 
     assert t <= uniform + 1e-9, "uniform split must be feasible"
     return SubcriticalityReport(
@@ -284,12 +328,19 @@ class _SubsetScorer:
         sel = member[self.indices].astype(np.int64)
         return np.add.reduceat(sel, self.indptr[:-1])
 
-    def counts_from_rev(self, member: np.ndarray) -> np.ndarray:
+    def counts_from_rev(
+        self, member: np.ndarray, size: int, drawn: np.ndarray | None = None
+    ) -> np.ndarray:
         """Same as `counts`, from the reverse rows of the smaller side of
-        the subset: O(min(|U|, N-|U|) * max server degree + M)."""
-        if 2 * np.count_nonzero(member) <= self.n:
-            return np.bincount(self.rev[member].ravel(), minlength=self.m + 1)[: self.m]
-        return self.degs - np.bincount(self.rev[~member].ravel(), minlength=self.m + 1)[: self.m]
+        the subset: O(min(|U|, N-|U|) * max server degree + M). `drawn`,
+        if given, lists the members in any order."""
+        inside = 2 * size <= self.n
+        if inside:
+            rows = np.flatnonzero(member) if drawn is None else drawn
+        else:
+            rows = np.flatnonzero(~member)
+        hits = np.bincount(self.rev.take(rows, axis=0).ravel(), minlength=self.m + 1)[: self.m]
+        return hits if inside else self.degs - hits
 
     def flags(self, counts: np.ndarray, size) -> np.ndarray:
         """Each dispatcher's bad flag, as in `bad_dispatcher_count`;
@@ -387,10 +438,12 @@ def _sampled_deficiency(
     starts: list[tuple[int, np.ndarray]] = []  # (bad count, packed membership)
     for _ in range(budget):
         size = int(rng.integers(1, n)) if n > 1 else 1
+        drawn = rng.choice(n, size=size, replace=False)
         member = np.zeros(n, dtype=bool)
-        member[rng.choice(n, size=size, replace=False)] = True
+        member[drawn] = True
         probed += 1
-        starts.append((int(scorer.bad(scorer.counts_from_rev(member), size)), np.packbits(member)))
+        counts = scorer.counts_from_rev(member, size, drawn)
+        starts.append((int(scorer.bad(counts, size)), np.packbits(member)))
 
     starts.sort(key=lambda item: -item[0])
     n_starts = 8 if n <= 512 else 2  # each climb rebuilds O(M) tables per flip taken
@@ -410,8 +463,8 @@ def _sampled_deficiency(
     best_bad, best_member = starts[0][0], np.unpackbits(starts[0][1], count=n).view(bool)
     for start in basins:
         member = start.copy()
-        counts = scorer.counts_from_rev(member)
         size = int(member.sum())
+        counts = scorer.counts_from_rev(member, size)
         current = int(scorer.bad(counts, size))
         b_plus, b_minus, gain = scorer.flip_tables(counts, size)
         improved = True

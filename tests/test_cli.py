@@ -5,7 +5,7 @@ import pytest
 
 from sparselb import cli
 from sparselb.cli import RECIPES, build_parser, main
-from sparselb.graph import read_graph
+from sparselb.graph import BipartiteGraph, read_graph, write_graph
 from sparselb.meanfield import default_depth
 from sparselb.records import read_trajectory_csv
 
@@ -58,6 +58,17 @@ def test_check_braess_optimal_load(tmp_path):
     row = dict(zip(header, rows[1].split(",")))
     assert abs(float(row["optimal_load"]) - 5 / 3) <= 1e-6
     assert abs(float(row["uniform_metric"]) - 7 / 3) <= 1e-9
+
+
+def test_check_optimal_on_a_600_server_chain(tmp_path):
+    # its residual paths passed the recursion limit of a recursive max flow
+    g = tmp_path / "chain.bpg"
+    write_graph(BipartiteGraph(600, 600, [[w, w + 1] for w in range(599)] + [[0]]), g)
+    out = tmp_path / "check.csv"
+    assert run("check", "--graph", str(g), "--epsilons", "0.2", "--budget", "16",
+               "--optimal", "--out", str(out)) == 0
+    header, row = (r.split(",") for r in _data_rows(out))
+    assert dict(zip(header, row))["optimal_load"] == "1.000000"
 
 
 def test_check_matching_and_complete(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from sparselb.properties import (
     _enumerate_pairs,
     _exact_deficiency,
     _pair_flow,
+    _pair_network,
     _sampled_deficiency,
     bad_dispatcher_count,
     optimal_subcriticality_load,
@@ -144,10 +146,117 @@ def test_optimal_load_is_tight():
     not: the value is the optimum, not an upper bracket of it."""
     for g in _small_instances():
         t = optimal_subcriticality_load(g, 2).optimal_load
-        pairs = _enumerate_pairs(g, 2)
         n = g.n_servers
-        assert _pair_flow(pairs, n, t)[0] >= n - 1e-9, (g, t)
-        assert _pair_flow(pairs, n, t - 1e-7)[0] < n - 1e-9, (g, t)
+        net, capacities = _pair_network(_enumerate_pairs(g, 2), n)
+        assert _pair_flow(net, capacities, n, t)[0] >= n - 1e-9, (g, t)
+        assert _pair_flow(net, capacities, n, t - 1e-7)[0] < n - 1e-9, (g, t)
+
+
+def test_optimal_load_on_a_600_server_chain():
+    """Residual paths here run the length of the chain: a recursive walk
+    of them passed Python's recursion limit."""
+    g = BipartiteGraph(600, 600, [[w, w + 1] for w in range(599)] + [[0]])
+    assert optimal_subcriticality_load(g, 2).optimal_load == 1.0
+
+
+class _RecursiveDinic:
+    """The max flow as `_Dinic` was before it walked paths on an arc stack:
+    a full BFS per phase, then a recursive DFS over every arc."""
+
+    def __init__(self, n_nodes):
+        self.n = n_nodes
+        self.head = [[] for _ in range(n_nodes)]
+        self.to = []
+        self.cap = []
+
+    def add_edge(self, u, v, capacity):
+        idx = len(self.to)
+        self.head[u].append(idx)
+        self.to.append(v)
+        self.cap.append(capacity)
+        self.head[v].append(idx + 1)
+        self.to.append(u)
+        self.cap.append(0.0)
+        return idx
+
+    def _bfs(self, s):
+        level = [-1] * self.n
+        level[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for idx in self.head[u]:
+                v = self.to[idx]
+                if self.cap[idx] > 1e-12 and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        return level
+
+    def _dfs(self, u, t, pushed, level, it):
+        if u == t:
+            return pushed
+        while it[u] < len(self.head[u]):
+            idx = self.head[u][it[u]]
+            v = self.to[idx]
+            if self.cap[idx] > 1e-12 and level[v] == level[u] + 1:
+                got = self._dfs(v, t, min(pushed, self.cap[idx]), level, it)
+                if got > 1e-12:
+                    self.cap[idx] -= got
+                    self.cap[idx ^ 1] += got
+                    return got
+            it[u] += 1
+        return 0.0
+
+    def max_flow(self, s, t):
+        total = 0.0
+        while True:
+            level = self._bfs(s)
+            if level[t] < 0:
+                return total, level
+            it = [0] * self.n
+            while True:
+                pushed = self._dfs(s, t, math.inf, level, it)
+                if pushed <= 1e-12:
+                    break
+                total += pushed
+
+
+def _reference_optimal_load(graph, d):
+    """(optimal_load, gamma_support_size) as `optimal_subcriticality_load`
+    computed them before it reused one network: the pair network rebuilt
+    and solved by `_RecursiveDinic` at every Newton step."""
+    pairs = _enumerate_pairs(graph, d)
+    n, n_pairs = graph.n_servers, len(pairs)
+    sink = 1 + n_pairs + n
+    t = 1.0
+    while True:
+        net = _RecursiveDinic(sink + 1)
+        pair_edges = []
+        for k, (_, subset, supply) in enumerate(pairs):
+            net.add_edge(0, 1 + k, supply)
+            pair_edges.append([net.add_edge(1 + k, 1 + n_pairs + v, supply) for v in subset])
+        for v in range(n):
+            net.add_edge(1 + n_pairs + v, sink, t)
+        flow, level = net.max_flow(0, sink)
+        if flow >= n - 1e-9:
+            break
+        t += (n - flow) / sum(1 for v in range(n) if level[1 + n_pairs + v] >= 0)
+    support = sum(
+        1
+        for (_, _, supply), edges in zip(pairs, pair_edges)
+        for idx in edges
+        if net.cap[idx ^ 1] > 1e-12 * max(1.0, supply)
+    )
+    return t, support
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_optimal_load_matches_recursive_rebuilt_reference(d):
+    ramp = np.linspace(0.06, 0.5, 20)
+    graphs = [generate_inhomogeneous(30, 20, ramp, s) for s in range(10)] + _small_instances()
+    for g in graphs:
+        rep = optimal_subcriticality_load(g, d)
+        assert (rep.optimal_load, rep.gamma_support_size) == _reference_optimal_load(g, d), g
 
 
 def test_optimal_load_invariants_random():
@@ -340,6 +449,8 @@ _SEARCH_CASES = {
     "complete-9x14": (lambda: complete_bipartite(9, 14), 0.05, 8, 2),
     "budget-1-fixed-degree": (lambda: generate_fixed_server_degree(100, 80, 6, seed=8), 0.1, 1, 6),
     "budget-1-inhomogeneous": (lambda: generate_inhomogeneous(50, 30, 0.2, seed=9), 0.3, 1, 0),
+    # starts of exactly N/2 servers, where the count switches sides
+    "half-size-starts": (lambda: generate_fixed_server_degree(6, 6, 3, seed=0), 0.2, 32, 0),
 }
 
 
