@@ -106,13 +106,9 @@ def _metadata(args, **resolved) -> dict:
 
 
 def cmd_gen(args) -> int:
-    # --n, --m and --seed default to None so that a set one shows; unset, they are 6, N and 0
-    reads = graphs.READS[args.kind]
-    unread = [key for key in ("n", "m", "c", "p", "radius", "seed") if key not in reads and vars(args)[key] is not None]
-    if unread:
-        raise ValueError(f"a {args.kind} graph does not read {', '.join(unread)}")
-    n = 6 if args.n is None else args.n
-    g = GraphSpec(**_flag_kwargs(args, n=n, m=n if args.m is None else args.m, seed=args.seed or 0)).build()
+    # flags default to None, so that GraphSpec refuses a set one its kind does not read; unset, --n is 6
+    n = 6 if args.n is None and "n" in graphs.READS[args.kind] else args.n
+    g = GraphSpec(**_flag_kwargs(args, n=n)).build()
     graphs.write_graph(g, args.out)
     retries = g.meta.get("retries", 0)
     print(

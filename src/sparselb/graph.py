@@ -18,7 +18,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -68,16 +68,20 @@ def _check_sizes(n_servers: int, n_dispatchers: int) -> None:
 def _flip(indptr: np.ndarray, indices: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """The other direction of a CSR whose indices lie in range(size): one
     sort of the keys index * rows + row, with rows ascending in each new
-    row. The keys are int32 when size * rows < 2^31 (int64 otherwise), and
-    the int32 indices returned are the sorted keys' remainders, in place."""
+    row. The keys are int32 when size * rows < 2^31 (int64 otherwise)."""
     rows = len(indptr) - 1
     dtype = np.int32 if size * rows < INDEX_LIMIT else np.int64
     keys = np.multiply(indices, rows, dtype=dtype)
     keys += np.repeat(np.arange(rows, dtype=dtype), np.diff(indptr))
     keys.sort()
-    out = np.searchsorted(keys, np.arange(size + 1, dtype=dtype) * rows)
-    keys %= rows
-    return out, keys.astype(np.int32, copy=False)
+    return _keyed_csr(keys, size, rows)
+
+
+def _keyed_csr(keys: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-row CSR of sorted keys row * m + index; its int32 indices are the remainders, in place."""
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * m)
+    keys %= m
+    return indptr, keys.astype(np.int32, copy=False)
 
 
 def _row_lists(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
@@ -476,41 +480,42 @@ KINDS = tuple(READS)
 @dataclass(frozen=True)
 class GraphSpec:
     """Declarative recipe for a graph, validated per kind at build time: a
-    kind refuses a set c, p or radius that it does not read (`READS`)."""
+    kind refuses a set field that it does not read (`READS`) and needs
+    each one it reads but m and seed, which default to n and 0."""
 
     kind: str
-    n: int = 0
-    m: int = 0
+    n: Optional[int] = None
+    m: Optional[int] = None
     c: Optional[int] = None
     p: Optional[object] = None
     radius: Optional[float] = None
-    seed: int = 0
+    seed: Optional[int] = None
 
     def build(self) -> BipartiteGraph:
         if self.kind not in KINDS:
             raise ValueError(f"unknown graph kind {self.kind!r}; expected one of {KINDS}")
-        unread = [key for key in ("c", "p", "radius") if key not in READS[self.kind] and getattr(self, key) is not None]
+        reads = READS[self.kind]
+        unread = [f.name for f in fields(self) if f.name not in ("kind", *reads) and getattr(self, f.name) is not None]
         if unread:
             raise ValueError(f"a {self.kind} graph does not read {', '.join(unread)}")
+        missing = [key for key in reads if key not in ("m", "seed") and getattr(self, key) is None]
+        if missing:
+            raise ValueError(f"{self.kind} spec needs {missing[0]}")
+        m = self.n if self.m is None else self.m
+        seed = 0 if self.seed is None else self.seed
         if self.kind == "braess":
             return braess_example()
         if self.kind == "matching":
             return perfect_matching(self.n)
         if self.kind == "complete":
-            return complete_bipartite(self.n, self.m)
+            return complete_bipartite(self.n, m)
         if self.kind == "fixed-degree":
-            if self.c is None:
-                raise ValueError("fixed-degree spec needs c")
-            return generate_fixed_server_degree(self.n, self.m, self.c, self.seed)
+            return generate_fixed_server_degree(self.n, m, self.c, seed)
         if self.kind == "inhomogeneous":
-            if self.p is None:
-                raise ValueError("inhomogeneous spec needs p")
-            return generate_inhomogeneous(self.n, self.m, self.p, self.seed)
-        if self.radius is None:
-            raise ValueError("geometric spec needs radius")
+            return generate_inhomogeneous(self.n, m, self.p, seed)
         if not 0 < self.radius <= math.sqrt(2):
             raise ValueError("radius must lie in (0, sqrt(2)]")
-        return generate_geometric(self.n, self.m, self.radius, self.seed)
+        return generate_geometric(self.n, m, self.radius, seed)
 
 
 @dataclass(frozen=True)
@@ -573,16 +578,16 @@ def read_graph(path) -> BipartiteGraph:
     whitespace, with LF, CRLF or CR line endings; rejects indices that are
     not ASCII decimal digits, out-of-range indices, duplicates, count
     mismatches and dispatchers without an edge. Errors name the file and,
-    where one applies, the line. The body is streamed into int32 indices
-    (`_streamed_csr`); a body that fails its checks, or a header E larger
-    than the file can hold, goes to the line reader over the whole file."""
+    where one applies, the line. A body in `write_graph`'s form is streamed
+    into int32 indices (`_streamed_csr`); any other body, and a header E
+    larger than the file can hold, goes to the line reader over the file."""
     with open(path, "rb") as fh:
         n, m, indptr, indices = _parse_bpg(fh if fh.seekable() else io.BytesIO(fh.read()), path)
     return BipartiteGraph._from_csr(n, m, {"generator": "file"}, reverse_csr=(indptr, indices))
 
 
-# the bytes an edge line may hold: digits and ASCII whitespace (bytes.split())
-_BODY_BYTES = b"0123456789 \t\n\r\x0b\x0c"
+# the bytes of a body as `write_graph` writes it
+_BODY_BYTES = b"0123456789 \n"
 _BODY_CHUNK = 2**17  # bytes of a body read at a time
 
 
@@ -598,7 +603,8 @@ def _parse_bpg(fh, path) -> tuple[int, int, np.ndarray, np.ndarray]:
     fh.seek(0)
     head = fh.readline() + fh.readline()  # two lines, or all of a file whose lines end with CR alone
     # a line ends at LF, CRLF or a lone CR, as text mode reads it; a missing line reads as empty
-    header, dims_line, rest = (head.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n", 2) + [b"", b""])[:3]
+    lines = head.splitlines(keepends=True) + [b"", b""]
+    header, dims_line, rest = lines[0].rstrip(b"\r\n"), lines[1].rstrip(b"\r\n"), b"".join(lines[2:])
     if header != b"BPG v1":
         raise error(f"bad header {_shown(header, 'bytes')!r}; expected 'BPG v1'", 1)
     dims = dims_line.split()
@@ -616,9 +622,9 @@ def _parse_bpg(fh, path) -> tuple[int, int, np.ndarray, np.ndarray]:
     n, m, e = int(n_digits), int(m_digits), int(e_digits)
     if n < 1 or m < 1:
         raise error(f"invalid dimensions N={n} M={m} E={e}", 2)
-    # every edge line but the last takes 4 bytes or more
-    csr = _streamed_csr(rest, fh, n, m, e) if 4 * e <= len(rest) + size - fh.tell() + 1 else None
-    if csr is None:  # not well formed: the line reader names the first bad line
+    # every edge line in the writer's form takes 4 bytes or more
+    csr = _streamed_csr(rest, fh, n, m, e) if 4 * e <= len(rest) + size - fh.tell() else None
+    if csr is None:  # not in the writer's form: the line reader reads it or names the first bad line
         fh.seek(0)
         edges = _edge_lines(fh.read(), n, m, error)
         csr = _keyed_csr(np.array(sorted(v * m + w for v, w in edges), dtype=np.int64), n, m)
@@ -630,11 +636,6 @@ def _parse_bpg(fh, path) -> tuple[int, int, np.ndarray, np.ndarray]:
     if not covered.all():
         raise error(f"dispatcher {int(np.argmin(covered))} has no compatible server")
     return n, m, indptr, indices
-
-
-def _keyed_csr(keys: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The server-major CSR of the sorted int64 edge keys v*M + w."""
-    return np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * m), (keys % m).astype(np.int32)
 
 
 def _text(raw: bytes) -> str:
@@ -688,58 +689,40 @@ def _edge_lines(data: bytes, n: int, m: int, error) -> set[tuple[int, int]]:
 
 
 def _streamed_csr(rest: bytes, fh, n: int, m: int, e: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The server-major CSR of a BPG body, `rest` and then `_BODY_CHUNK`-byte
-    reads of `fh` cut after their last line end (LF or CR); None for a body
-    that `_edge_lines` might reject. `np.fromstring` ignores line ends and
-    reads an index beyond int64 as INT64_MAX: each part's lines are checked
-    before it, the range after it. A canonical body (ascending, as
-    `write_graph` writes it) fills one int32 array of E dispatchers and the
-    indptr's server degrees; any other order sorts int64 keys v*M + w."""
+    """The server-major CSR of a BPG body in `write_graph`'s form, LF-ended
+    lines "<v> <w>" of ASCII digits with the keys v*M + w strictly ascending;
+    None for any other body. The body is `rest`, then `_BODY_CHUNK`-byte
+    reads of `fh` cut after their last LF. `np.fromstring` ignores line
+    ends and reads an index beyond int64 as INT64_MAX: each part's bytes
+    are checked before it, the range and order after it."""
     indptr = np.zeros(n + 1, dtype=np.int64)  # server v's degree at v + 1 until the cumsum
     indices = np.empty(e, dtype=np.int32)
-    carry, keys, pos, last = [], None, 0, -1  # keys: the key arrays once the order is not canonical
-    for chunk in itertools.chain([rest], iter(lambda: fh.read(_BODY_CHUNK), b""), [b"\n"]):
-        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
+    carry, pos, last = [], 0, -1
+    for chunk in itertools.chain([rest], iter(lambda: fh.read(_BODY_CHUNK), b"")):
+        cut = chunk.rfind(b"\n") + 1
         if not cut:
             carry.append(chunk)
             continue
         part, carry = b"".join([*carry, chunk[:cut]]), [chunk[cut:]]
-        tokens = -1 if part.translate(None, _BODY_BYTES) else _pair_tokens(part)
-        if tokens < 0:
+        if part.translate(None, _BODY_BYTES):
             return None
-        if not tokens:  # blank lines only: fromstring would read a 0
-            continue
+        raw = np.frombuffer(part, dtype=np.uint8)
+        sep = raw < 48  # a space or an LF
+        seps = raw[sep]
+        # each line is digits, a space, digits, an LF: fromstring reads two indices a line
+        if sep[0] or (sep[1:] & sep[:-1]).any() or (seps[0::2] != 32).any() or (seps[1::2] != 10).any():
+            return None
         flat = np.fromstring(part, dtype=np.int64, sep=" ")
         v, w = flat[0::2], flat[1::2]
-        if flat.size != tokens or (v >= n).any() or (w >= m).any():
+        if pos + v.size > e or (v >= n).any() or (w >= m).any():
             return None
-        part_keys = v * m + w
-        if keys is None and part_keys[0] > last and pos + v.size <= e and (part_keys[1:] > part_keys[:-1]).all():
-            indices[pos : pos + v.size] = w
-            indptr[v[0] + 1 : v[-1] + 2] += np.bincount(v - v[0])
-            last = part_keys[-1]
-        else:
-            if keys is None:  # the canonical parts so far, as keys
-                keys = [np.repeat(np.arange(n, dtype=np.int64) * m, indptr[1:]) + indices[:pos]]
-            keys.append(part_keys)
-        pos += v.size
-        del flat, v, w, part_keys  # before the next part's temporaries
-    if keys is None:
-        return np.cumsum(indptr, out=indptr), indices[:pos]
-    keys = np.concatenate(keys)
-    keys.sort()
-    return None if (keys[1:] == keys[:-1]).any() else _keyed_csr(keys, n, m)
-
-
-def _pair_tokens(part: bytes) -> int:
-    """The number of tokens in `part`, digits and ASCII whitespace ending at
-    a line end (LF or CR), if every non-blank line holds two; else -1."""
-    raw = np.frombuffer(part, dtype=np.uint8)
-    digit = raw > 32  # the only bytes above the space are digits
-    mark = raw == 10  # line ends and token starts, in byte order
-    mark |= raw == 13
-    mark[1:] |= digit[1:] > digit[:-1]
-    mark[0] |= digit[0]
-    marked = raw[mark]
-    ends = np.flatnonzero(marked < 32)
-    return -1 if ((np.diff(ends, prepend=-1) - 1) & ~2).any() else marked.size - ends.size
+        keys = v * m + w
+        if keys[0] <= last or (keys[1:] <= keys[:-1]).any():
+            return None
+        indices[pos : pos + v.size] = w
+        indptr[v[0] + 1 : v[-1] + 2] += np.bincount(v - v[0])
+        pos, last = pos + v.size, keys[-1]
+        del raw, sep, seps, flat, v, w, keys  # before the next part's temporaries
+    if any(carry):  # an unended last line
+        return None
+    return np.cumsum(indptr, out=indptr), indices[:pos]

@@ -36,6 +36,11 @@ MAX_STEP_HALVINGS = 10
 PSI_FLOOR = 1e-10
 
 
+def _require_load(lam: float) -> None:
+    if not 0 < lam < 1:
+        raise ValueError("lambda must lie in (0, 1)")
+
+
 class ODEStepError(RuntimeError):
     """Raised when step halving cannot keep the state inside the occupancy set."""
 
@@ -46,8 +51,7 @@ def default_depth(lam: float, d: int) -> int:
     The fixed point decays doubly exponentially, so deeper levels are
     numerically zero.
     """
-    if not 0 < lam < 1:
-        raise ValueError("lambda must lie in (0, 1)")
+    _require_load(lam)
     q = 1.0
     for i in range(1, 200):
         q = lam * q**d
@@ -62,8 +66,7 @@ def fixed_point(lam: float, d: int, depth: int) -> np.ndarray:
     The result satisfies the stationarity equations to within
     FIXED_POINT_RESIDUAL_TOL at every level (asserted).
     """
-    if not 0 < lam < 1:
-        raise ValueError("lambda must lie in (0, 1)")
+    _require_load(lam)
     d = require_positive_int("d", d)
     depth = require_count("depth", depth)
     q = np.empty(depth + 1)
@@ -141,8 +144,7 @@ def integrate_ode(
     step actually used is sample_interval / round(sample_interval / step);
     a step longer than sample_interval is refused.
     """
-    if not 0 < lam < 1:
-        raise ValueError("lambda must lie in (0, 1)")
+    _require_load(lam)
     require_finite_positive("horizon", horizon)
     require_finite_positive("step", step)
     d = require_positive_int("d", d)
@@ -307,8 +309,7 @@ def stability_weights(lam: float, depth: int) -> StabilityWeights:
     inequality holds numerically at every built level. Failure below
     2^-40 signals lambda too close to 1 for double precision.
     """
-    if not 0 < lam < 1:
-        raise ValueError("lambda must lie in (0, 1)")
+    _require_load(lam)
     depth = require_count("depth", depth)
     q_star = fixed_point(lam, 2, max(depth + 1, default_depth(lam, 2)))
     i0 = crossover_index(lam, q_star)

@@ -1,5 +1,7 @@
 import io
+import itertools
 import math
+import re
 import tracemalloc
 from collections import deque
 from unittest import mock
@@ -476,6 +478,9 @@ def test_graph_spec_validation():
         GraphSpec("inhomogeneous", n=4, m=4).build()
     with pytest.raises(ValueError, match="^geometric spec needs radius$"):
         GraphSpec("geometric", n=4, m=4).build()
+    for kind in ("complete", "matching", "fixed-degree"):  # n before any other field
+        with pytest.raises(ValueError, match=f"^{kind} spec needs n$"):
+            GraphSpec(kind).build()
     assert GraphSpec("braess").build() == braess_example()
 
 
@@ -483,7 +488,11 @@ def test_graph_spec_refuses_fields_its_kind_does_not_read():
     for spec, unread in [
         (GraphSpec("complete", n=5, m=5, c=3, p=0.5, radius=0.2), "c, p, radius"),
         (GraphSpec("braess", c=2), "c"),
-        (GraphSpec("matching", n=4, m=4, radius=0.2), "radius"),
+        (GraphSpec("matching", n=4, radius=0.2), "radius"),
+        (GraphSpec("matching", n=4, m=9), "m"),
+        (GraphSpec("braess", n=40, m=7), "n, m"),
+        (GraphSpec("complete", n=5, m=5, seed=3), "seed"),
+        (GraphSpec("braess", n=6, c=2, seed=0), "n, c, seed"),
         (GraphSpec("fixed-degree", n=6, m=6, c=2, p=0.5), "p"),
         (GraphSpec("inhomogeneous", n=6, m=6, p=0.5, radius=0.3), "radius"),
         (GraphSpec("geometric", n=6, m=6, radius=0.5, c=2), "c"),
@@ -585,6 +594,9 @@ def test_io_accepts_any_order(tmp_path):
         b"BPG\xff v1\n2 1 2\n0 0\n1 0\n",  # not UTF-8 in the header
         "BPG v1\n2 1 2\n0\x1c0\n1 0\n",  # str.split() separator, not ASCII whitespace
         "BPG v1\n2 1 1\n0\n0\n",  # an edge split over two lines
+        "BPG v1\n11 1 1\n 10\n",  # a space, then one index
+        "BPG v1\n2 2 2\n0 \n01 1\n",  # one index, then a space
+        "BPG v1\n2 2 2\n0 0 1 1\n",  # two edges on a line
         "BPG v1\n2 1 2\n0 0\n1 0 0\n",  # three tokens on a line
         "BPG v1\n2 1 2\n0 0\n1 0 0",  # three tokens on a last line with no line ending
         "BPG v1\n2 1 2\n0 0\n18446744073709551617 0\n",  # 20 digits: 2^64 + 1 would wrap to 1
@@ -613,8 +625,7 @@ def test_io_reads_leading_zeros_as_decimal(tmp_path):
     assert row_lists(g.reverse_csr())[10] == [7] and g.adjacency[7] == [10]
 
 
-@pytest.mark.parametrize("variant", ["canonical", "tabs-blank-lines-crlf"])
-def test_io_valid_file_takes_the_bulk_path(tmp_path, variant):
+def test_io_valid_file_takes_the_bulk_path(tmp_path):
     # over 2^18 bytes: the default read size meets several seams; reads of
     # 1, 2 and 7 bytes put a seam on every token and line end of a small file
     large = generate_fixed_server_degree(3000, 3000, 10, seed=7)
@@ -623,30 +634,55 @@ def test_io_valid_file_takes_the_bulk_path(tmp_path, variant):
     for chunk, g in ((graph_module._BODY_CHUNK, large), (1, small), (2, small), (7, small)):
         path = tmp_path / "g.bpg"
         write_graph(g, path)
-        if variant != "canonical":
-            lines = path.read_text().splitlines()
-            body = "".join("\t" + line.replace(" ", " \t") + "  \r\n" + ("\r\n" if k % 3 else "")
-                           for k, line in enumerate(lines[2:]))
-            path.write_bytes(("\r\n".join(lines[:2]) + "\r\n\r\n" + body).encode("ascii"))
         with mock.patch.object(graph_module, "_BODY_CHUNK", chunk), \
                 mock.patch.object(graph_module, "_edge_lines", side_effect=AssertionError("line reader")):
             assert read_graph(path) == g
 
 
-@pytest.mark.parametrize("text", [
-    "BPG v1\r\n3 2 4\r\n0 1\r\n1 0\r\n\r\n2 0\r\n2 1",
-    "BPG v1\r3 2 4\r2 1\r\n0 1\n\t1  0\r2 0 \t",
-], ids=["canonical-crlf-unended", "any-order-mixed-endings"])
-def test_io_streamed_read_cuts_at_line_ends(tmp_path, text):
-    # every read size up to the file's: each CRLF and the unended last line
-    # fall across a read at some size
+def test_io_streamed_read_cuts_at_line_ends(tmp_path):
+    # every read size up to the file's: each byte of the body, digits of
+    # two-digit indices too, falls at the end of a read at some size
+    g = generate_fixed_server_degree(12, 11, 2, seed=7)
     path = tmp_path / "g.bpg"
-    path.write_bytes(text.encode("ascii"))
-    expected = BipartiteGraph(3, 2, [[1, 2], [0, 2]])
-    for chunk in range(1, len(text) + 1):
+    write_graph(g, path)
+    for chunk in range(1, path.stat().st_size + 1):
         with mock.patch.object(graph_module, "_BODY_CHUNK", chunk), \
                 mock.patch.object(graph_module, "_edge_lines", side_effect=AssertionError("line reader")):
-            assert read_graph(path) == expected, chunk
+            assert read_graph(path) == g, chunk
+
+
+def _csr_fields(csr):
+    return [(array.dtype, array.tolist()) for array in csr]
+
+
+def test_io_fast_path_takes_the_writer_form_only(tmp_path):
+    # the writer's form, leading zeros allowed, takes the fast path; each
+    # single deviation from it reads to the same CSR through the line reader
+    g = generate_fixed_server_degree(5, 4, 2, seed=1)
+    path = tmp_path / "g.bpg"
+    write_graph(g, path)
+    lines = path.read_text().splitlines(keepends=True)
+    head, first, second, rest = "".join(lines[:2]), lines[2], lines[3], "".join(lines[4:])
+    body = first + second + rest
+    cases = {
+        "writer": (head + body, True),
+        "leading-zero": (head + "0" + body, True),
+        "crlf": (head + body.replace("\n", "\r\n", 1), False),
+        "lone-cr": (head + body.replace("\n", "\r", 1), False),
+        "all-lone-cr": ((head + body).replace("\n", "\r"), False),
+        "tab": (head + body.replace(" ", "\t", 1), False),
+        "two-spaces": (head + body.replace(" ", "  ", 1), False),
+        "leading-space": (head + " " + body, False),
+        "trailing-space": (head + body.replace("\n", " \n", 1), False),
+        "blank-line": (head + "\n" + body, False),
+        "swapped": (head + second + first + rest, False),
+        "unended": (head + body[:-1], False),
+    }
+    for name, (text, fast) in cases.items():
+        path.write_bytes(text.encode("ascii"))
+        with mock.patch.object(graph_module, "_edge_lines", wraps=graph_module._edge_lines) as slow:
+            assert _csr_fields(read_graph(path).reverse_csr()) == _csr_fields(g.reverse_csr()), name
+        assert slow.called != fast, name
 
 
 @pytest.mark.parametrize(
@@ -742,9 +778,13 @@ def test_io_bulk_reader_matches_list_constructor(tmp_path_factory, case):
 
 @st.composite
 def _mutated_bpg(draw):
-    """A small BPG file from `_bpg_text` with a few bytes replaced, inserted
-    or deleted."""
-    data = bytearray(draw(_bpg_text())[1].encode("ascii"))
+    """A small BPG file from `_bpg_text`, or its graph in the writer's form,
+    with a few bytes replaced, inserted or deleted."""
+    g, text = draw(_bpg_text())
+    if draw(st.booleans()):
+        text = f"BPG v1\n{g.n_servers} {g.n_dispatchers} {g.n_edges}\n" + "".join(
+            f"{v} {w}\n" for v, row in enumerate(row_lists(g.reverse_csr())) for w in row)
+    data = bytearray(text.encode("ascii"))
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(data)))
         byte = draw(st.sampled_from(b"0123456789 \t\n\r\x0b\x0c\x1cx+\xff"))
@@ -773,7 +813,18 @@ def test_io_bulk_reader_matches_line_reader(data):
         with mock.patch.object(graph_module, "_BODY_CHUNK", chunk), \
                 mock.patch.object(graph_module, "_edge_lines", wraps=graph_module._edge_lines) as slow:
             assert outcome() == by_lines
-        assert not (slow.called and isinstance(by_lines, tuple))  # a valid body never falls back
+        assert not (slow.called and _in_writer_form(data, by_lines))
+
+
+def _in_writer_form(data: bytes, outcome) -> bool:
+    """Whether the line reader read `data` to a graph, and its body after
+    two LF-ended header lines is in the writer's form: lines of two digit
+    runs split by one space and ended by LF, the edges strictly ascending."""
+    parts = data.split(b"\n", 2)
+    if not isinstance(outcome, tuple) or len(parts) < 3 or b"\r" in parts[0] + parts[1]:
+        return False
+    edges = [tuple(map(int, line.split())) for line in parts[2].splitlines()]
+    return re.fullmatch(rb"(\d+ \d+\n)*", parts[2]) is not None and edges == sorted(set(edges))
 
 
 def test_csr_is_cached_and_read_only():

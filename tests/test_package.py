@@ -43,3 +43,12 @@ def test_library_imports_only_stdlib_and_numpy():
                         if name.split(".")[0] not in ALLOWED]
     assert len(list(SRC.glob("*.py"))) >= 8
     assert not outside, outside
+
+
+def test_sources_parse_as_python_3_10():
+    # the oldest supported Python: this catches newer grammar, not newer
+    # library APIs (tomllib, say), which parse on any version
+    paths = sorted([*SRC.rglob("*.py"), *Path(__file__).parent.rglob("*.py")])
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+    assert len(paths) >= 20
