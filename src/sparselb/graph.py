@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .records import INDEX_LIMIT, require_seed
+from .records import INDEX_LIMIT, require_int, require_seed
 
 GENERATION_RETRIES = 100
 
@@ -150,7 +150,7 @@ class BipartiteGraph:
         for w, row in enumerate(adjacency):
             if len(row) == 0:
                 raise ValueError(f"dispatcher {w} has no compatible server")
-            srow = sorted(row)
+            srow = sorted(require_int(f"server index of dispatcher {w}", v) for v in row)
             for i, v in enumerate(srow):
                 if not 0 <= v < n_servers:
                     raise ValueError(f"server index {v} out of range for dispatcher {w}")

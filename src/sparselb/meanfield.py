@@ -28,7 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .policy import AssignmentPolicy, distribution_from_occupancy
-from .records import TrajectoryRecord, require_count, require_finite_positive, require_positive_int, sample_grid
+from .records import (INDEX_LIMIT, TrajectoryRecord, require_count, require_finite_positive, require_positive_int,
+                      sample_grid)
 
 FIXED_POINT_RESIDUAL_TOL = 1e-12
 CLAMP_TOL = 1e-9
@@ -142,7 +143,8 @@ def integrate_ode(
     system is smooth and non-stiff for lambda < 1, so adaptivity buys
     nothing. Each sample interval takes a whole number of steps, so the
     step actually used is sample_interval / round(sample_interval / step);
-    a step longer than sample_interval is refused.
+    a step longer than sample_interval, or one that takes 2^31 steps or
+    more, is refused.
     """
     _require_load(lam)
     require_finite_positive("horizon", horizon)
@@ -212,6 +214,8 @@ def integrate_ode(
     if not math.isfinite(sample_interval / step):
         raise ValueError(f"sample_interval / step must be finite, not {sample_interval} / {step}")
     substeps = round(sample_interval / step)
+    if substeps * n_samples >= INDEX_LIMIT:  # the bound sample_grid puts on samples
+        raise ValueError(f"step {step} is too short: horizon {horizon} would take 2^31 steps or more")
     h = sample_interval / substeps
 
     y = q0[1:].copy()
@@ -294,6 +298,7 @@ def master_inequality_margin(
     return worst
 
 
+@np.errstate(over="ignore")  # at a subnormal lambda the slack ratios overflow to +-inf, their limits
 def stability_weights(lam: float, depth: int) -> StabilityWeights:
     """Construct contraction weights for the JSQ(2) dynamics at rate lam.
 

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .records import require_positive_int
+from .records import require_count, require_positive_int
 
 DIST_SUM_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
@@ -122,9 +122,10 @@ def jsqd_policy(d: int) -> AssignmentPolicy:
     """Join-the-shortest-of-d-samples as an assignment probability function.
 
     p[i] = q_i^d - q_{i+1}^d along the last axis, so one call evaluates a
-    block of distributions; the declared Lipschitz bound is 2 * d! * d^2.
+    block of distributions; the declared Lipschitz bound is 2 * d! * d^2,
+    which overflows to inf from d = 169 on.
     """
-    d = require_positive_int("d", d)
+    d = require_count("d", d)
 
     def evaluator(x: np.ndarray) -> np.ndarray:
         qd = occupancy_from_distribution(x) ** d
@@ -134,9 +135,8 @@ def jsqd_policy(d: int) -> AssignmentPolicy:
         p[x == 0.0] = 0.0
         return p
 
-    return AssignmentPolicy(
-        f"jsq-d:{d}", evaluator, declared_lipschitz_bound=2.0 * math.factorial(d) * d * d
-    )
+    bound = math.inf if d > 170 else 2.0 * math.factorial(d) * d * d  # 171! is past the float range
+    return AssignmentPolicy(f"jsq-d:{d}", evaluator, declared_lipschitz_bound=bound)
 
 
 # ---------------------------------------------------------------------------

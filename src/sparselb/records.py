@@ -65,6 +65,15 @@ def require_finite_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and > 0, not {value}")
 
 
+def require_int(name: str, value) -> int:
+    """`value` as an int; a ValueError that names it unless it is an integer
+    type (int, numpy integer): a float is refused, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+
+
 def require_positive_int(name: str, value) -> int:
     """`value` as an int; a ValueError that names the argument unless it is
     an integer type (int, numpy integer) >= 1. Floats are refused, 2.0 too."""
@@ -103,6 +112,7 @@ def sample_grid(horizon: float, interval: float) -> np.ndarray:
     1e-9 of a step); `interval` must be finite and positive, and the grid
     at most 2^31 samples long."""
     require_finite_positive("sample_interval", interval)
+    interval = float(interval)  # an int past 2^63 would overflow the int64 grid
     steps = horizon / interval + 1e-9
     if not steps < 2**31:  # inf and NaN too
         raise ValueError(f"horizon {horizon} / sample_interval {interval} asks for more than 2^31 samples")

@@ -15,8 +15,8 @@ service. Either way every random number is drawn ahead of time in numpy
 blocks of BLOCK events, and the Python loop only applies the state update.
 With exponential service and at most two sampled servers, that update
 moves only the queue lengths: the loop logs one signed level per event,
-and numpy applies each block's log to the level counts, the samples' rows
-and the window integrals, the event times never leaving their array.
+and numpy applies the log to the level counts and window integrals before
+each sample and at each block end, the event times never leaving their array.
 
 The coupled run drives a constrained system and a fully flexible twin
 with shared arrival and potential-departure streams to expose their
@@ -43,12 +43,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .graph import BipartiteGraph
+from .meanfield import _require_load
 from .records import (
     CoupledRecord,
     SteadyStateSummary,
     TrajectoryRecord,
     require_count,
     require_finite_positive,
+    require_int,
     require_positive_int,
     require_seed,
     sample_grid,
@@ -175,7 +177,7 @@ def _ordered_sample(gen: np.random.Generator, degs: np.ndarray, cols: int) -> li
     return picks
 
 
-def _record_sample(occupancy: np.ndarray, overflow: np.ndarray, idx: int, Q: list[int]) -> None:
+def _record_sample(occupancy: np.ndarray, overflow: np.ndarray, idx: int, Q: Sequence[int]) -> None:
     """Row idx of an int64 count matrix: Q_1..Q_depth in one slice, and the
     overflow Q_{depth+1}. The run divides the matrix by N once it ends."""
     depth = occupancy.shape[1]
@@ -194,36 +196,20 @@ def _level_counts(lengths: list[int], size: int = 0) -> np.ndarray:
     return np.cumsum(np.bincount(lengths, minlength=size)[::-1])[::-1]
 
 
-def _replay(log: list[int], lo: int, hi: int, times: np.ndarray, Q: np.ndarray, tw: Optional[np.ndarray],
-            cuts: list[tuple[int, int]], occupancy: np.ndarray, overflow: np.ndarray
+def _replay(log: list[int], lo: int, hi: int, times: np.ndarray, Q: np.ndarray, tw: Optional[np.ndarray]
             ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Apply the level log of block events lo..hi-1, at times[lo:hi], to
     the level counts Q and, once the window is open, to their integrals tw;
-    returns both, grown to every level the log reaches. Each (position,
-    index) of `cuts` is a sample taken before block event `position`: its
-    counts go to row `index` of `occupancy` and `overflow`.
+    returns both, grown to every level the log reaches.
 
     log[lo:hi] holds one signed level per event: +l for an arrival that
     lands at level l, -l for a departure that leaves level l, 0 for a no-op.
     ufunc.at is unbuffered and adds in order, so each tw[l] takes the same
     floating-point adds, in the same order, as one update per event would."""
-    level = np.fromiter(itertools.islice(log, lo, hi), dtype=np.int64, count=hi - lo)
+    # from lo = 0, as at every block end of a window, fromiter reads the log in place up to hi
+    level = np.fromiter(log[lo:hi] if lo else log, dtype=np.int64, count=hi - lo)
     step = np.sign(level)
     level *= step  # |l|
-    if cuts:
-        # per sample, the net change of Q_1..Q_{depth+1} over the events before
-        # it: the events between two samples add into one row of `delta`
-        # (deeper levels into its last column), and the rows are summed up
-        at, rows = zip(*cuts)
-        rows = list(rows)
-        width = occupancy.shape[1] + 3
-        part = np.searchsorted(at, np.arange(lo, hi), side="right")  # the samples before each event
-        delta = np.zeros((len(at) + 1, width), dtype=np.int64)
-        np.add.at(delta.reshape(-1), part * width + np.minimum(level, width - 1), step)
-        counts = np.cumsum(delta[:-1, 1:-1], axis=0)
-        counts += Q[1:width - 1]
-        occupancy[rows, :] = counts[:, :-1]
-        overflow[rows] = counts[:, -1]
     top = int(level.max(initial=0))
     if top >= len(Q):
         grow = np.zeros(top + 1 - len(Q), dtype=np.int64)
@@ -343,11 +329,11 @@ def _simulate_core(
 
     A pair run (exponential service, at most two samples, no hook) moves
     only the queue lengths per event and logs each event's signed level at
-    its block position; `_replay` applies the log to Q and tw in numpy once
-    per block, and a sample only marks its position in the log, so the cost
-    of a replay does not grow with the number of samples. Until its window
-    opens, a pair run that records nothing keeps no log. Every other run
-    keeps Q and tw as lists, updated per event, and its times as a list.
+    its block position; `_replay` applies the log to Q and tw in numpy at
+    each block end and before each sample, a fixed cost per replay. Until
+    its window opens, a pair run that records nothing keeps no log. Every
+    other run keeps Q and tw as lists, updated per event, and its times as
+    a list. Every run writes a sample's row from Q with `_record_sample`.
     """
     assert sample_interval is None or area_from is None
     n, m = graph.n_servers, graph.n_dispatchers
@@ -364,10 +350,7 @@ def _simulate_core(
         if len(initial_lengths) != n:
             raise ValueError("initial_lengths must have one entry per server")
         for v, l in enumerate(initial_lengths):
-            try:
-                lengths[v] = operator.index(l)
-            except TypeError:
-                raise ValueError(f"queue length of server {v} must be an integer, not {l!r}") from None
+            lengths[v] = require_int(f"queue length of server {v}", l)
             if lengths[v] < 0:
                 raise ValueError("queue lengths must be nonnegative")
     start_tasks = sum(lengths)
@@ -387,7 +370,6 @@ def _simulate_core(
         log = [0] * BLOCK
         logged = debug or len(grid) > 0  # until the window opens, only samples and checks read Q
         since = 0  # the first block position whose log is not yet applied
-        cuts: list[tuple[int, int]] = []  # (position, index) of the samples since then
     else:
         Q = Q.tolist()
         top = len(Q)
@@ -480,10 +462,9 @@ def _simulate_core(
                 lengths[a] = l
                 log[i] = l
         if action is None:  # the block's end
-            if pair and logged:  # one replay per block: a sample only marks its position
-                Q, tw = _replay(log, since, hi, block[0], Q, tw, cuts, occupancy, overflow)
+            if pair and logged:
+                Q, tw = _replay(log, since, hi, block[0], Q, tw)
                 since = 0
-                cuts.clear()
             if debug:
                 _check_counts(lengths, Q)
         elif action == _WINDOW:
@@ -495,13 +476,13 @@ def _simulate_core(
             else:
                 tw[:] = [q * b_time for q in Q]
         elif action >= 0:
-            if pair:
-                cuts.append((hi, action))
-            else:
-                _record_sample(occupancy, overflow, action, Q)
+            if pair and hi > since:  # Q as of the sample: apply the log since the last replay
+                Q, tw = _replay(log, since, hi, block[0], Q, tw)
+                since = hi
+            _record_sample(occupancy, overflow, action, Q)
 
     if pair and logged:  # the last block's events up to the horizon
-        Q, tw = _replay(log, since, hi, block[0], Q, tw, cuts, occupancy, overflow)
+        Q, tw = _replay(log, since, hi, block[0], Q, tw)
     if debug:
         _check_counts(lengths, Q)
     arrivals = counts[1]
@@ -882,7 +863,7 @@ def lyapunov_series(record: TrajectoryRecord, k: int) -> np.ndarray:
     is O(depth) per sample. Requires a simulator record (n_servers set)
     with no overflow, since truncated levels would silently drop mass.
     """
-    k = require_positive_int("k", k)
+    k = require_count("k", k)
     if record.n_servers is None:
         raise ValueError("record lacks n_servers; V_k needs absolute counts")
     if np.any(record.overflow > 0):
@@ -901,8 +882,11 @@ def tail_moment_margin(occupancy_mean: Sequence[float], lam: float, k: int) -> f
     """((1+lam)/(1-lam)) * qbar_{k-1} - sum_{i>=k} qbar_i for steady-state
     occupancy averages (qbar_0 = 1); nonnegative when the stationary tail
     obeys the drift bound."""
+    _require_load(lam)
     k = require_positive_int("k", k)
     q = np.asarray(occupancy_mean, dtype=float)  # levels 1..K
+    if k > len(q):
+        raise ValueError(f"k must be at most the {len(q)} recorded levels, not {k}")
     prefactor = (1.0 + lam) / (1.0 - lam)
     q_prev = 1.0 if k == 1 else float(q[k - 2])
     return prefactor * q_prev - float(q[k - 1 :].sum())

@@ -1,11 +1,14 @@
-"""Independent oracles shared by the unit and acceptance suites.
+"""Independent oracles, and a time limit, shared by the unit and acceptance
+suites.
 
 These deliberately avoid the library's closed-form paths: probabilities
 come from exhaustive enumeration, so the tests they feed stay meaningful
 if the production formulas drift.
 """
 
+import contextlib
 import itertools
+import signal
 
 import numpy as np
 from scipy import sparse
@@ -18,6 +21,28 @@ def row_lists(csr):
     dispatchers of server v."""
     indptr, indices = csr
     return [indices[a:b].tolist() for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
+
+
+class TimeLimit(BaseException):
+    """Raised by `time_limit`. A BaseException, so that no `except Exception`
+    in the code under test, and no mapping of TimeoutError (an OSError) to
+    an exit code, can hide a hang."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Raise TimeLimit in the block once `seconds` of wall time have passed
+    (SIGALRM: the main thread only)."""
+    def expire(signum, frame):
+        raise TimeLimit(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def min_of_d_oracle(x, d):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from oracles import time_limit
 
 from sparselb import cli
 from sparselb.cli import RECIPES, build_parser, main
@@ -671,9 +672,10 @@ def test_flag_nothing_reads_is_usage_error(tmp_path, capsys, argv, message):
 
 # Every value flag of every command, read from the parser, is set in turn to
 # each hostile value on a small valid run, on the command line and through
-# --config. Nothing may escape main, the exit code is 0-3, and a run that
-# fails leaves no file behind.
-_HOSTILE = ["0", "-1", "nan", "inf", "1e308", _HUGE, "", ",", "1,", "text"]
+# --config. Nothing may escape main, the exit code is 0-3, a run that fails
+# leaves no file behind, and no run outlasts its time limit (which raises a
+# BaseException: main maps TimeoutError, an OSError, to exit 3).
+_HOSTILE = ["0", "-1", "nan", "inf", "1e308", "1e-308", "5e-324", _HUGE, "", ",", "1,", "text"]
 # flags whose legal values may run for hours, and the hostile values legal
 # for them, which they skip
 _COSTLY_LEGAL = {"--budget": {_HUGE}, "--replicas": set(), "--measure": set(), "--warmup": {"0"}}
@@ -738,7 +740,8 @@ def test_hostile_values_exit_cleanly(tmp_path, monkeypatch, command, via_config)
             else:
                 argv = [command, *base, flag, value]
             try:
-                code = main(argv)
+                with time_limit(5):
+                    code = main(argv)
             except BaseException as exc:  # anything that escapes main is a fault
                 faults.append((argv, f"raised {type(exc).__name__}: {exc}"))
                 code = None

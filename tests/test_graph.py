@@ -120,6 +120,15 @@ def test_duplicate_and_range_validation():
         BipartiteGraph(3, 1, [[0, 3]])
 
 
+@pytest.mark.parametrize("row, bad", [([1.5, 0.2], "1.5"), ([0, "1"], "'1'"), ([np.float64(1.0)], "np.float64(1.0)")])
+def test_list_constructor_refuses_a_server_index_that_is_not_an_integer(row, bad):
+    # refused, not truncated into the int32 indices, where [1.5, 0.2] would be the row [0, 1]
+    message = f"server index of dispatcher 0 must be an integer, not {bad}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        BipartiteGraph(3, 1, [row])
+    assert BipartiteGraph(3, 1, [[np.int64(2), 0]]).csr()[1].tolist() == [0, 2]
+
+
 _HUGE = 99999999999999999999  # 20 digits: refused before anything is allocated or drawn
 
 
@@ -778,16 +787,21 @@ def test_io_bulk_reader_matches_list_constructor(tmp_path_factory, case):
 
 @st.composite
 def _mutated_bpg(draw):
-    """A small BPG file from `_bpg_text`, or its graph in the writer's form,
-    with a few bytes replaced, inserted or deleted."""
+    """A small BPG file from `_bpg_text` with one to three bytes replaced,
+    inserted or deleted, or its graph in the writer's form with up to three
+    digits, spaces or LFs. Nearly every mutation takes a body out of the
+    writer's form (an edge count, a range or the edge order breaks), so the
+    unmutated writer's form is what reaches the fast path's accepting branch."""
     g, text = draw(_bpg_text())
+    alphabet, least = b"0123456789 \t\n\r\x0b\x0c\x1cx+\xff", 1
     if draw(st.booleans()):
         text = f"BPG v1\n{g.n_servers} {g.n_dispatchers} {g.n_edges}\n" + "".join(
             f"{v} {w}\n" for v, row in enumerate(row_lists(g.reverse_csr())) for w in row)
+        alphabet, least = b"0123456789 \n", 0
     data = bytearray(text.encode("ascii"))
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(least, 3))):
         i = draw(st.integers(0, len(data)))
-        byte = draw(st.sampled_from(b"0123456789 \t\n\r\x0b\x0c\x1cx+\xff"))
+        byte = draw(st.sampled_from(alphabet))
         op = draw(st.sampled_from(["replace", "insert", "delete"]))
         if op == "insert":
             data.insert(i, byte)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import time_limit
 
 from sparselb.meanfield import (
     CLAMP_TOL,
@@ -161,6 +162,14 @@ def test_step_longer_than_sample_interval_is_refused(step):
 def test_sample_interval_over_step_must_be_finite():
     with pytest.raises(ValueError, match=r"^sample_interval / step must be finite, not 1e\+308 / 0\.01$"):
         integrate_ode(0.8, empty_occupancy(5), 1.0, depth=5, sample_interval=1e308)
+
+
+@pytest.mark.parametrize("step", [1e-308, 1e-12])
+def test_step_that_takes_2_31_steps_or_more_is_refused(step):
+    # refused before the first step: 1e-308 would take about 1e308 steps
+    message = rf"^step {step} is too short: horizon 1\.0 would take 2\^31 steps or more$"
+    with time_limit(2), pytest.raises(ValueError, match=message):
+        integrate_ode(0.8, empty_occupancy(5), 1.0, depth=5, step=step)
 
 
 def _reference_ode(lam, q0, horizon, depth, d, policy, step, sample_interval):

@@ -18,7 +18,7 @@ from sparselb.policy import (
 )
 
 
-from oracles import grid_distributions, min_of_d_oracle
+from oracles import grid_distributions, min_of_d_oracle, time_limit
 
 
 def test_jsqd_simple_values():
@@ -31,6 +31,13 @@ def test_jsqd_simple_values():
 def test_jsqd_declared_bounds():
     for d in range(1, 6):
         assert jsqd_policy(d).declared_lipschitz_bound == 2 * math.factorial(d) * d * d
+
+
+def test_jsqd_declared_bound_is_inf_past_the_float_range():
+    assert math.isfinite(jsqd_policy(168).declared_lipschitz_bound)
+    for d in (169, 171, 2**31 - 1):  # no factorial is formed past 170
+        with time_limit(2):
+            assert jsqd_policy(d).declared_lipschitz_bound == math.inf
 
 
 def test_jsqd_rejects_bad_d():

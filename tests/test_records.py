@@ -3,6 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from oracles import time_limit
 
 from sparselb.graph import complete_bipartite
 from sparselb.meanfield import stability_weights
@@ -131,6 +132,34 @@ def test_integer_arguments_are_named(case, value):
     name, call = _INTEGER_ARGUMENTS[case]
     with pytest.raises(ValueError, match=f"^{name} must be a positive integer, not {value}$"):
         call(value)
+
+
+@pytest.mark.parametrize("value", [2**31, 2**63])
+@pytest.mark.parametrize("case", ["lyapunov_series-k", "jsqd_policy-d"])
+def test_counts_from_2_31_are_named(case, value):
+    # jsqd_policy would otherwise form d! for its declared bound
+    name, call = _INTEGER_ARGUMENTS[case]
+    with time_limit(2), pytest.raises(ValueError, match=rf"^{name} must be below 2\^31, not {value}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("lam", [1, 2, 0, -0.5, float("nan")])
+def test_tail_moment_margin_refuses_a_load_outside_0_1(lam):
+    with pytest.raises(ValueError, match=r"^lambda must lie in \(0, 1\)$"):
+        tail_moment_margin([0.5, 0.25], lam, 1)
+
+
+@pytest.mark.parametrize("k", [3, 5, 2**63])
+def test_tail_moment_margin_refuses_k_past_the_recorded_levels(k):
+    with pytest.raises(ValueError, match=f"^k must be at most the 2 recorded levels, not {k}$"):
+        tail_moment_margin([0.5, 0.25], 0.5, k)
+
+
+def test_sample_grid_takes_an_int_interval_as_a_float():
+    # np.arange(1) * 2**63 would overflow int64
+    assert sample_grid(1.0, 2**63).tolist() == [0.0]
+    grid = sample_grid(3, 1)
+    assert grid.dtype == np.float64 and grid.tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_level_columns_refuse_a_depth_they_cannot_list():

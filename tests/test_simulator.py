@@ -226,7 +226,7 @@ def test_assignment_never_beats_sampled_minimum():
 
 
 @pytest.mark.parametrize("d, horizon, interval, depth", [
-    (2, 60.0, 0.003, 30),  # several samples between two events: rows from one replay per block
+    (2, 60.0, 0.003, 30),  # several samples between two events: the later ones replay no event
     (1, 40.7, 0.1, 3),  # overflow, and samples within rounding past the horizon
     (2, 1000.0, 230.0, 2),  # samples blocks apart
 ])
