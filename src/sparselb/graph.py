@@ -384,7 +384,10 @@ def generate_inhomogeneous(n_servers: int, n_dispatchers: int, p, seed: int) -> 
     GENERATION_RETRIES times.
     """
     _check_sizes(n_servers, n_dispatchers)
-    p = np.broadcast_to(np.asarray(p, dtype=float), (n_dispatchers,))
+    try:
+        p = np.broadcast_to(np.asarray(p, dtype=float), (n_dispatchers,))
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"edge probabilities must lie in (0, 1], not {p}") from None
     if not ((p > 0) & (p <= 1)).all():  # NaN fails both comparisons
         raise ValueError("edge probabilities must lie in (0, 1]")
     seed = require_seed(seed)
@@ -411,6 +414,10 @@ def generate_geometric(n_servers: int, n_dispatchers: int, radius: float, seed: 
     _check_sizes(n_servers, n_dispatchers)
     if not radius > 0:  # NaN too
         raise ValueError("radius must be positive")
+    try:
+        float(radius)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"radius must lie within the float range, not {radius}") from None
     seed = require_seed(seed)
     rng = np.random.default_rng(seed)
     sxy = rng.random((n_servers, 2))

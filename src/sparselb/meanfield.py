@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .policy import AssignmentPolicy, distribution_from_occupancy
-from .records import (INDEX_LIMIT, TrajectoryRecord, require_count, require_finite_positive, require_positive_int,
+from .records import (INDEX_LIMIT, TrajectoryRecord, require_count, require_finite_positive,
                       sample_grid)
 
 FIXED_POINT_RESIDUAL_TOL = 1e-12
@@ -39,7 +39,7 @@ PSI_FLOOR = 1e-10
 
 def _require_load(lam: float) -> None:
     if not 0 < lam < 1:
-        raise ValueError("lambda must lie in (0, 1)")
+        raise ValueError(f"lambda must lie in (0, 1), not {lam}")
 
 
 class ODEStepError(RuntimeError):
@@ -53,6 +53,7 @@ def default_depth(lam: float, d: int) -> int:
     numerically zero.
     """
     _require_load(lam)
+    d = require_count("d", d)  # q**d converts d to a float: bound it first
     q = 1.0
     for i in range(1, 200):
         q = lam * q**d
@@ -68,7 +69,7 @@ def fixed_point(lam: float, d: int, depth: int) -> np.ndarray:
     FIXED_POINT_RESIDUAL_TOL at every level (asserted).
     """
     _require_load(lam)
-    d = require_positive_int("d", d)
+    d = require_count("d", d)  # q**d converts d to a float: bound it first
     depth = require_count("depth", depth)
     q = np.empty(depth + 1)
     q[0] = 1.0
@@ -149,7 +150,7 @@ def integrate_ode(
     _require_load(lam)
     require_finite_positive("horizon", horizon)
     require_finite_positive("step", step)
-    d = require_positive_int("d", d)
+    d = require_count("d", d)  # np.power takes d as an int64: bound it first
     depth = require_count("depth", depth)
     q0 = _validate_initial(q0, depth)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -60,8 +61,10 @@ class TrajectoryRecord:
 
 
 def require_finite_positive(name: str, value: float) -> None:
-    """Raise a ValueError that names the argument unless `value` is finite and > 0."""
-    if not (math.isfinite(value) and value > 0):
+    """Raise a ValueError that names the argument unless `value` is finite and
+    > 0. Python compares an int with a float exactly, so an int past the
+    float range is refused too, where math.isfinite would overflow."""
+    if not 0 < value <= sys.float_info.max:  # NaN fails both comparisons
         raise ValueError(f"{name} must be finite and > 0, not {value}")
 
 

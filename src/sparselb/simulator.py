@@ -10,8 +10,10 @@ constant rate (lambda+1)*N, each one an arrival with probability
 lambda/(1+lambda) and otherwise a potential departure at a uniform server
 among all N, a no-op when that server is idle. The whole random input of
 such a run is then independent of its state. Deterministic and Pareto
-service keep a heap of completion times, scheduled when a task starts
-service. Either way every random number is drawn ahead of time in numpy
+service keep a heap of bare completion times, scheduled when a task starts
+service, and a dict from each time to its server; completions due at equal
+times pop in ascending server index, and each arrival first pops those due
+by its time. Either way every random number is drawn ahead of time in numpy
 blocks of BLOCK events, and the Python loop only applies the state update.
 With exponential service and at most two sampled servers, that update
 moves only the queue lengths: the loop logs one signed level per event,
@@ -31,13 +33,14 @@ update.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import math
 import operator
 import random
+import sys
 import warnings
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -221,16 +224,14 @@ def _replay(log: list[int], lo: int, hi: int, times: np.ndarray, Q: np.ndarray, 
     return Q, tw
 
 
-def _drain(heap: list, until: float, lengths: list[int], Q: list[int], tw: list[float], next_service) -> None:
-    """Complete every scheduled service at or before `until`, in time order."""
-    while heap and heap[0][0] <= until:
-        t, v = heapq.heappop(heap)
-        l = lengths[v]
-        lengths[v] = l - 1
-        Q[l] -= 1
-        tw[l] -= t
-        if l > 1:
-            heapq.heappush(heap, (t + next_service(), v))
+def _tie(due: dict, c: float, v: int) -> None:
+    """Server v also completes at time c: due[c] becomes, or already is, a
+    heap of the servers due then, which pop in ascending index."""
+    w = due[c]
+    if w.__class__ is list:
+        heappush(w, v)
+    else:
+        due[c] = [min(v, w), max(v, w)]
 
 
 def _walk(gen: np.random.Generator, lam: float, n: int, markovian: bool, horizon: float,
@@ -334,6 +335,14 @@ def _simulate_core(
     its window opens, a pair run that records nothing keeps no log. Every
     other run keeps Q and tw as lists, updated per event, and its times as
     a list. Every run writes a sample's row from Q with `_record_sample`.
+
+    A non-Markovian run keeps its pending completion times in `heap`, a
+    float heap over a never-due inf, so each arrival tests one float before
+    it pops the completions due by its time; `due` maps each time to its
+    server, and on a tie to a heap of servers, so equal times complete in
+    ascending server index. A server with more work takes its next time with
+    heapreplace. A segment that ends at a boundary ends with one more
+    event, at the boundary, that pops and assigns nothing.
     """
     assert sample_interval is None or area_from is None
     n, m = graph.n_servers, graph.n_dispatchers
@@ -375,18 +384,20 @@ def _simulate_core(
         top = len(Q)
         tw = [0.0] * top
 
+    # the pending completion times, over a never-due inf; due maps each one to
+    # its server, or to a heap of the servers that tie on it (see _tie)
+    heap = [math.inf]
+    due: dict = {}
     next_service = None
-    heap: list[tuple[float, int]] = []
-    if not markovian:
-        def service_times():
-            while True:
-                yield from service.draw(gen, BLOCK).tolist()
-
-        next_service = service_times().__next__
+    if not markovian:  # BLOCK service times at a time, in draw order
+        next_service = itertools.chain.from_iterable(iter(lambda: service.draw(gen, BLOCK).tolist(), None)).__next__
         for v, l in enumerate(lengths):  # a loop: a comprehension would make next_service a cell
             if l:
-                heap.append((next_service(), v))
-        heapq.heapify(heap)
+                c = next_service()
+                heap.append(c)
+                if due.setdefault(c, v) != v:
+                    _tie(due, c, v)
+        heapify(heap)
 
     def draw_block(arriving: np.ndarray, pair=pair):  # a default: a closure read would make pair a cell
         w = gen.integers(0, m, len(arriving))
@@ -406,7 +417,10 @@ def _simulate_core(
     for block, lo, hi, action, b_time in walk:
         if not pair:
             _, A, B, T = block
-            for t, a, b in zip(T[lo:hi], A[lo:hi], B[lo:hi]):
+            events = zip(T[lo:hi], A[lo:hi], B[lo:hi])
+            if action is not None:  # last, the services due by the boundary: b = None ends the loop
+                events = itertools.chain(events, ((b_time, 0, None),))
+            for t, a, b in events:
                 if a < 0:  # potential departure at server ~a
                     a = ~a
                     l = lengths[a]
@@ -415,8 +429,26 @@ def _simulate_core(
                         Q[l] -= 1
                         tw[l] -= t
                     continue
-                if heap and heap[0][0] <= t:
-                    _drain(heap, t, lengths, Q, tw, next_service)
+                while heap[0] <= t:  # complete the services due by t, in (time, server) order
+                    c = heap[0]
+                    v = due.pop(c)
+                    if v.__class__ is list:  # servers tied at c: the lowest index first
+                        w, v = v, heappop(v)
+                        if w:
+                            due[c] = w
+                    l = lengths[v]
+                    lengths[v] = l - 1
+                    Q[l] -= 1
+                    tw[l] -= c
+                    if l > 1:
+                        c += next_service()
+                        heapreplace(heap, c)
+                        if due.setdefault(c, v) != v:
+                            _tie(due, c, v)
+                    else:
+                        heappop(heap)
+                if b is None:
+                    break
                 v, l = a, lengths[a]
                 for u in b:
                     lu = lengths[u]
@@ -425,7 +457,10 @@ def _simulate_core(
                 if on_assign is not None:
                     on_assign(v, l, list(dict.fromkeys([a, *b])), lengths)
                 if l == 0 and next_service is not None:
-                    heapq.heappush(heap, (t + next_service(), v))
+                    c = t + next_service()
+                    heappush(heap, c)
+                    if due.setdefault(c, v) != v:
+                        _tie(due, c, v)
                 l += 1
                 lengths[v] = l
                 if l == top:
@@ -434,8 +469,6 @@ def _simulate_core(
                     top += 1
                 Q[l] += 1
                 tw[l] += t
-            if action is not None and heap and heap[0][0] <= b_time:
-                _drain(heap, b_time, lengths, Q, tw, next_service)
         elif not logged:
             _, A, B = block
             for a, b in zip(A[lo:hi], B[lo:hi]):
@@ -573,7 +606,7 @@ def steady_state(
                 "warmup must be given at lambda >= 1; the default 10/(1 - lambda) needs lambda < 1"
             )
         warmup = 10.0 / (1.0 - lam)
-    if not (math.isfinite(warmup) and warmup >= 0):
+    if not 0 <= warmup <= sys.float_info.max:  # exact comparisons: an int past the float range fails too
         raise ValueError(f"warmup must be finite and >= 0, not {warmup}")
     require_finite_positive("measure", measure)
     replicas = require_count("replicas", replicas)

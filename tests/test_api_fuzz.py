@@ -16,7 +16,7 @@ from sparselb.graph import FAMILIES
 from sparselb.meanfield import ODEStepError
 
 _ALPHABET = [
-    0, -1, 1, 2**31, 2**63, 10**20, True, 1.5, math.nan, math.inf, -math.inf, 1e308, -0.0, 1e-308, 5e-324,
+    0, -1, 1, 2**31, 2**63, 10**20, 10**400, True, 1.5, math.nan, math.inf, -math.inf, 1e308, -0.0, 1e-308, 5e-324,
     "3", None, [], [1], np.int64(3), np.float64(0.5), np.bool_(True), np.array([1, 2]),
 ]
 _ALLOWED = (ValueError, TypeError, sparselb.GraphGenerationError, ODEStepError)

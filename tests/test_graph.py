@@ -378,6 +378,12 @@ def test_inhomogeneous_rejects_bad_p():
                 generate_inhomogeneous(5, 3, p, seed=0)
 
 
+def test_inhomogeneous_refuses_an_int_past_the_float_range():
+    for p in (10**400, [0.5, 10**400, 0.5]):
+        with pytest.raises(ValueError, match=r"^edge probabilities must lie in \(0, 1\], not "):
+            generate_inhomogeneous(5, 3, p, seed=0)
+
+
 def test_inhomogeneous_degree_statistics():
     n = m = 1000
     p = 0.048
@@ -423,6 +429,13 @@ def test_geometric_rejects_nonpositive_radius():
         for radius in (0.0, -0.1, float("nan")):
             with pytest.raises(ValueError, match="^radius must be positive$"):
                 generate_geometric(5, 5, radius, seed=0)
+
+
+def test_geometric_refuses_a_radius_past_the_float_range():
+    # a float radius past the unit square's diagonal gives the complete graph, inf too
+    assert generate_geometric(4, 3, math.inf, seed=0).is_complete
+    with pytest.raises(ValueError, match=f"^radius must lie within the float range, not {10**400}$"):
+        generate_geometric(4, 3, 10**400, seed=0)
 
 
 def test_geometric_positions_kept_and_consistent():

@@ -56,6 +56,13 @@ def test_default_depth():
     assert 0.5**d1 < 1e-14 <= 0.5 ** (d1 - 1)
 
 
+@pytest.mark.parametrize("d", [-1, 0, float("nan"), 2.5])
+def test_default_depth_refuses_a_d_that_is_not_a_positive_integer(d):
+    # as fixed_point does; d = -1, 0 and NaN once gave depth 200, and 2.5 gave 10
+    with pytest.raises(ValueError, match=f"^d must be a positive integer, not {d}$"):
+        default_depth(0.5, d)
+
+
 def test_fixed_point_is_stationary_under_integration():
     q = fixed_point(0.8, 2, 12)
     result = integrate_ode(0.8, q, 10.0, depth=12)
@@ -137,7 +144,7 @@ def test_depth_has_no_default_and_the_certificate_no_d():
     lambda lam: default_depth(lam, 2),
 ], ids=["fixed_point", "stability_weights", "integrate_ode", "default_depth"])
 def test_lambda_outside_unit_interval_is_refused(call, lam):
-    with pytest.raises(ValueError, match=r"^lambda must lie in \(0, 1\)$"):
+    with pytest.raises(ValueError, match=rf"^lambda must lie in \(0, 1\), not {lam}$"):
         call(lam)
 
 

@@ -6,7 +6,7 @@ import pytest
 from oracles import time_limit
 
 from sparselb.graph import complete_bipartite
-from sparselb.meanfield import stability_weights
+from sparselb.meanfield import default_depth, empty_occupancy, fixed_point, integrate_ode, stability_weights
 from sparselb.policy import jsqd_policy
 from sparselb.properties import sparsity_deficiency
 from sparselb.records import (
@@ -123,6 +123,9 @@ _INTEGER_ARGUMENTS = {
     "lyapunov_series-k": ("k", lambda v: lyapunov_series(_small_record(), v)),
     "tail_moment_margin-k": ("k", lambda v: tail_moment_margin([0.5, 0.25, 0.125], 0.5, v)),
     "jsqd_policy-d": ("d", lambda v: jsqd_policy(v)),
+    "default_depth-d": ("d", lambda v: default_depth(0.5, v)),
+    "fixed_point-d": ("d", lambda v: fixed_point(0.5, v, 4)),
+    "integrate_ode-d": ("d", lambda v: integrate_ode(0.5, empty_occupancy(4), 1.0, depth=4, d=v)),
 }
 
 
@@ -134,10 +137,12 @@ def test_integer_arguments_are_named(case, value):
         call(value)
 
 
-@pytest.mark.parametrize("value", [2**31, 2**63])
-@pytest.mark.parametrize("case", ["lyapunov_series-k", "jsqd_policy-d"])
+@pytest.mark.parametrize("value", [2**31, 2**63, 10**400])
+@pytest.mark.parametrize("case", ["lyapunov_series-k", "jsqd_policy-d", "default_depth-d", "fixed_point-d",
+                                  "integrate_ode-d"])
 def test_counts_from_2_31_are_named(case, value):
-    # jsqd_policy would otherwise form d! for its declared bound
+    # jsqd_policy would otherwise form d! for its declared bound, and the
+    # mean-field functions q**d, which turns d into a float
     name, call = _INTEGER_ARGUMENTS[case]
     with time_limit(2), pytest.raises(ValueError, match=rf"^{name} must be below 2\^31, not {value}$"):
         call(value)
@@ -145,7 +150,7 @@ def test_counts_from_2_31_are_named(case, value):
 
 @pytest.mark.parametrize("lam", [1, 2, 0, -0.5, float("nan")])
 def test_tail_moment_margin_refuses_a_load_outside_0_1(lam):
-    with pytest.raises(ValueError, match=r"^lambda must lie in \(0, 1\)$"):
+    with pytest.raises(ValueError, match=rf"^lambda must lie in \(0, 1\), not {lam}$"):
         tail_moment_margin([0.5, 0.25], lam, 1)
 
 
@@ -153,6 +158,29 @@ def test_tail_moment_margin_refuses_a_load_outside_0_1(lam):
 def test_tail_moment_margin_refuses_k_past_the_recorded_levels(k):
     with pytest.raises(ValueError, match=f"^k must be at most the 2 recorded levels, not {k}$"):
         tail_moment_margin([0.5, 0.25], 0.5, k)
+
+
+_FLOAT_ARGUMENTS = {
+    "simulate-lam": ("lambda", lambda v: simulate(complete_bipartite(2, 2), 1, v, 1.0)),
+    "simulate-sample_interval": ("sample_interval", lambda v: simulate(complete_bipartite(2, 2), 1, 0.5, 1.0,
+                                                                       sample_interval=v)),
+    "steady_state-lam": ("lambda", lambda v: steady_state(complete_bipartite(2, 2), 1, v, warmup=1.0)),
+    "integrate_ode-step": ("step", lambda v: integrate_ode(0.5, empty_occupancy(4), 1.0, depth=4, step=v)),
+    "sparsity_deficiency-epsilon": ("epsilon", lambda v: sparsity_deficiency(complete_bipartite(4, 4), v)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FLOAT_ARGUMENTS))
+def test_an_int_past_the_float_range_is_named(case):
+    # math.isfinite(10**400) raises OverflowError: the check refuses the value instead
+    name, call = _FLOAT_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, not {10**400}$"):
+        call(10**400)
+
+
+def test_steady_state_refuses_a_warmup_past_the_float_range():
+    with pytest.raises(ValueError, match=f"^warmup must be finite and >= 0, not {10**400}$"):
+        steady_state(complete_bipartite(2, 2), 1, 0.5, warmup=10**400)
 
 
 def test_sample_grid_takes_an_int_interval_as_a_float():

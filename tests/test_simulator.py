@@ -153,8 +153,8 @@ def test_coupled_block_seams_and_recording_do_not_perturb_the_run(monkeypatch):
 
 
 @pytest.mark.parametrize("kernel, names", [
-    (simulator._simulate_core, ("lengths", "Q", "tw", "top", "heap", "pair", "next_service", "logged",
-                                "log", "i", "a", "b", "l", "lb")),
+    (simulator._simulate_core, ("lengths", "Q", "tw", "top", "heap", "due", "c", "v", "w", "pair", "next_service",
+                                "logged", "log", "i", "a", "b", "l", "lb")),
     (coupled_simulate, ("lengths", "Q_g", "Q_k", "top", "D", "delta", "margin_min")),
 ])
 def test_event_loop_state_is_no_closure_cell(kernel, names):

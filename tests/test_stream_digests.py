@@ -8,8 +8,10 @@ when that kernel replaced the Mersenne Twister one, and the long cases
 span several blocks, so a change at the seam between blocks shows too.
 The coupled digests were recorded when the coupled run moved onto the
 block-drawn stream and became JSQ(d) on the graph (row placement,
-without-replacement ranks). A mismatch means the stream changed, which
-re-rolls every seeded statistical gate.
+without-replacement ranks). The tied-completion digests were recorded
+while the completion heap still held (time, server) pairs, before it came
+to hold bare times. A mismatch means the stream changed, which re-rolls
+every seeded statistical gate.
 """
 
 import hashlib
@@ -119,6 +121,53 @@ def test_simulate_stream_across_blocks(case):
     rec = _simulate_run(*case, horizon=250.0)
     assert rec.arrival_count > 2 * BLOCK
     assert _record_digest(rec) == SIMULATE_LONG[case]
+
+
+# Every server starts with 2 tasks, so under deterministic service all of
+# them complete at t = 1 and again at t = 2: the completion heap pops long
+# runs of equal times, and the samples at 1 and 2 fall on them. Under
+# "integer" service (1, 2 or 3, drawn from the run's stream) ties recur all
+# run long, and each tied server draws its next service in pop order, so a
+# change of the tie order, ascending server index, moves the digest.
+TIED = {
+    ("complete", 2, "deterministic"): "da188da6f9d02ae6",
+    ("sparse", 3, "deterministic"): "889ad1e4d8b7c595",
+    ("sparse", 3, "pareto"): "31dc7b830d89bf1d",
+    ("sparse", 3, "integer"): "9ac0dc6dc6d925fa",
+}
+# the same starts through the window path of steady_state, the window
+# opening at t = 1 on the first run of ties
+TIED_AREA = {
+    ("sparse", 2, "deterministic"): "f357e6c0c6ec7a2b",
+    ("sparse", 3, "integer"): "d920031f67bff199",
+}
+
+
+def _tied_service(service, monkeypatch):
+    if service != "integer":
+        return service
+    monkeypatch.setattr(simulator.ServiceDistribution, "draw",
+                        lambda self, gen, size: gen.integers(1, 4, size).astype(float))
+    return "pareto"
+
+
+@pytest.mark.parametrize("case", sorted(TIED), ids=lambda c: "-".join(map(str, c)))
+def test_simulate_stream_with_tied_completions(case, monkeypatch):
+    name, d, service = case
+    g = GRAPHS[name]
+    rec = simulate(g, d, 0.9, 12.0, service=_tied_service(service, monkeypatch),
+                   initial_lengths=[2] * g.n_servers, sample_interval=0.5, seed=37, depth=6, debug=True)
+    assert _record_digest(rec) == TIED[case]
+
+
+@pytest.mark.parametrize("case", sorted(TIED_AREA), ids=lambda c: "-".join(map(str, c)))
+def test_window_stream_with_tied_completions(case, monkeypatch):
+    name, d, service = case
+    g = GRAPHS[name]
+    service = simulator.ServiceDistribution(_tied_service(service, monkeypatch))
+    _, area = simulator._simulate_core(g, d, 0.9, 12.0, service, simulator._replica_stream(41, 0),
+                                       [2] * g.n_servers, None, 1.0, 6, True, None)
+    assert _digest(area) == TIED_AREA[case]
 
 
 STEADY = {
