@@ -295,7 +295,7 @@ _HUGE = "99999999999999999999"  # 20 digits: refused before anything is allocate
 
 
 @pytest.mark.parametrize("argv, message", [
-    ("ode --lambda 2", "lambda must lie in (0, 1), not 2.0"),
+    pytest.param("ode --lambda 2", "lambda must lie in (0, 1), not 2.0", id="ode --lambda 2-lambda must lie in (0, 1)"),
     ("reproduce lambda-sweep --lambdas 2 --sizes 40", "lambda must lie in (0, 1), not 2.0"),
     *((f"{c} --horizon 1e308", "horizon 1e+308 / sample_interval 0.1 asks for more than 2^31 samples")
       for c in ("simulate", "coupled", "ode")),
