@@ -38,8 +38,12 @@ PSI_FLOOR = 1e-10
 
 
 def _require_load(lam: float) -> None:
-    if not 0 < lam < 1:
-        raise ValueError(f"lambda must lie in (0, 1), not {lam}")
+    try:
+        ok = 0 < lam < 1
+    except TypeError:  # None or a str: no order with numbers
+        ok = False
+    if not ok:
+        raise ValueError(f"lambda must lie in (0, 1), not {lam!r}")
 
 
 class ODEStepError(RuntimeError):

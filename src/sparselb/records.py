@@ -60,12 +60,18 @@ class TrajectoryRecord:
         return self.occupancy.shape[1]
 
 
-def require_finite_positive(name: str, value: float) -> None:
-    """Raise a ValueError that names the argument unless `value` is finite and
-    > 0. Python compares an int with a float exactly, so an int past the
-    float range is refused too, where math.isfinite would overflow."""
-    if not 0 < value <= sys.float_info.max:  # NaN fails both comparisons
-        raise ValueError(f"{name} must be finite and > 0, not {value}")
+def require_finite_positive(name: str, value: float, zero: bool = False) -> None:
+    """Raise a ValueError that names the argument and the value unless `value`
+    is a finite number > 0, or >= 0 when `zero` is true. Python compares an
+    int with a float exactly, so an int past the float range is refused too,
+    where math.isfinite would overflow; a value that does not compare with
+    numbers, such as None or a str, is refused as well."""
+    try:
+        ok = (0 <= value if zero else 0 < value) and value <= sys.float_info.max  # NaN fails both
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be finite and {'>=' if zero else '>'} 0, not {value!r}")
 
 
 def require_int(name: str, value) -> int:

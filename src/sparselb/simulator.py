@@ -37,7 +37,6 @@ import itertools
 import math
 import operator
 import random
-import sys
 import warnings
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
@@ -243,8 +242,9 @@ def _walk(gen: np.random.Generator, lam: float, n: int, markovian: bool, horizon
     rate lambda*N and every one is an arrival. Each block of BLOCK events
     draws its times and arrival positions here, then `draw(arriving)` - the
     kernel's own block draw, given the sorted arrival positions - returns
-    the kernel's further per-event columns as lists. A `listed` block also
-    carries its times as a list, for a kernel whose loop reads them.
+    the kernel's further per-event columns, each a flat list with one entry
+    per event. A `listed` block also carries its times as a list, for the
+    one loop that reads each event's time: `_simulate_core`'s general loop.
 
     The boundaries are the sample times of `grid`, the window start
     `area_from` and the horizon, in time order (a sample at the horizon
@@ -323,10 +323,13 @@ def _simulate_core(
     the per-level time integrals of Q_i over [area_from, horizon] when
     `area_from` is given. A run does one or the other, never both.
 
-    Beyond the clock that `_walk` draws, a block holds each arrival's
-    dispatcher and ordered server sample and each potential departure's
-    server; the loop over a segment only updates the state. Departures are
-    stored as ~server (negative), arrivals as their first sample.
+    Beyond the clock that `_walk` draws, a block holds flat per-event
+    lists, one per sample column: the first holds each arrival's first
+    sample, or ~server (negative) for a potential departure, and each
+    further one the arrival's next sample. A pair block holds the first
+    column and the last (the first again at d = 1); the general loop zips
+    the further columns into each event's tuple of samples, () at d = 1.
+    The loop over a segment only updates the state.
 
     A pair run (exponential service, at most two samples, no hook) moves
     only the queue lengths per event and logs each event's signed level at
@@ -349,7 +352,7 @@ def _simulate_core(
     markovian = service.is_markovian
     degs = graph.dispatcher_degrees()
     cols = min(d, int(degs.max()))
-    # pair: b is the other sample (d = 1 repeats the first); otherwise b lists
+    # pair: b is the other sample (d = 1 repeats the first); otherwise b holds
     # the rest, and the general loop also drains the heap and calls the hook
     pair = markovian and cols <= 2 and on_assign is None
     csr = None if graph.is_complete else graph.csr()  # complete rows: position = server
@@ -410,14 +413,16 @@ def _simulate_core(
             for col, p in zip(spread, picks):
                 col[arriving] = p
             picks = spread
-        return picks[0].tolist(), (picks[-1] if pair else np.column_stack(picks)[:, 1:]).tolist()
+        return [p.tolist() for p in ((picks[0], picks[-1]) if pair else picks)]
 
     counts = [0, 0]
     walk = _walk(gen, lam, n, markovian, horizon, grid, area_from, draw_block, not pair, counts)
     for block, lo, hi, action, b_time in walk:
         if not pair:
-            _, A, B, T = block
-            events = zip(T[lo:hi], A[lo:hi], B[lo:hi])
+            _, A, *B, T = block  # a flat column per sample
+            # b: the event's further samples; () at d' = 1, where zip() of no columns would yield no events
+            rest = zip(*map(operator.itemgetter(slice(lo, hi)), B)) if B else itertools.repeat(())
+            events = zip(T[lo:hi], A[lo:hi], rest)
             if action is not None:  # last, the services due by the boundary: b = None ends the loop
                 events = itertools.chain(events, ((b_time, 0, None),))
             for t, a, b in events:
@@ -606,8 +611,7 @@ def steady_state(
                 "warmup must be given at lambda >= 1; the default 10/(1 - lambda) needs lambda < 1"
             )
         warmup = 10.0 / (1.0 - lam)
-    if not 0 <= warmup <= sys.float_info.max:  # exact comparisons: an int past the float range fails too
-        raise ValueError(f"warmup must be finite and >= 0, not {warmup}")
+    require_finite_positive("warmup", warmup, zero=True)
     require_finite_positive("measure", measure)
     replicas = require_count("replicas", replicas)
     _warn_overload(lam)
@@ -733,9 +737,9 @@ def coupled_simulate(
     input. Exponential service only: the construction lives on the
     Markovian system.
     """
+    d, depth, seed = _check_inputs(graph, d, lam, depth, seed, allow_disconnected, True)  # refuses lam >= 1 below
     if lam >= 1:
         raise ValueError(f"lambda must be < 1 in a coupled run, not {lam}")
-    d, depth, seed = _check_inputs(graph, d, lam, depth, seed, allow_disconnected, False)
     require_finite_positive("horizon", horizon)
     grid = sample_grid(horizon, sample_interval)
     gen = _replica_stream(seed, 0)
@@ -785,9 +789,10 @@ def coupled_simulate(
     margin_series = np.zeros(len(grid), dtype=np.int64)
 
     counts = [0, 0]
-    walk = _walk(gen, lam, n, True, horizon, grid, None, draw_block, True, counts)
-    for (_, A, P, R, K, T), lo, hi, action, _ in walk:
-        for t, a, pick, rank, above in zip(T[lo:hi], A[lo:hi], P[lo:hi], R[lo:hi], K[lo:hi]):
+    walk = _walk(gen, lam, n, True, horizon, grid, None, draw_block, False, counts)
+    for (times, A, P, R, K), lo, hi, action, _ in walk:
+        left = iter(A[lo:hi])  # its length hint places a violating event on the clock
+        for a, pick, rank, above in zip(left, P[lo:hi], R[lo:hi], K[lo:hi]):
             if a < 0:  # potential departure at server ~a, at the same slot in the twin
                 a = ~a
                 l = lengths[a]
@@ -858,6 +863,7 @@ def coupled_simulate(
             if margin < margin_min:
                 margin_min = margin
                 if margin < 0:
+                    t = times[hi - 1 - operator.length_hint(left)]
                     raise InvariantViolation(
                         f"coupling inequality violated at t={t:.6f}: "
                         f"sum|Q_i(K)-Q_i(G)|={D} > 2*delta={2 * delta}"

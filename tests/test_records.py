@@ -19,7 +19,7 @@ from sparselb.records import (
     sample_grid,
     write_trajectory_csv,
 )
-from sparselb.simulator import lyapunov_series, simulate, steady_state, tail_moment_margin
+from sparselb.simulator import coupled_simulate, lyapunov_series, simulate, steady_state, tail_moment_margin
 
 
 def _record(times, occ, overflow=None):
@@ -176,6 +176,38 @@ def test_an_int_past_the_float_range_is_named(case):
     name, call = _FLOAT_ARGUMENTS[case]
     with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, not {10**400}$"):
         call(10**400)
+
+
+_G = complete_bipartite(2, 2)
+# (value, the message) per call: each float argument meets a value that does
+# not order against numbers at its first comparison
+_NON_NUMBERS = {
+    "simulate-lam": (None, "lambda must be finite and > 0, not None", lambda v: simulate(_G, 2, v, 1.0)),
+    "simulate-horizon": ("3", "horizon must be finite and > 0, not '3'", lambda v: simulate(_G, 2, 0.5, v)),
+    "coupled_simulate-lam": (None, "lambda must be finite and > 0, not None",
+                             lambda v: coupled_simulate(_G, 2, v, 1.0)),
+    "coupled_simulate-sample_interval": (None, "sample_interval must be finite and > 0, not None",
+                                         lambda v: coupled_simulate(_G, 2, 0.5, 1.0, sample_interval=v)),
+    "integrate_ode-step": (None, "step must be finite and > 0, not None",
+                           lambda v: integrate_ode(0.5, empty_occupancy(4), 1.0, depth=4, step=v)),
+    "integrate_ode-lam": ("3", "lambda must lie in (0, 1), not '3'",
+                          lambda v: integrate_ode(v, empty_occupancy(4), 1.0, depth=4)),
+    "sparsity_deficiency-epsilon": (None, "epsilon must be finite and > 0, not None",
+                                    lambda v: sparsity_deficiency(complete_bipartite(4, 4), v)),
+    "steady_state-measure": (None, "measure must be finite and > 0, not None",
+                             lambda v: steady_state(_G, 2, 0.5, warmup=1.0, measure=v)),
+    "steady_state-warmup": ("3", "warmup must be finite and >= 0, not '3'",
+                            lambda v: steady_state(_G, 2, 0.5, warmup=v)),
+    "fixed_point-lam": (None, "lambda must lie in (0, 1), not None", lambda v: fixed_point(v, 2, 4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_NUMBERS))
+def test_a_float_argument_given_a_non_number_is_named(case):
+    # not a TypeError from `0 < value`: the check names the argument and the value
+    value, message, call = _NON_NUMBERS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
 
 
 def test_steady_state_refuses_a_warmup_past_the_float_range():

@@ -1,6 +1,9 @@
+import builtins
+import dataclasses
 import itertools
 import math
 import random
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -150,6 +153,29 @@ def test_coupled_block_seams_and_recording_do_not_perturb_the_run(monkeypatch):
             runs[0].event_count, runs[0].arrival_count, runs[0].mismatch_count, runs[0].margin_min)
     assert runs[0].mismatch_count > 0
     assert runs[0].event_count > 100 * simulator.BLOCK
+
+
+def test_coupled_violation_names_the_time_of_its_event(monkeypatch):
+    # The inequality holds for any ranks, wrong ones too, so a broken run is
+    # stood in for by a checker that counts D twice over: D stays 0 until the
+    # first arrival that the two systems send to different lengths, which
+    # makes it 4 > 2 = 2*delta. In blocks of 6 events that arrival is event
+    # 51 from 0, mid-block; the clean run's fine grid brackets its time, and the
+    # broken run samples only at 0 and 5, so the arrival lies inside a
+    # whole-block segment, neither at its start nor at its end.
+    monkeypatch.setattr(simulator, "BLOCK", 6)
+    g = generate_fixed_server_degree(40, 30, 3, seed=2)
+    clean = coupled_simulate(g, 2, 0.9, 5.0, sample_interval=0.001, seed=5)
+    first = int(np.argmax(clean.delta_series > 0))
+    after, by = clean.g_record.sample_times[first - 1 : first + 1].tolist()
+    assert first > 0 and coupled_simulate(g, 2, 0.9, after, seed=5).event_count > 2 * simulator.BLOCK
+    monkeypatch.setattr(simulator, "abs", lambda x: 2 * builtins.abs(x), raising=False)
+    with pytest.raises(simulator.InvariantViolation) as info:
+        coupled_simulate(g, 2, 0.9, 5.0, sample_interval=5.0, seed=5)
+    found = re.fullmatch(r"coupling inequality violated at t=(\d+\.\d{6}): sum\|Q_i\(K\)-Q_i\(G\)\|=4 > 2\*delta=2",
+                         str(info.value))
+    assert found, str(info.value)
+    assert after - 5e-7 <= float(found.group(1)) <= by + 5e-7
 
 
 @pytest.mark.parametrize("kernel, names", [
@@ -502,6 +528,30 @@ def test_recorded_rows_match_the_state(g, d, lam, service, samples, depth, data,
     assert rec.overflow[-1] == np.count_nonzero(final > depth)
     assert 0 <= rec.departure_count <= rec.arrival_count + sum(initial)
     assert rec.arrival_count + sum(initial) - rec.departure_count == final.sum()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    g=_small_graphs(),
+    d=st.integers(1, 4),
+    lam=st.floats(0.1, 0.95),
+    service=st.sampled_from(ServiceDistribution.KINDS),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_runs_conserve_tasks_with_and_without_a_hook(g, d, lam, service, data, seed):
+    # a hook that only counts sends every run through the general loop, and
+    # it is called once per arrival; with it or without it the run is the same
+    initial = data.draw(st.lists(st.integers(0, 3), min_size=g.n_servers, max_size=g.n_servers))
+    calls = []
+    bare, hooked = [simulate(g, d, lam, 4.0, service=service, initial_lengths=initial, sample_interval=0.5,
+                             seed=seed, depth=4, allow_disconnected=True, debug=True, on_assign=hook)
+                    for hook in (None, lambda *args: calls.append(None))]
+    assert bare.event_count == bare.arrival_count + bare.departure_count
+    assert bare.arrival_count - bare.departure_count == bare.final_queue_lengths.sum() - sum(initial)
+    assert len(calls) == hooked.arrival_count
+    for field in dataclasses.fields(bare):
+        np.testing.assert_array_equal(getattr(bare, field.name), getattr(hooked, field.name), err_msg=field.name)
 
 
 def _reference_min_rank(s, d, u):

@@ -90,11 +90,11 @@ SIMULATE_DEPTH2 = {
 }
 
 
-def _simulate_run(name, d, service, horizon, depth=6):
+def _simulate_run(name, d, service, horizon, depth=6, on_assign=None):
     g = GRAPHS[name]
     init = [(v * 7) % 4 for v in range(g.n_servers)]  # starts busy: service draws at t=0
     return simulate(g, d, 0.9, horizon, service=service, initial_lengths=init,
-                    sample_interval=0.5, seed=17, depth=depth, debug=True)
+                    sample_interval=0.5, seed=17, depth=depth, debug=True, on_assign=on_assign)
 
 
 @pytest.mark.parametrize("case", sorted(SIMULATE), ids=lambda c: "-".join(map(str, c)))
@@ -107,6 +107,35 @@ def test_simulate_overflow_stream(case):
     rec = _simulate_run(*case, horizon=25.0, depth=2)
     assert rec.overflow.any() and rec.final_queue_lengths.max() > 3
     assert _record_digest(rec) == SIMULATE_DEPTH2[case]
+
+
+# SPARSE's rows hold 1 to 6 servers, so at d = 4 and 5 most rows are shorter
+# than d and fill their extra sample columns with their first sample. These
+# were recorded while the block still stacked the extra samples into one
+# list per event, before each column became its own flat list.
+SIMULATE_WIDE = {
+    ("sparse", 4, "deterministic"): "a993cba1ae5debca",
+    ("sparse", 4, "exponential"): "916044e9dc46bbec",
+    ("sparse", 5, "deterministic"): "3a5c3f4ca598743f",
+    ("sparse", 5, "exponential"): "beed33f724fa0d96",
+}
+# the same start at d = 5 with an on_assign hook that does nothing but keep
+# its arguments: the digest pins the record and every sampled list the hook
+# saw, each sample once and in sample order
+HOOKED_WIDE = ("sparse", 5, "pareto"), "6669715c3732b141"
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_WIDE), ids=lambda c: "-".join(map(str, c)))
+def test_simulate_stream_wide_sample(case):
+    assert _record_digest(_simulate_run(*case, horizon=25.0)) == SIMULATE_WIDE[case]
+
+
+def test_simulate_stream_wide_sample_through_the_hook():
+    seen = []
+    case, want = HOOKED_WIDE
+    rec = _simulate_run(*case, horizon=25.0, on_assign=lambda v, l, sampled, _: seen.append((v, l, *sampled)))
+    assert seen and max(map(len, seen)) == 2 + 5 and min(map(len, seen)) == 2 + 1
+    assert _digest(_record_digest(rec), seen) == want
 
 
 # horizon 250: more than two blocks of arrivals, so at least two seams
